@@ -7,6 +7,10 @@ quench work statistics.  An exact determinant-overlap oracle validates
 the closed-form echo for small ladders.
 """
 
+# The single source of the package version: pyproject.toml and the
+# output headers read it from here.
+__version__ = "0.1.0"
+
 from .dqpt import (
     CriticalMode,
     FisherZeroLine,
@@ -43,15 +47,16 @@ from .model import (
     group_velocity,
     ground_state_energy,
     is_commensurate,
+    is_critical_flux,
     mode_data,
 )
 from .quench import (
     LESeries,
-    QuenchModeData,
+    ModeArrays,
     QuenchSpec,
     exact_le_oracle,
     loschmidt_echo,
-    quench_mode,
+    mode_arrays,
 )
 from .revival import (
     RevivalDetection,
@@ -67,8 +72,6 @@ from .thermo import (
     work_stats,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "ConfigError",
     "CreutzError",
@@ -80,10 +83,10 @@ __all__ = [
     "LESeries",
     "LadderParams",
     "ModeData",
+    "ModeArrays",
     "ModeGrid",
     "NoDqptError",
     "NoRevivalError",
-    "QuenchModeData",
     "QuenchSpec",
     "RationalAngle",
     "RevivalDetection",
@@ -108,11 +111,12 @@ __all__ = [
     "group_velocity",
     "ground_state_energy",
     "is_commensurate",
+    "is_critical_flux",
     "loschmidt_echo",
+    "mode_arrays",
     "mode_data",
     "predict_dqpt_times",
     "predict_revival",
-    "quench_mode",
     "scan_theta2",
     "solve_critical_modes",
     "work_distribution",

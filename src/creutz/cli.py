@@ -16,64 +16,41 @@ import argparse
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from math import pi
-from typing import Any, Optional
+from math import inf, pi
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 from . import dqpt, revival, thermo
 from .errors import ConfigError, CreutzError, DomainError
-from .model import LadderParams, allowed_modes, mode_data
+from .model import LadderParams, allowed_modes, is_critical_flux, mode_data
 from .quench import QuenchSpec, loschmidt_echo
 from .serialize import write_table
 
-_DEFAULTS: dict[str, Any] = {
-    "j_h": 1.0,
-    "j_v": 1.0,
-    "j_d": None,  # falls back to j_h
-    "n_rungs": 100,
-    "theta": 0.0,
-    "theta1": 0.0016,
-    "theta2": 0.0,
-    "t_max": None,
-    "n_points": None,
-    "q_max": 64,
-    "tol": 1e-9,
-    "margin": None,
-    "window": 5,
-    "peak_fraction": 0.6,
-    "sensitivity": 20.0,
-    "theta2_min": -1.0,
-    "theta2_max": 1.0,
-    "n_theta2": 401,
-    "out": "-",
-    "format": "csv",
-    "timestamp": False,
-}
-
-_PARSERS = {
-    "j": float,
-    "j_h": float,
-    "j_v": float,
-    "j_d": float,
-    "n_rungs": int,
-    "theta": float,
-    "theta1": float,
-    "theta2": float,
-    "t_max": float,
-    "n_points": int,
-    "q_max": int,
-    "tol": float,
-    "margin": float,
-    "window": int,
-    "peak_fraction": float,
-    "sensitivity": float,
-    "theta2_min": float,
-    "theta2_max": float,
-    "n_theta2": int,
-    "out": str,
-    "format": str,
-    "timestamp": lambda v: v.lower() in ("1", "true", "yes", "on"),
+# key -> (parser, default).  ``j`` is not a key of its own: it parses as a
+# float and fills j_h and j_d where those are not set explicitly.
+_KEYS: dict[str, tuple[Callable[[str], Any], Any]] = {
+    "j_h": (float, 1.0),
+    "j_v": (float, 1.0),
+    "j_d": (float, None),  # falls back to j_h
+    "n_rungs": (int, 100),
+    "theta": (float, 0.0),
+    "theta1": (float, 0.0016),
+    "theta2": (float, 0.0),
+    "t_max": (float, None),
+    "n_points": (int, None),
+    "q_max": (int, 64),
+    "tol": (float, 1e-9),
+    "margin": (float, None),
+    "window": (int, 5),
+    "peak_fraction": (float, 0.6),
+    "sensitivity": (float, 20.0),
+    "theta2_min": (float, -1.0),
+    "theta2_max": (float, 1.0),
+    "n_theta2": (int, 401),
+    "out": (str, "-"),
+    "format": (str, "csv"),
+    "timestamp": (lambda v: v.lower() in ("1", "true", "yes", "on"), False),
 }
 
 
@@ -106,10 +83,10 @@ class RunConfig:
 
 
 def _parse_value(key: str, raw: str, where: str) -> Any:
-    if key not in _PARSERS:
+    if key != "j" and key not in _KEYS:
         raise ConfigError(f"{where}: unknown key {key!r}")
     try:
-        return _PARSERS[key](raw)
+        return float(raw) if key == "j" else _KEYS[key][0](raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: cannot parse value {raw!r} for key {key!r}") from None
 
@@ -135,7 +112,7 @@ def load_config_file(path: str) -> dict[str, Any]:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    values = dict(_DEFAULTS)
+    values = {key: default for key, (_, default) in _KEYS.items()}
     overrides: dict[str, Any] = {}
     if args.config:
         overrides.update(load_config_file(args.config))
@@ -167,8 +144,8 @@ def _validate(command: str, values: dict[str, Any]) -> None:
         raise ConfigError(f"n_rungs must be >= 2, got {values['n_rungs']}")
     if values["n_points"] is not None and values["n_points"] < 2:
         raise ConfigError(f"n_points must be >= 2, got {values['n_points']}")
-    if values["t_max"] is not None and values["t_max"] <= 0.0:
-        raise ConfigError(f"t_max must be positive, got {values['t_max']}")
+    if values["t_max"] is not None and not 0.0 < values["t_max"] < inf:
+        raise ConfigError(f"t_max must be positive and finite, got {values['t_max']}")
     if command == "scan" and values["n_theta2"] < 2:
         raise ConfigError(f"n_theta2 must be >= 2, got {values['n_theta2']}")
 
@@ -182,27 +159,22 @@ def _time_grid(cfg: RunConfig, default_t_max: float, default_dt: float) -> np.nd
 
 
 def _base_metadata(cfg: RunConfig, angle_keys: tuple[str, ...]) -> dict[str, Any]:
-    v = cfg.values
+    p = cfg.params
     meta: dict[str, Any] = {"command": cfg.command}
-    j_d = v["j_d"] if v["j_d"] is not None else v["j_h"]
-    meta.update(j_h=v["j_h"], j_v=v["j_v"], j_d=j_d, n_rungs=v["n_rungs"])
+    meta.update(j_h=p.j_h, j_v=p.j_v, j_d=p.j_d, n_rungs=p.n_rungs)
     for key in angle_keys:
-        meta[f"{key}_over_pi"] = v[key]
-    if v["timestamp"]:
+        meta[f"{key}_over_pi"] = cfg[key]
+    if cfg["timestamp"]:
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
     return meta
 
 
 def _cmd_spectrum(cfg: RunConfig):
     params = cfg.params
-    ks = allowed_modes(params.n_rungs).wavenumbers
-    rows = []
-    for k in ks:
-        m = mode_data(params, float(k))
-        rows.append([m.k, m.eps_q, m.eps_p, m.eps_qp, m.gamma, m.e_alpha, m.e_beta, m.gap])
-    meta = _base_metadata(cfg, ("theta",))
+    m = mode_data(params, allowed_modes(params.n_rungs).wavenumbers)
     columns = ["k", "eps_q", "eps_p", "eps_qp", "gamma", "e_alpha", "e_beta", "gap"]
-    return meta, columns, np.asarray(rows)
+    rows = np.column_stack([getattr(m, name) for name in columns])
+    return _base_metadata(cfg, ("theta",)), columns, rows
 
 
 def _cmd_le(cfg: RunConfig):
@@ -252,9 +224,7 @@ def _cmd_dqpt(cfg: RunConfig):
     times = _time_grid(cfg, default_t_max=10.0, default_dt=1e-3)
     possible = dqpt.dqpt_possible(spec)
     modes = dqpt.solve_critical_modes(spec)
-    predicted: list[float] = []
-    if any(np.isfinite(m.t_star) for m in modes):
-        predicted = dqpt.predict_dqpt_times(spec, t_max=float(times[-1]))
+    predicted = dqpt.predict_dqpt_times(spec, t_max=float(times[-1])) if modes else []
     series = loschmidt_echo(spec, times, include_la=False)
     cusps = dqpt.detect_cusps(series, sensitivity=cfg["sensitivity"])
     meta = _base_metadata(cfg, ("theta1", "theta2"))
@@ -268,7 +238,7 @@ def _cmd_dqpt(cfg: RunConfig):
         t_max=float(times[-1]),
         n_points=int(times.size),
     )
-    if cfg["theta2"] in (0.0, 1.0, -1.0):
+    if is_critical_flux(spec.theta_post):
         meta["zero_mode_gate"] = dqpt.finite_size_dqpt_gate(spec)
     rows = []
     for i, t_cusp in enumerate(cusps):

@@ -23,8 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidQuenchTargetError, NoDqptError
-from .model import bogoliubov_angle, detect_rational_angle, is_commensurate
-from .quench import LESeries, QuenchSpec
+from .model import (
+    _require_equal_hoppings,
+    detect_rational_angle,
+    is_commensurate,
+    is_critical_flux,
+    mode_data,
+)
+from .quench import LESeries, QuenchSpec, mode_arrays
 
 __all__ = [
     "CriticalMode",
@@ -37,9 +43,6 @@ __all__ = [
     "predict_dqpt_times",
     "solve_critical_modes",
 ]
-
-_CRITICAL_TARGET_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class CriticalMode:
@@ -89,18 +92,9 @@ def dqpt_possible(spec: QuenchSpec) -> bool:
     return _sin_exact(spec.theta_pre) * _sin_exact(spec.theta_post) <= 0.0
 
 
-def _equal_hoppings(spec: QuenchSpec) -> float:
-    if not math.isclose(spec.params.j_h, spec.params.j_d, rel_tol=0.0, abs_tol=1e-12):
-        raise DomainError(
-            "critical-mode analysis requires j_h == j_d, "
-            f"got j_h={spec.params.j_h}, j_d={spec.params.j_d}"
-        )
-    return spec.params.j_h
-
-
 def critical_mode_residual(spec: QuenchSpec, k: float) -> float:
     """Residual of the amplitude-one condition at wavenumber ``k``."""
-    j = _equal_hoppings(spec)
+    j = _require_equal_hoppings(spec.params)
     s = _sin_exact(spec.theta_pre) * _sin_exact(spec.theta_post)
     return (2.0 * j * math.cos(k) + spec.params.j_v) ** 2 + (2.0 * j * math.sin(k)) ** 2 * s
 
@@ -113,7 +107,7 @@ def solve_critical_modes(spec: QuenchSpec) -> list[CriticalMode]:
     returned mode also exists mirrored at 2 pi - k*.  The list is empty
     when the quench cannot support a transition.
     """
-    j = _equal_hoppings(spec)
+    j = _require_equal_hoppings(spec.params)
     jv = spec.params.j_v
     s = _sin_exact(spec.theta_pre) * _sin_exact(spec.theta_post)
     if s > 0.0:
@@ -129,7 +123,7 @@ def solve_critical_modes(spec: QuenchSpec) -> list[CriticalMode]:
         if _sin_exact(spec.theta_post) == 0.0:
             gap_star, t_star = 0.0, math.inf
         else:
-            gap_star = float(_post_gap(spec, k_star))
+            gap_star = float(mode_data(spec.post, k_star).gap)
             t_star = 2.0 * math.pi / gap_star
         return [CriticalMode(k_star=k_star, gap_star=gap_star, t_star=t_star, tangent=True)]
 
@@ -152,7 +146,7 @@ def solve_critical_modes(spec: QuenchSpec) -> list[CriticalMode]:
             continue
         k_star = math.acos(c)
         k_star = _newton_polish(spec, j, jv, s, k_star)
-        gap_star = float(_post_gap(spec, k_star))
+        gap_star = float(mode_data(spec.post, k_star).gap)
         modes.append(
             CriticalMode(
                 k_star=k_star,
@@ -175,12 +169,6 @@ def _newton_polish(spec: QuenchSpec, j: float, jv: float, s: float, k: float) ->
         if abs(step) < 1e-6:
             k = k - step
     return k
-
-
-def _post_gap(spec: QuenchSpec, k):
-    eps_qp = 2.0 * spec.params.j_d * np.cos(k) + spec.params.j_v
-    transverse = 2.0 * spec.params.j_h * np.sin(k) * _sin_exact(spec.theta_post)
-    return 2.0 * np.sqrt(eps_qp**2 + transverse**2)
 
 
 def predict_dqpt_times(spec: QuenchSpec, t_max: float) -> list[float]:
@@ -219,8 +207,7 @@ def fisher_zero_lines(
     if k_samples < 2:
         raise DomainError(f"k_samples must be >= 2, got {k_samples}")
     ks = np.linspace(0.0, math.pi, k_samples + 2)[1:-1]
-    cos2 = _cos2_eta(spec, ks)
-    gap = _post_gap(spec, ks)
+    _, _, cos2, gap, _, _ = mode_arrays(spec, ks)
     sin2 = 1.0 - cos2
     with np.errstate(divide="ignore", invalid="ignore"):
         tan2 = sin2 / cos2
@@ -234,12 +221,6 @@ def fisher_zero_lines(
             FisherZeroLine(n=n, k=ks[valid], points=z, n_skipped=n_skipped)
         )
     return lines
-
-
-def _cos2_eta(spec: QuenchSpec, ks: np.ndarray) -> np.ndarray:
-    gamma_pre = np.asarray(bogoliubov_angle(spec.pre, ks), dtype=float)
-    gamma_post = np.asarray(bogoliubov_angle(spec.post, ks), dtype=float)
-    return np.cos(0.5 * (gamma_pre - gamma_post)) ** 2
 
 
 def detect_cusps(series: LESeries, sensitivity: float = 20.0) -> list[float]:
@@ -285,10 +266,7 @@ def finite_size_dqpt_gate(spec: QuenchSpec) -> bool:
     True exactly when the gap-closing wavenumber lies on the mode grid,
     decided by integer arithmetic on the rational gap-closing angle.
     """
-    if not (
-        abs(spec.theta_post) <= _CRITICAL_TARGET_TOL
-        or abs(abs(spec.theta_post) - math.pi) <= _CRITICAL_TARGET_TOL
-    ):
+    if not is_critical_flux(spec.theta_post):
         raise InvalidQuenchTargetError(
             f"gate defined only for quenches to a critical flux, got theta_post={spec.theta_post}"
         )

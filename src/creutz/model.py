@@ -37,25 +37,36 @@ __all__ = [
     "group_velocity",
     "ground_state_energy",
     "is_commensurate",
+    "is_critical_flux",
     "mode_data",
 ]
 
+_CRITICAL_TARGET_TOL = 1e-12
+
 
 def canonical_angle(theta: float) -> float:
-    """Reduce an angle to the interval (-pi, pi]."""
+    """Reduce a finite angle to the interval (-pi, pi]."""
     theta = float(theta)
+    if not math.isfinite(theta):
+        raise DomainError(f"angle must be finite, got {theta}")
     reduced = math.remainder(theta, 2.0 * math.pi)
     if reduced <= -math.pi:
         reduced += 2.0 * math.pi
     return reduced
 
 
+def is_critical_flux(theta: float) -> bool:
+    """True when ``theta`` is a gap-closing flux, 0 or pi modulo 2 pi."""
+    theta = abs(canonical_angle(theta))
+    return theta <= _CRITICAL_TARGET_TOL or abs(theta - math.pi) <= _CRITICAL_TARGET_TOL
+
+
 @dataclass(frozen=True)
 class LadderParams:
     """Hopping amplitudes, flux, and size of one Creutz ladder.
 
-    ``theta`` is stored canonically in (-pi, pi].  ``j_v`` and ``j_d``
-    must be positive; ``n_rungs`` is the number of sites per leg.
+    ``theta`` is stored canonically in (-pi, pi].  Hoppings must be finite,
+    ``j_v`` and ``j_d`` positive; ``n_rungs`` is the number of sites per leg.
     """
 
     j_h: float
@@ -65,6 +76,9 @@ class LadderParams:
     n_rungs: int
 
     def __post_init__(self) -> None:
+        for name in ("j_h", "j_v", "j_d"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.j_v <= 0.0:
             raise DomainError(f"j_v must be positive, got {self.j_v}")
         if self.j_d <= 0.0:
@@ -90,16 +104,16 @@ class ModeGrid:
 
 @dataclass(frozen=True)
 class ModeData:
-    """Spectral data of a single wavenumber (shifted band convention)."""
+    """Spectral data at wavenumber(s) ``k``, each field shaped like ``k`` (shifted bands)."""
 
-    k: float
-    eps_q: float
-    eps_p: float
-    eps_qp: float
-    gamma: float
-    e_alpha: float
-    e_beta: float
-    gap: float
+    k: np.ndarray
+    eps_q: np.ndarray
+    eps_p: np.ndarray
+    eps_qp: np.ndarray
+    gamma: np.ndarray
+    e_alpha: np.ndarray
+    e_beta: np.ndarray
+    gap: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -125,55 +139,46 @@ def allowed_modes(n_rungs: int) -> ModeGrid:
     return ModeGrid(n_rungs=n, wavenumbers=ks, delta_k=2.0 * np.pi / n)
 
 
-def _eps_parts(params: LadderParams, k):
+def mode_data(params: LadderParams, k) -> ModeData:
+    """All per-wavenumber spectral quantities at scalar or array ``k``.
+
+    ``gamma`` in (-pi, pi] diagonalizes the 2x2 Bloch matrix; the
+    two-argument arctangent keeps it defined where the leg energies cross.
+    """
+    k = np.asarray(k, dtype=float)
     eps_q = 2.0 * params.j_h * np.cos(k - params.theta)
     eps_p = 2.0 * params.j_h * np.cos(k + params.theta)
     eps_qp = 2.0 * params.j_d * np.cos(k) + params.j_v
-    return eps_q, eps_p, eps_qp
+    gamma = np.arctan2(2.0 * eps_qp, eps_q - eps_p)
+    half_gap = np.sqrt(eps_qp**2 + (2.0 * params.j_h * np.sin(k) * np.sin(params.theta)) ** 2)
+    center = -2.0 * params.j_h * np.cos(k) * np.cos(params.theta) - params.j_v
+    e_alpha, e_beta = center - half_gap, center + half_gap
+    return ModeData(
+        k=k,
+        eps_q=eps_q,
+        eps_p=eps_p,
+        eps_qp=eps_qp,
+        gamma=np.where(gamma <= -np.pi, gamma + 2.0 * np.pi, gamma),
+        e_alpha=e_alpha,
+        e_beta=e_beta,
+        gap=e_beta - e_alpha,
+    )
 
 
 def band_energies(params: LadderParams, k):
     """Shifted band energies (e_alpha, e_beta) at wavenumber(s) ``k``."""
-    k = np.asarray(k, dtype=float)
-    _, _, eps_qp = _eps_parts(params, k)
-    half_gap = np.sqrt(eps_qp**2 + (2.0 * params.j_h * np.sin(k) * np.sin(params.theta)) ** 2)
-    center = -2.0 * params.j_h * np.cos(k) * np.cos(params.theta) - params.j_v
-    return center - half_gap, center + half_gap
+    m = mode_data(params, k)
+    return m.e_alpha, m.e_beta
 
 
 def gap(params: LadderParams, k):
     """Band gap e_beta - e_alpha at wavenumber(s) ``k``."""
-    e_alpha, e_beta = band_energies(params, k)
-    return e_beta - e_alpha
+    return mode_data(params, k).gap
 
 
 def bogoliubov_angle(params: LadderParams, k):
-    """Rotation angle diagonalizing the 2x2 Bloch matrix, in (-pi, pi].
-
-    Computed with the two-argument arctangent of
-    (2 eps_qp, eps_q - eps_p) so the angle stays well defined where the
-    leg energies cross.
-    """
-    eps_q, eps_p, eps_qp = _eps_parts(params, k)
-    gamma = np.arctan2(2.0 * eps_qp, eps_q - eps_p)
-    return np.where(gamma <= -np.pi, gamma + 2.0 * np.pi, gamma)
-
-
-def mode_data(params: LadderParams, k: float) -> ModeData:
-    """All per-wavenumber spectral quantities at ``k``."""
-    k = float(k)
-    eps_q, eps_p, eps_qp = _eps_parts(params, k)
-    e_alpha, e_beta = band_energies(params, k)
-    return ModeData(
-        k=k,
-        eps_q=float(eps_q),
-        eps_p=float(eps_p),
-        eps_qp=float(eps_qp),
-        gamma=float(bogoliubov_angle(params, k)),
-        e_alpha=float(e_alpha),
-        e_beta=float(e_beta),
-        gap=float(e_beta - e_alpha),
-    )
+    """Rotation angle diagonalizing the 2x2 Bloch matrix, in (-pi, pi]."""
+    return mode_data(params, k).gamma
 
 
 def _require_equal_hoppings(params: LadderParams) -> float:
@@ -208,12 +213,10 @@ def detect_rational_angle(
     approximates the angle to within ``tol``; that signals an
     incommensurate angle at this resolution.
     """
-    j = _require_equal_hoppings(params)
-    if params.j_v >= 2.0 * j:
-        raise DomainError(f"requires j_v < 2j, got j_v={params.j_v}, j={j}")
+    critical_wavenumbers(params)  # validates j_h == j_d and j_v < 2j
     if q_max < 2:
         raise DomainError(f"q_max must be >= 2, got {q_max}")
-    x = math.acos(params.j_v / (2.0 * j)) / math.pi
+    x = math.acos(params.j_v / (2.0 * params.j_h)) / math.pi
     frac = Fraction(x).limit_denominator(int(q_max))
     if frac <= 0 or frac >= 1 or abs(x - float(frac)) >= tol:
         return None
@@ -251,5 +254,4 @@ def group_velocity(params: LadderParams) -> float:
 def ground_state_energy(params: LadderParams) -> float:
     """Total energy of the lower band summed over all allowed modes."""
     ks = allowed_modes(params.n_rungs).wavenumbers
-    e_alpha, _ = band_energies(params, ks)
-    return float(np.sum(e_alpha))
+    return float(np.sum(mode_data(params, ks).e_alpha))

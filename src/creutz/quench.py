@@ -16,21 +16,20 @@ matrix provides an independent check for small ladders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .model import LadderParams, allowed_modes, band_energies, bogoliubov_angle, canonical_angle
+from .model import LadderParams, allowed_modes, canonical_angle, mode_data
 
 __all__ = [
     "LESeries",
-    "QuenchModeData",
+    "ModeArrays",
     "QuenchSpec",
     "exact_le_oracle",
     "loschmidt_echo",
     "mode_arrays",
-    "quench_mode",
 ]
 
 ORACLE_MAX_RUNGS = 12
@@ -58,18 +57,6 @@ class QuenchSpec:
 
 
 @dataclass(frozen=True)
-class QuenchModeData:
-    """Oscillation data of one mode: amplitude, post-quench gap, mixing angle."""
-
-    k: float
-    amplitude: float
-    gap_post: float
-    eta: float
-    cos2_eta: float
-    sin2_eta: float
-
-
-@dataclass(frozen=True)
 class LESeries:
     """Echo, amplitude, and rate function sampled on a time grid.
 
@@ -87,55 +74,36 @@ class LESeries:
     n_rungs: int
 
 
-def mode_arrays(spec: QuenchSpec):
-    """Vectorized per-mode quench data over the full mode grid.
+class ModeArrays(NamedTuple):
+    """Per-mode quench data, one entry per wavenumber ``k``.
 
-    Returns (k, amplitude, cos2_eta, gap_post, e_alpha_pre, e_alpha_post)
-    as arrays of length N.
+    eta is half the pre- minus post-quench rotation angle and
+    ``amplitude`` = sin^2(2 eta); ``ea_*`` are lower-band energies.
     """
-    ks = allowed_modes(spec.params.n_rungs).wavenumbers
-    gamma_pre = np.asarray(bogoliubov_angle(spec.pre, ks), dtype=float)
-    gamma_post = np.asarray(bogoliubov_angle(spec.post, ks), dtype=float)
-    two_eta = gamma_pre - gamma_post
-    amplitude = np.sin(two_eta) ** 2
-    cos2_eta = np.cos(0.5 * two_eta) ** 2
-    ea_pre, _ = band_energies(spec.pre, ks)
-    ea_post, eb_post = band_energies(spec.post, ks)
-    return ks, amplitude, cos2_eta, eb_post - ea_post, ea_pre, ea_post
+
+    k: np.ndarray
+    amplitude: np.ndarray
+    cos2_eta: np.ndarray
+    gap_post: np.ndarray
+    ea_pre: np.ndarray
+    ea_post: np.ndarray
 
 
-def quench_mode(spec: QuenchSpec, k: float) -> QuenchModeData:
-    """Oscillation amplitude and mixing of a single mode.
-
-    The band-occupation weights come from explicit eigenvector overlaps
-    of the two 2x2 Bloch matrices; the mixing angle ``eta`` from the
-    rotation-angle difference is kept alongside as a cross-check.
-    """
-    k = float(k)
-    eta = 0.5 * (
-        float(bogoliubov_angle(spec.pre, k)) - float(bogoliubov_angle(spec.post, k))
+def mode_arrays(spec: QuenchSpec, ks=None) -> ModeArrays:
+    """Vectorized per-mode quench data at ``ks`` (default: the ladder's mode grid)."""
+    if ks is None:
+        ks = allowed_modes(spec.params.n_rungs).wavenumbers
+    pre = mode_data(spec.pre, ks)
+    post = mode_data(spec.post, ks)
+    two_eta = pre.gamma - post.gamma
+    return ModeArrays(
+        k=post.k,
+        amplitude=np.sin(two_eta) ** 2,
+        cos2_eta=np.cos(0.5 * two_eta) ** 2,
+        gap_post=post.gap,
+        ea_pre=pre.e_alpha,
+        ea_post=post.e_alpha,
     )
-    v_pre = _lower_band_vector(spec.pre, k)
-    v_post = _lower_band_vector(spec.post, k)
-    cos2 = float(np.abs(v_post @ v_pre) ** 2)
-    ea_post, eb_post = band_energies(spec.post, k)
-    return QuenchModeData(
-        k=k,
-        amplitude=float(np.sin(2.0 * eta) ** 2),
-        gap_post=float(eb_post - ea_post),
-        eta=eta,
-        cos2_eta=cos2,
-        sin2_eta=1.0 - cos2,
-    )
-
-
-def _lower_band_vector(params: LadderParams, k: float) -> np.ndarray:
-    eps_q = 2.0 * params.j_h * np.cos(k - params.theta)
-    eps_p = 2.0 * params.j_h * np.cos(k + params.theta)
-    eps_qp = 2.0 * params.j_d * np.cos(k) + params.j_v
-    bloch = -np.array([[eps_q, eps_qp], [eps_qp, eps_p]], dtype=float)
-    _, vecs = np.linalg.eigh(bloch)
-    return vecs[:, 0]
 
 
 def loschmidt_echo(

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, IncommensurateAngleError, InvalidQuenchTargetError, NoRevivalError
-from .model import commensurate_base, detect_rational_angle, group_velocity
+from .model import commensurate_base, detect_rational_angle, group_velocity, is_critical_flux
 from .quench import LESeries, QuenchSpec
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
 #: Predictions rest on a first-order expansion of the gap around the
 #: closing wavenumbers and degrade beyond a few periods.
 VALIDITY_PERIODS = 5
-
-_CRITICAL_TARGET_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,10 +67,7 @@ def predict_revival(spec: QuenchSpec, q_max: int = 64, tol: float = 1e-9) -> Rev
     The post-quench flux must be 0 or pi and the gap-closing angle must
     be recognizably rational (see ``detect_rational_angle``).
     """
-    if not (
-        abs(spec.theta_post) <= _CRITICAL_TARGET_TOL
-        or abs(abs(spec.theta_post) - math.pi) <= _CRITICAL_TARGET_TOL
-    ):
+    if not is_critical_flux(spec.theta_post):
         raise InvalidQuenchTargetError(
             f"revival prediction needs theta_post at a critical flux (0 or pi), got {spec.theta_post}"
         )

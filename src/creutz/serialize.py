@@ -16,8 +16,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from . import __version__
+
 ARTIFACT = "creutz"
-VERSION = "0.1.0"
 
 
 def format_float(x: float) -> str:
@@ -34,7 +35,7 @@ def _meta_str(value: Any) -> str:
 
 def render_csv(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarray) -> str:
     out = io.StringIO()
-    out.write(f"# {ARTIFACT} v{VERSION}\n")
+    out.write(f"# {ARTIFACT} v{__version__}\n")
     for key, value in metadata.items():
         out.write(f"# {key} = {_meta_str(value)}\n")
     out.write(",".join(columns) + "\n")
@@ -46,7 +47,7 @@ def render_csv(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarra
 def render_json(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarray) -> str:
     payload = {
         "artifact": ARTIFACT,
-        "version": VERSION,
+        "version": __version__,
         "metadata": dict(metadata),
         "columns": list(columns),
         "rows": [list(map(float, row)) for row in np.atleast_2d(np.asarray(rows, dtype=float))]

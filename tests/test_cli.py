@@ -1,10 +1,16 @@
 """Command-line surface: formats, precedence, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from creutz import (
     LadderParams,
@@ -15,8 +21,9 @@ from creutz import (
     loschmidt_echo,
     mode_data,
 )
+from creutz import __version__
 from creutz.cli import main
-from creutz.serialize import read_table
+from creutz.serialize import format_float, read_table
 
 
 def run_cli(*args):
@@ -41,6 +48,25 @@ class TestSpectrum:
         for path in (a, b):
             assert run_cli("spectrum", "--set", "n_rungs=9", "--out", str(path)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_rows_are_array_mode_data(self, tmp_path):
+        out = tmp_path / "spectrum.csv"
+        assert run_cli("spectrum", "--set", "n_rungs=9", "--out", str(out)) == 0
+        lines = out.read_text().splitlines()
+        header = lines.index("k,eps_q,eps_p,eps_qp,gamma,e_alpha,e_beta,gap")
+        m = mode_data(LadderParams(1.0, 1.0, 1.0, 0.0, 9), allowed_modes(9).wavenumbers)
+        table = np.column_stack([m.k, m.eps_q, m.eps_p, m.eps_qp, m.gamma,
+                                 m.e_alpha, m.e_beta, m.gap])
+        expected = [",".join(format_float(v) for v in row) for row in table]
+        assert lines[header + 1:] == expected
+
+    def test_headers_carry_package_version(self, tmp_path):
+        csv_path, json_path = tmp_path / "o.csv", tmp_path / "o.json"
+        assert run_cli("spectrum", "--set", "n_rungs=4", "--out", str(csv_path)) == 0
+        assert run_cli("spectrum", "--set", "n_rungs=4", "--out", str(json_path),
+                       "--format", "json") == 0
+        assert csv_path.read_text().splitlines()[0] == f"# creutz v{__version__}"
+        assert json.loads(json_path.read_text())["version"] == __version__
 
 
 class TestLe:
@@ -130,6 +156,14 @@ class TestConfigHandling:
         # vertical hopping too strong for a gap closing
         assert run_cli("revival", "--set", "j_v=2.5") == 2
 
+    @pytest.mark.parametrize("setting", ["j_v=nan", "j=inf", "theta1=inf", "theta2=-inf"])
+    def test_non_finite_input_is_domain_error(self, setting):
+        assert run_cli("le", "--set", setting, "--set", "n_rungs=4", "--set", "n_points=3") == 2
+
+    @pytest.mark.parametrize("t_max", ["inf", "nan", "0"])
+    def test_time_grid_end_must_be_positive_and_finite(self, t_max):
+        assert run_cli("le", "--set", f"t_max={t_max}", "--set", "n_rungs=4") == 1
+
     def test_io_error_exit_code(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "o.csv"
         assert run_cli("spectrum", "--set", "n_rungs=4", "--out", str(missing_dir)) == 3
@@ -200,6 +234,16 @@ class TestDqptCommand:
         meta, _, _ = read_table(str(out))
         assert meta["zero_mode_gate"] is True
 
+    @pytest.mark.parametrize("theta2", ["2", "-1"])
+    def test_gate_metadata_for_equivalent_critical_target(self, tmp_path, theta2):
+        # 2 pi is the flux 0 and -pi the flux pi: both are critical targets
+        out = tmp_path / "dqpt.csv"
+        assert run_cli("dqpt", "--set", "n_rungs=300", "--set", "theta1=0.25",
+                       "--set", f"theta2={theta2}", "--set", "t_max=2",
+                       "--set", "n_points=201", "--out", str(out)) == 0
+        meta, _, _ = read_table(str(out))
+        assert meta["zero_mode_gate"] is True
+
 
 class TestWorkCommands:
     def test_single_quench_row(self, tmp_path):
@@ -224,3 +268,32 @@ class TestWorkCommands:
         np.testing.assert_allclose(rows[:, 1], np.linspace(-1, 1, 21), atol=1e-12)
         # free-energy difference symmetric about the critical flux
         np.testing.assert_allclose(rows[:, 3], rows[::-1, 3], atol=1e-10)
+
+
+finite_or_not = st.one_of(
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@given(j=finite_or_not, j_v=finite_or_not, theta1=finite_or_not, theta2=finite_or_not)
+@settings(max_examples=80, deadline=None)
+def test_le_inputs_end_in_exit_code_not_traceback(j, j_v, theta1, theta2):
+    # any input either succeeds with NaN-free data or ends in a typed
+    # error with its exit code
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "le.csv")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(
+                "le", "--set", f"j={j!r}", "--set", f"j_v={j_v!r}",
+                "--set", f"theta1={theta1!r}", "--set", f"theta2={theta2!r}",
+                "--set", "n_rungs=6", "--set", "t_max=3", "--set", "n_points=7",
+                "--out", out,
+            )
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            _, _, rows = read_table(out)
+            assert rows.shape == (7, 3)
+            assert not np.any(np.isnan(rows))

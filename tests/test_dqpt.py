@@ -16,8 +16,8 @@ from creutz import (
     finite_size_dqpt_gate,
     fisher_zero_lines,
     loschmidt_echo,
+    mode_arrays,
     predict_dqpt_times,
-    quench_mode,
     solve_critical_modes,
 )
 
@@ -79,10 +79,8 @@ class TestCriticalModes:
         spec = make_spec(*ACROSS)
         for mode in solve_critical_modes(spec):
             assert abs(critical_mode_residual(spec, mode.k_star)) < 1e-12
-            assert quench_mode(spec, mode.k_star).amplitude == pytest.approx(1.0, abs=1e-10)
-            assert quench_mode(spec, 2 * math.pi - mode.k_star).amplitude == pytest.approx(
-                1.0, abs=1e-10
-            )
+            amplitude = mode_arrays(spec, [mode.k_star, 2 * math.pi - mode.k_star]).amplitude
+            np.testing.assert_allclose(amplitude, 1.0, rtol=0, atol=1e-10)
             assert mode.t_star == pytest.approx(2 * math.pi / mode.gap_star, rel=1e-14)
 
     def test_against_bisection(self):
@@ -105,7 +103,7 @@ class TestCriticalModes:
         spec = make_spec(*ACROSS)
         modes = solve_critical_modes(spec)
         ks = np.linspace(1e-4, math.pi - 1e-4, 20001)
-        amp = np.array([quench_mode(spec, float(k)).amplitude for k in ks[:: 40]])
+        amp = mode_arrays(spec, ks[::40]).amplitude
         peaks = int(np.sum((amp[1:-1] > amp[:-2]) & (amp[1:-1] > amp[2:]) & (amp[1:-1] > 1 - 1e-4)))
         assert len({round(m.t_star, 9) for m in modes}) == peaks == 2
 
@@ -212,9 +210,9 @@ class TestFisherZeroLines:
         # imaginary axis
         spec = make_spec(*ACROSS)
         for mode in solve_critical_modes(spec):
-            m = quench_mode(spec, mode.k_star)
-            assert m.cos2_eta == pytest.approx(0.5, abs=1e-10)
-            re_z = math.log(m.sin2_eta / m.cos2_eta) / mode.gap_star
+            cos2 = mode_arrays(spec, [mode.k_star]).cos2_eta[0]
+            assert cos2 == pytest.approx(0.5, abs=1e-10)
+            re_z = math.log((1.0 - cos2) / cos2) / mode.gap_star
             assert re_z == pytest.approx(0.0, abs=1e-9)
 
     def test_no_quench_skips_every_sample(self):

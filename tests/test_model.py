@@ -21,6 +21,7 @@ from creutz import (
     group_velocity,
     ground_state_energy,
     is_commensurate,
+    is_critical_flux,
     mode_data,
 )
 
@@ -106,6 +107,19 @@ class TestModeData:
             m = mode_data(p, k)
             assert m.e_alpha == pytest.approx(lo, abs=1e-12)
             assert m.e_beta == pytest.approx(hi, abs=1e-12)
+
+    def test_array_matches_scalar_calls(self):
+        # one array call carries the same per-mode data as scalar calls
+        rng = np.random.default_rng(6)
+        p = random_params(rng)
+        ks = allowed_modes(p.n_rungs).wavenumbers
+        table = mode_data(p, ks)
+        for i, k in enumerate(ks):
+            m = mode_data(p, float(k))
+            for name in ("eps_q", "eps_p", "eps_qp", "gamma", "e_alpha", "e_beta", "gap"):
+                assert getattr(table, name)[i] == pytest.approx(getattr(m, name), rel=1e-13, abs=1e-13)
+        np.testing.assert_array_equal(band_energies(p, ks)[0], table.e_alpha)
+        np.testing.assert_array_equal(gap(p, ks), table.gap)
 
     def test_gap_mirror_symmetry(self):
         p = params(j=1.3, jv=0.8, jd=0.9, theta=0.7, n=31)
@@ -232,6 +246,21 @@ class TestValidation:
     def test_rejects_small_n(self):
         with pytest.raises(DomainError):
             LadderParams(1.0, 1.0, 1.0, 0.0, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_inputs(self, bad):
+        for args in ((bad, 1.0, 1.0, 0.0, 4), (1.0, bad, 1.0, 0.0, 4),
+                     (1.0, 1.0, bad, 0.0, 4), (1.0, 1.0, 1.0, bad, 4)):
+            with pytest.raises(DomainError):
+                LadderParams(*args)
+        with pytest.raises(DomainError):
+            canonical_angle(bad)
+
+    def test_critical_flux_on_canonical_angle(self):
+        for theta in (0.0, math.pi, -math.pi, 2 * math.pi, -3 * math.pi, 1e-13):
+            assert is_critical_flux(theta)
+        for theta in (0.25 * math.pi, -0.5 * math.pi, 1e-9, math.pi - 1e-9):
+            assert not is_critical_flux(theta)
 
     @given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
     def test_canonical_angle_range(self, theta):

@@ -9,11 +9,12 @@ from creutz import (
     DomainError,
     LadderParams,
     QuenchSpec,
+    allowed_modes,
     exact_le_oracle,
     loschmidt_echo,
-    quench_mode,
+    mode_arrays,
+    mode_data,
 )
-from creutz.quench import mode_arrays
 
 
 def make_spec(th1, th2, n=8, j=1.0, jv=1.0):
@@ -35,18 +36,34 @@ def random_spec(rng, n_max=9):
     )
 
 
+def band_vectors(params, k):
+    """Lower- and upper-band eigenvectors (columns) of the 2x2 Bloch matrix."""
+    eps_q = 2.0 * params.j_h * np.cos(k - params.theta)
+    eps_p = 2.0 * params.j_h * np.cos(k + params.theta)
+    eps_qp = 2.0 * params.j_d * np.cos(k) + params.j_v
+    _, vecs = np.linalg.eigh(-np.array([[eps_q, eps_qp], [eps_qp, eps_p]]))
+    return vecs
+
+
+def overlap_weights(spec, k):
+    """(cos^2 eta, sin^2 eta): weights of the pre-quench lower band on the
+    post-quench lower and upper bands, from explicit eigenvector overlaps."""
+    weights = np.abs(band_vectors(spec.post, k).T @ band_vectors(spec.pre, k)[:, 0]) ** 2
+    return float(weights[0]), float(weights[1])
+
+
 class TestQuenchMode:
     def test_no_quench_has_zero_amplitude(self):
         spec = make_spec(0.3, 0.3)
-        for k in np.linspace(0, 2 * np.pi, 17):
-            assert quench_mode(spec, k).amplitude == pytest.approx(0.0, abs=1e-14)
+        amplitude = mode_arrays(spec, np.linspace(0, 2 * np.pi, 17)).amplitude
+        np.testing.assert_allclose(amplitude, 0.0, rtol=0, atol=1e-14)
 
     def test_amplitude_one_at_critical_mode(self):
         # amplitude-one wavenumber of the 0.25pi -> -0.25pi quench:
         # root of 6 c^2 + 4 c - 1 = 0 with c = cos k
         spec = make_spec(0.25 * np.pi, -0.25 * np.pi)
         k_star = np.arccos((-2.0 + np.sqrt(10.0)) / 6.0)
-        assert quench_mode(spec, k_star).amplitude == pytest.approx(1.0, abs=1e-10)
+        assert mode_arrays(spec, [k_star]).amplitude[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_amplitude_suppressed_away_from_criticality(self):
         spec = make_spec(0.0016 * np.pi, 0.0, n=300)
@@ -58,16 +75,29 @@ class TestQuenchMode:
         assert outside.max() < inside.max()
 
     def test_overlap_matches_angle_formula(self):
+        # explicit eigenvector overlaps against the rotation-angle table
         rng = np.random.default_rng(11)
         for _ in range(300):
             spec = random_spec(rng)
             k = rng.uniform(0, 2 * np.pi)
-            m = quench_mode(spec, k)
-            assert m.cos2_eta + m.sin2_eta == pytest.approx(1.0, abs=1e-14)
-            assert m.cos2_eta == pytest.approx(np.cos(m.eta) ** 2, abs=1e-12)
-            assert m.amplitude == pytest.approx(
-                4.0 * m.cos2_eta * m.sin2_eta, abs=1e-12
-            )
+            cos2, sin2 = overlap_weights(spec, k)
+            table = mode_arrays(spec, [k])
+            assert table.k[0] == k
+            assert cos2 + sin2 == pytest.approx(1.0, abs=1e-14)
+            assert table.cos2_eta[0] == pytest.approx(cos2, abs=1e-12)
+            assert table.amplitude[0] == pytest.approx(4.0 * cos2 * sin2, abs=1e-12)
+
+    def test_table_on_mode_grid(self):
+        # the default wavenumbers are the mode grid; the table matches
+        # per-ladder mode data and unpacks as a 6-tuple
+        spec = make_spec(0.3, -0.6, n=24)
+        ks, amplitude, cos2, gap_post, ea_pre, ea_post = mode_arrays(spec)
+        np.testing.assert_array_equal(ks, allowed_modes(24).wavenumbers)
+        np.testing.assert_array_equal(ea_pre, mode_data(spec.pre, ks).e_alpha)
+        np.testing.assert_array_equal(ea_post, mode_data(spec.post, ks).e_alpha)
+        np.testing.assert_array_equal(gap_post, mode_data(spec.post, ks).gap)
+        np.testing.assert_allclose(mode_arrays(spec, ks[5:9]).cos2_eta, cos2[5:9], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(amplitude, 4.0 * cos2 * (1.0 - cos2), rtol=0, atol=1e-12)
 
     def test_per_mode_amplitude_echo_identity(self):
         # |cos^2 e^{-i ea t} + sin^2 e^{-i eb t}|^2 == 1 - A sin^2(gap t / 2)
