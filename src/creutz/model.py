@@ -42,6 +42,17 @@ __all__ = [
 ]
 
 _CRITICAL_TARGET_TOL = 1e-12
+# Band energies reach about 3 |j|; squaring them must stay below the float
+# overflow threshold (~1.8e308), with room for sums over modes.
+_MAX_HOPPING = 1e150
+
+
+def _rung_count(n_rungs) -> int:
+    """``n_rungs`` as an int; non-finite, fractional or < 2 values are rejected."""
+    # the chained comparison is False for nan and inf, so int() never sees them
+    if not 2 <= n_rungs < math.inf or int(n_rungs) != n_rungs:
+        raise DomainError(f"n_rungs must be an integer >= 2, got {n_rungs}")
+    return int(n_rungs)
 
 
 def canonical_angle(theta: float) -> float:
@@ -65,8 +76,9 @@ def is_critical_flux(theta: float) -> bool:
 class LadderParams:
     """Hopping amplitudes, flux, and size of one Creutz ladder.
 
-    ``theta`` is stored canonically in (-pi, pi].  Hoppings must be finite,
-    ``j_v`` and ``j_d`` positive; ``n_rungs`` is the number of sites per leg.
+    ``theta`` is stored canonically in (-pi, pi].  Hoppings must be finite
+    with magnitude at most 1e150, ``j_v`` and ``j_d`` positive; ``n_rungs``
+    is the number of sites per leg.
     """
 
     j_h: float
@@ -77,15 +89,17 @@ class LadderParams:
 
     def __post_init__(self) -> None:
         for name in ("j_h", "j_v", "j_d"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not abs(value) <= _MAX_HOPPING:
+                raise DomainError(
+                    f"{name} must be finite with magnitude at most {_MAX_HOPPING:g}, got {value}: "
+                    "larger hoppings overflow the squared band energies of the mode table"
+                )
         if self.j_v <= 0.0:
             raise DomainError(f"j_v must be positive, got {self.j_v}")
         if self.j_d <= 0.0:
             raise DomainError(f"j_d must be positive, got {self.j_d}")
-        if int(self.n_rungs) != self.n_rungs or self.n_rungs < 2:
-            raise DomainError(f"n_rungs must be an integer >= 2, got {self.n_rungs}")
-        object.__setattr__(self, "n_rungs", int(self.n_rungs))
+        object.__setattr__(self, "n_rungs", _rung_count(self.n_rungs))
         object.__setattr__(self, "theta", canonical_angle(self.theta))
 
     def with_theta(self, theta: float) -> "LadderParams":
@@ -132,9 +146,7 @@ class RationalAngle:
 
 def allowed_modes(n_rungs: int) -> ModeGrid:
     """Quantized wavenumbers of a ladder with ``n_rungs`` sites per leg."""
-    if int(n_rungs) != n_rungs or n_rungs < 2:
-        raise DomainError(f"n_rungs must be an integer >= 2, got {n_rungs}")
-    n = int(n_rungs)
+    n = _rung_count(n_rungs)
     ks = 2.0 * np.pi * np.arange(n) / n
     return ModeGrid(n_rungs=n, wavenumbers=ks, delta_k=2.0 * np.pi / n)
 

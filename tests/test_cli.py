@@ -160,6 +160,23 @@ class TestConfigHandling:
     def test_non_finite_input_is_domain_error(self, setting):
         assert run_cli("le", "--set", setting, "--set", "n_rungs=4", "--set", "n_points=3") == 2
 
+    @pytest.mark.parametrize("command", ["le", "spectrum"])
+    @pytest.mark.parametrize("setting", ["j=1e200", "j_v=1e200"])
+    def test_overflowing_hopping_is_domain_error(self, tmp_path, capsys, command, setting):
+        # finite but huge hoppings used to write all-NaN rows with exit 0
+        out = tmp_path / "out.csv"
+        code = run_cli(command, "--set", setting, "--set", "n_rungs=4", "--set", "t_max=1",
+                       "--set", "n_points=3", "--out", str(out))
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_phase_is_domain_error(self, tmp_path):
+        out = tmp_path / "le.csv"
+        assert run_cli("le", "--set", "t_max=1e308", "--set", "n_points=3", "--set", "n_rungs=4",
+                       "--out", str(out)) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("t_max", ["inf", "nan", "0"])
     def test_time_grid_end_must_be_positive_and_finite(self, t_max):
         assert run_cli("le", "--set", f"t_max={t_max}", "--set", "n_rungs=4") == 1

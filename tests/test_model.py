@@ -256,6 +256,24 @@ class TestValidation:
         with pytest.raises(DomainError):
             canonical_angle(bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_rung_count(self, bad):
+        # int() would raise ValueError (nan) or OverflowError (inf)
+        with pytest.raises(DomainError):
+            LadderParams(1.0, 1.0, 1.0, 0.0, bad)
+        with pytest.raises(DomainError):
+            allowed_modes(bad)
+
+    def test_rejects_hoppings_that_overflow_the_mode_table(self):
+        # eps_qp**2 overflows to inf beyond about 1e154; the table stays
+        # finite at the limit and is refused above it
+        for args in ((1e200, 1.0, 1.0, 0.3, 4), (1.0, 1e200, 1.0, 0.3, 4),
+                     (1.0, 1.0, 1e200, 0.3, 4), (-1e151, 1.0, 1.0, 0.3, 4)):
+            with pytest.raises(DomainError, match="overflow"):
+                LadderParams(*args)
+        m = mode_data(LadderParams(1e150, 1e150, 1e150, 0.3, 4), allowed_modes(4).wavenumbers)
+        assert all(np.all(np.isfinite(getattr(m, f))) for f in ("gamma", "e_alpha", "e_beta", "gap"))
+
     def test_critical_flux_on_canonical_angle(self):
         for theta in (0.0, math.pi, -math.pi, 2 * math.pi, -3 * math.pi, 1e-13):
             assert is_critical_flux(theta)

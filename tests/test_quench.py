@@ -1,5 +1,7 @@
 """Echo kernels against the exact determinant oracle and per-mode identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,15 +27,27 @@ def make_spec(th1, th2, n=8, j=1.0, jv=1.0):
     )
 
 
-def random_spec(rng, n_max=9):
+def random_spec(rng, n_max=9, n=None):
     j = rng.uniform(0.5, 2.0)
     return make_spec(
         rng.uniform(-0.9 * np.pi, 0.9 * np.pi),
         rng.uniform(-0.9 * np.pi, 0.9 * np.pi),
-        n=int(rng.integers(2, n_max)),
+        n=int(rng.integers(2, n_max)) if n is None else n,
         j=j,
         jv=rng.uniform(0.1, 1.9) * j,
     )
+
+
+def reference_echo(spec, times):
+    """(ln le, la) from the full-mode formula: every mode k_j, with the
+    amplitude from complex exp and log of each factor."""
+    _, amplitude, cos2, gap_post, _, ea_post = mode_arrays(spec)
+    phase = gap_post[None, :] * times[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_le = np.sum(np.log(1.0 - amplitude * np.sin(0.5 * phase) ** 2), axis=1)
+        la_factors = cos2 + (1.0 - cos2) * np.exp(-1j * phase)
+        log_la = np.sum(-1j * ea_post * times[:, None] + np.log(la_factors), axis=1)
+        return log_le, np.exp(log_la)
 
 
 def band_vectors(params, k):
@@ -162,6 +176,50 @@ class TestLoschmidtEcho:
         with pytest.raises(DomainError):
             loschmidt_echo(make_spec(0.1, 0.2), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 10, 101])
+    def test_matches_full_mode_reference(self, n):
+        rng = np.random.default_rng(17 + n)
+        # pi/6 -> -pi/6 at j_v = j: amplitude one at k = pi/2, so the
+        # factor of that mode is exactly zero at odd multiples of pi/gap
+        critical = make_spec(np.pi / 6, -np.pi / 6, n=4 * n)
+        gap_star = mode_data(critical.post, np.pi / 2).gap
+        zeros = (2 * np.arange(4) + 1) * np.pi / gap_star
+        cases = [(random_spec(rng, n=n), np.concatenate([[0.0], rng.uniform(0.0, 30.0, 60)]))
+                 for _ in range(6)]
+        cases.append((critical, np.sort(np.concatenate([zeros, rng.uniform(0.0, 30.0, 60)]))))
+        for spec, times in cases:
+            series = loschmidt_echo(spec, times)
+            echo_only = loschmidt_echo(spec, times, include_la=False)
+            log_le, la = reference_echo(spec, times)
+            normal = series.le >= np.finfo(float).tiny
+            np.testing.assert_allclose(np.log(series.le[normal]), log_le[normal], rtol=0, atol=1e-10)
+            np.testing.assert_array_equal(np.isinf(series.rate), np.isneginf(log_le))
+            # 1e-12, plus a few ulps of the lower-band phase t * sum(ea_k),
+            # which both kernels round (about 2e-12 at N = 101, t = 30)
+            phase_ulps = 4 * np.finfo(float).eps * times * np.sum(np.abs(mode_arrays(spec).ea_post))
+            assert np.all(np.abs(series.la - la) <= 1e-12 + phase_ulps)
+            np.testing.assert_array_equal(series.le, echo_only.le)
+            np.testing.assert_array_equal(series.rate, echo_only.rate)
+            assert echo_only.la is None
+        assert np.isinf(series.rate).sum() >= zeros.size
+
+    def test_amplitude_peak_memory_is_chunked(self):
+        # traced allocations, not timing: a kernel whose complex
+        # (times x modes) temporaries hold 8e6 elements peaks at 488 MiB
+        spec = make_spec(0.25 * np.pi, -0.25 * np.pi, n=9000)
+        times = np.linspace(0.0, 10.0, 2001)
+        tracemalloc.start()
+        try:
+            loschmidt_echo(spec, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_rejects_overflowing_phases(self):
+        with pytest.raises(DomainError):
+            loschmidt_echo(make_spec(0.1, 0.2), np.array([0.0, 1e308]))
+
     @given(
         st.floats(min_value=-2.5, max_value=2.5),
         st.floats(min_value=-2.5, max_value=2.5),
@@ -213,4 +271,16 @@ class TestDeterminantOracle:
 
     def test_size_guard(self):
         with pytest.raises(DomainError):
-            exact_le_oracle(make_spec(0.1, 0.2, n=13), 1.0)
+            exact_le_oracle(make_spec(0.1, 0.2, n=129), 1.0)
+
+    def test_pins_incommensurate_echo_minimum(self):
+        # criterion 7's N = 100 ladder after 0.25 pi -> 0, on its grid: the
+        # kernel's 3.62e-22 minimum is the exact determinant value
+        spec = make_spec(0.25 * np.pi, 0.0, n=100)
+        dt = 1e-3
+        times = np.arange(0.0, 50.0 + dt, dt)
+        le = loschmidt_echo(spec, times, include_la=False).le
+        i = int(np.argmin(le))
+        le_oracle, _ = exact_le_oracle(spec, times[i])
+        assert le[i] == pytest.approx(3.62e-22, rel=5e-3)
+        assert le[i] == pytest.approx(le_oracle, rel=1e-9, abs=0.0)
