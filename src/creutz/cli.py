@@ -27,6 +27,10 @@ from .model import LadderParams, allowed_modes, is_critical_flux, mode_data
 from .quench import QuenchSpec, loschmidt_echo
 from .serialize import write_table
 
+# Most points a time grid may have: 10^8 float64 times are 800 MB before
+# the echo series triples them.
+MAX_TIME_POINTS = 10**8
+
 # key -> (parser, default).  ``j`` is not a key of its own: it parses as a
 # float and fills j_h and j_d where those are not set explicitly.
 _KEYS: dict[str, tuple[Callable[[str], Any], Any]] = {
@@ -154,7 +158,13 @@ def _time_grid(cfg: RunConfig, default_t_max: float, default_dt: float) -> np.nd
     t_max = cfg["t_max"] if cfg["t_max"] is not None else default_t_max
     n_points = cfg["n_points"]
     if n_points is None:
-        n_points = max(2, int(round(t_max / default_dt)) + 1)
+        steps = t_max / default_dt  # inf when t_max is near the float maximum
+        n_points = max(2, int(round(steps)) + 1) if steps < MAX_TIME_POINTS else steps + 1.0
+    if not n_points <= MAX_TIME_POINTS:  # also refuses a nan count
+        raise ConfigError(
+            f"time grid of {n_points:.12g} points exceeds the limit of {MAX_TIME_POINTS:g}; "
+            "lower t_max or set n_points"
+        )
     return np.linspace(0.0, t_max, n_points)
 
 

@@ -157,13 +157,22 @@ def mode_data(params: LadderParams, k) -> ModeData:
     ``gamma`` in (-pi, pi] diagonalizes the 2x2 Bloch matrix; the
     two-argument arctangent keeps it defined where the leg energies cross.
     """
+    return _mode_data_at(params, params.theta, k)
+
+
+def _mode_data_at(params: LadderParams, theta, k) -> ModeData:
+    """``mode_data`` at flux ``theta`` in place of ``params.theta``.
+
+    ``theta`` must be canonical.  A column of angles against a row of
+    ``k`` gives one table row per angle, from the same expressions.
+    """
     k = np.asarray(k, dtype=float)
-    eps_q = 2.0 * params.j_h * np.cos(k - params.theta)
-    eps_p = 2.0 * params.j_h * np.cos(k + params.theta)
+    eps_q = 2.0 * params.j_h * np.cos(k - theta)
+    eps_p = 2.0 * params.j_h * np.cos(k + theta)
     eps_qp = 2.0 * params.j_d * np.cos(k) + params.j_v
     gamma = np.arctan2(2.0 * eps_qp, eps_q - eps_p)
-    half_gap = np.sqrt(eps_qp**2 + (2.0 * params.j_h * np.sin(k) * np.sin(params.theta)) ** 2)
-    center = -2.0 * params.j_h * np.cos(k) * np.cos(params.theta) - params.j_v
+    half_gap = np.sqrt(eps_qp**2 + (2.0 * params.j_h * np.sin(k) * np.sin(theta)) ** 2)
+    center = -2.0 * params.j_h * np.cos(k) * np.cos(theta) - params.j_v
     e_alpha, e_beta = center - half_gap, center + half_gap
     return ModeData(
         k=k,

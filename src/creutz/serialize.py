@@ -19,6 +19,9 @@ import numpy as np
 from . import __version__
 
 ARTIFACT = "creutz"
+# Rows per formatting operation in ``render_csv``: formatting the whole
+# table at once would hold every value as a Python float.
+_CSV_BLOCK_ROWS = 4096
 
 
 def format_float(x: float) -> str:
@@ -33,14 +36,28 @@ def _meta_str(value: Any) -> str:
     return str(value)
 
 
+def _as_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` as a 2-D float array; a 1-D input is one row, an empty one none."""
+    rows = np.asarray(rows, dtype=float)
+    return np.atleast_2d(rows) if len(rows) else np.empty((0, 0))
+
+
 def render_csv(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarray) -> str:
+    """CSV text; each value as ``format_float`` writes it.
+
+    Rows are formatted ``_CSV_BLOCK_ROWS`` at a time with one ``%``
+    operation: ``"%.15g" % x`` and ``f"{x:.15g}"`` give the same text.
+    """
     out = io.StringIO()
     out.write(f"# {ARTIFACT} v{__version__}\n")
     for key, value in metadata.items():
         out.write(f"# {key} = {_meta_str(value)}\n")
     out.write(",".join(columns) + "\n")
-    for row in np.atleast_2d(np.asarray(rows, dtype=float)) if len(rows) else []:
-        out.write(",".join(format_float(v) for v in row) + "\n")
+    rows = _as_rows(rows)
+    line = ",".join(["%.15g"] * rows.shape[1]) + "\n"
+    for lo in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
+        block = rows[lo : lo + _CSV_BLOCK_ROWS]
+        out.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
     return out.getvalue()
 
 
@@ -50,9 +67,7 @@ def render_json(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarr
         "version": __version__,
         "metadata": dict(metadata),
         "columns": list(columns),
-        "rows": [list(map(float, row)) for row in np.atleast_2d(np.asarray(rows, dtype=float))]
-        if len(rows)
-        else [],
+        "rows": _as_rows(rows).tolist(),
     }
     return json.dumps(payload, indent=2) + "\n"
 

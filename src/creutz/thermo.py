@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import LadderParams
-from .quench import QuenchSpec, mode_arrays
+from .model import LadderParams, _mode_data_at, allowed_modes, canonical_angle, mode_data
+from .quench import QuenchSpec, _paired_sum, mode_arrays
 
 __all__ = [
     "WorkDistribution",
@@ -28,6 +28,8 @@ __all__ = [
 
 DISTRIBUTION_MAX_RUNGS = 16
 MERGE_TOL = 1e-9
+# Bytes of one float64 (theta2 x modes) temporary in ``scan_theta2``.
+_CHUNK_BYTES = 256 << 10
 
 
 @dataclass(frozen=True)
@@ -70,20 +72,9 @@ def work_stats(spec: QuenchSpec) -> WorkStats:
     delta_f = sum_k (ea_post - ea_pre) is the ground-state energy
     difference, and
     irreversible_work = sum_k sin^2(eta) gap_post, each summand
-    non-negative.
+    non-negative.  The one-angle case of ``scan_theta2``.
     """
-    _, _, cos2, gap_post, ea_pre, ea_post = mode_arrays(spec)
-    sin2 = 1.0 - cos2
-    eb_post = ea_post + gap_post
-    average = float(np.sum(ea_post * cos2 + eb_post * sin2 - ea_pre))
-    delta_f = float(np.sum(ea_post)) - float(np.sum(ea_pre))
-    irreversible = float(np.sum(sin2 * gap_post))
-    return WorkStats(
-        average_work=average,
-        delta_f=delta_f,
-        irreversible_work=irreversible,
-        n_rungs=spec.params.n_rungs,
-    )
+    return scan_theta2(spec.params, spec.theta_pre, [spec.theta_post])[0]
 
 
 def work_distribution(spec: QuenchSpec) -> WorkDistribution:
@@ -133,8 +124,31 @@ def _merge(works: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def scan_theta2(
     params: LadderParams, theta1: float, theta2_grid
 ) -> list[WorkStats]:
-    """Work statistics for a sweep of post-quench angles at fixed theta1."""
+    """Work statistics for a sweep of post-quench angles at fixed theta1.
+
+    One (theta2 x k) evaluation on the modes j = 0..N//2: modes k and
+    2 pi - k share gap, lower-band energy and cos^2 eta, so paired modes
+    count twice (``_paired_sum``).  The pre-quench table is built once;
+    the post-quench table is ``mode_data`` with a column of angles
+    against the row of k, in chunks of about ``_CHUNK_BYTES`` per
+    float64 temporary.  Each row is reduced with a pairwise ``np.sum``.
+    """
+    n = params.n_rungs
+    k = allowed_modes(n).wavenumbers[: n // 2 + 1]
+    pre = mode_data(params.with_theta(theta1), k)
+    theta2 = np.array([canonical_angle(t) for t in np.asarray(theta2_grid, dtype=float)])
+    sums = np.empty((3, theta2.size))
+    rows = max(1, _CHUNK_BYTES // (8 * k.size))
+    for lo in range(0, theta2.size, rows):
+        post = _mode_data_at(params, theta2[lo : lo + rows, None], k)
+        cos2 = np.cos(0.5 * (pre.gamma - post.gamma)) ** 2
+        sin2 = 1.0 - cos2
+        eb_post = post.e_alpha + post.gap
+        chunk = sums[:, lo : lo + rows]
+        chunk[0] = _paired_sum(post.e_alpha * cos2 + eb_post * sin2 - pre.e_alpha, n)
+        chunk[1] = _paired_sum(post.e_alpha - pre.e_alpha, n)
+        chunk[2] = _paired_sum(sin2 * post.gap, n)
     return [
-        work_stats(QuenchSpec(params=params, theta_pre=theta1, theta_post=float(t2)))
-        for t2 in np.asarray(theta2_grid, dtype=float)
+        WorkStats(average_work=a, delta_f=f, irreversible_work=w, n_rungs=n)
+        for a, f, w in sums.T.tolist()
     ]

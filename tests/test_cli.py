@@ -22,7 +22,7 @@ from creutz import (
     mode_data,
 )
 from creutz import __version__
-from creutz.cli import main
+from creutz.cli import MAX_TIME_POINTS, main
 from creutz.serialize import format_float, read_table
 
 
@@ -180,6 +180,22 @@ class TestConfigHandling:
     @pytest.mark.parametrize("t_max", ["inf", "nan", "0"])
     def test_time_grid_end_must_be_positive_and_finite(self, t_max):
         assert run_cli("le", "--set", f"t_max={t_max}", "--set", "n_rungs=4") == 1
+
+    @pytest.mark.parametrize(
+        "setting", ["t_max=1e308", "t_max=1e300", f"n_points={MAX_TIME_POINTS + 1}"]
+    )
+    def test_oversized_time_grid_is_config_error(self, monkeypatch, capsys, tmp_path, setting):
+        # t_max=1e308 overflowed round(), 1e300 asked numpy for 5e301 points;
+        # the grid must be refused before it is allocated
+        def refuse(*args, **kwargs):
+            raise AssertionError("time grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        out = tmp_path / "le.csv"
+        assert run_cli("le", "--set", setting, "--set", "n_rungs=4", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_io_error_exit_code(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "o.csv"

@@ -1,6 +1,7 @@
 """Work statistics: mode sums, the enumerated distribution, and sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,22 @@ def random_spec(rng, n_max=40):
         n=int(rng.integers(2, n_max)),
         j=j,
         jv=rng.uniform(0.05, 1.95) * j,
+    )
+
+
+def reference_work_stats(spec):
+    """(average_work, delta_f, irreversible_work) from a per-point loop.
+
+    The full-mode table of one quench and plain sums over all N modes,
+    as work statistics were computed before the (theta2 x k) scan.
+    """
+    _, _, cos2, gap_post, ea_pre, ea_post = mode_arrays(spec)
+    sin2 = 1.0 - cos2
+    eb_post = ea_post + gap_post
+    return (
+        float(np.sum(ea_post * cos2 + eb_post * sin2 - ea_pre)),
+        float(np.sum(ea_post)) - float(np.sum(ea_pre)),
+        float(np.sum(sin2 * gap_post)),
     )
 
 
@@ -177,3 +194,39 @@ class TestScan:
         residual = (max(per_rung) - min(per_rung)) / abs(per_rung[0])
         print(f"cross-critical per-rung work residual: {residual:.3e}")
         assert residual < 1e-2
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 10, 64, 101])
+    def test_matches_per_point_reference(self, n):
+        rng = np.random.default_rng(40 + n)
+        unit = LadderParams(1.0, 1.0, 1.0, 0.0, n)
+        cases = [(unit, 0.25 * math.pi), (unit, 0.0)]
+        for _ in range(4):
+            j = rng.uniform(0.3, 2.0)
+            params = LadderParams(j, rng.uniform(0.05, 1.95) * j, j, 0.0, n)
+            cases.append((params, rng.uniform(-math.pi, math.pi)))
+        for params, theta1 in cases:
+            # 0 and +-pi are the critical fluxes; theta2 = theta1 is no quench
+            grid = np.concatenate([[0.0, math.pi, -math.pi, theta1], rng.uniform(-4.0, 4.0, 12)])
+            for theta2, stats in zip(grid, scan_theta2(params, theta1, grid)):
+                spec = QuenchSpec(params=params, theta_pre=theta1, theta_post=theta2)
+                expected = reference_work_stats(spec)
+                for got in (stats, work_stats(spec)):
+                    actual = (got.average_work, got.delta_f, got.irreversible_work)
+                    for a, e in zip(actual, expected):
+                        assert abs(a - e) <= 1e-12 * max(1.0, abs(e)), (theta1, theta2)
+                    average, delta_f, irreversible = actual
+                    scale = max(1.0, abs(average), abs(delta_f))
+                    assert abs(average - delta_f - irreversible) <= 1e-12 * scale
+                    if theta2 == theta1:
+                        assert irreversible == 0.0
+
+    def test_scan_peak_memory_is_chunked(self):
+        params = LadderParams(1.0, 1.0, 1.0, 0.0, 20000)
+        grid = np.linspace(-1.0, 1.0, 401) * math.pi
+        tracemalloc.start()
+        try:
+            scan_theta2(params, 0.25 * math.pi, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
