@@ -250,11 +250,14 @@ def _cmd_dqpt(cfg: RunConfig):
     )
     if is_critical_flux(spec.theta_post):
         meta["zero_mode_gate"] = dqpt.finite_size_dqpt_gate(spec)
-    rows = []
-    for i, t_cusp in enumerate(cusps):
-        nearest = min(predicted, key=lambda p: abs(p - t_cusp)) if predicted else float("nan")
-        rows.append([i, t_cusp, nearest, abs(t_cusp - nearest)])
-    data = np.asarray(rows) if rows else np.empty((0, 4))
+    cusps = np.asarray(cusps, dtype=float)
+    nearest = np.full(cusps.size, np.nan)
+    if predicted:  # sorted; the neighbours of each cusp, the earlier one on a tie
+        predicted = np.asarray(predicted)
+        i = np.searchsorted(predicted, cusps)
+        left, right = predicted[np.maximum(i - 1, 0)], predicted[np.minimum(i, predicted.size - 1)]
+        nearest = np.where(np.abs(left - cusps) <= np.abs(right - cusps), left, right)
+    data = np.column_stack([np.arange(cusps.size), cusps, nearest, np.abs(cusps - nearest)])
     return meta, ["cusp_index", "t_cusp", "t_predicted_nearest", "abs_diff"], data
 
 

@@ -78,7 +78,10 @@ class LadderParams:
 
     ``theta`` is stored canonically in (-pi, pi].  Hoppings must be finite
     with magnitude at most 1e150, ``j_v`` and ``j_d`` positive; ``n_rungs``
-    is the number of sites per leg.
+    is the number of sites per leg.  A negative ``j_h`` is the gauge
+    theta -> theta - pi of ``|j_h|`` (eps_q, eps_p, the band center and
+    the half gap map onto each other), and at ``j_h = 0`` the flux drops
+    out; the criticality analysis needs ``j_h == j_d``.
     """
 
     j_h: float

@@ -68,7 +68,7 @@ class LESeries:
     underflows.  An exact zero of a mode factor shows up as +inf.
     ``la`` is None when the series was computed without the complex
     amplitude; ``le`` and ``rate`` are the same either way, and skipping
-    ``la`` halves the kernel time (see ``loschmidt_echo``).
+    ``la`` makes the kernel about 2.2x faster (see ``loschmidt_echo``).
     """
 
     times: np.ndarray
@@ -122,23 +122,55 @@ def _paired_sum(x: np.ndarray, n: int) -> np.ndarray:
     return total
 
 
+def _uniform_step(times: np.ndarray) -> Optional[float]:
+    """Step of ``times`` when it is a uniform grid, else None.
+
+    A grid of at least two points is uniform when every time lies within
+    one ulp of its largest magnitude from t[0] + i * step, with
+    step = (t[-1] - t[0]) / (T - 1).  Every ``np.linspace`` and
+    ``np.arange`` grid of the CLI passes; a point moved by 1e-9 does not.
+    """
+    if times.size < 2:
+        return None
+    step = (times[-1] - times[0]) / (times.size - 1)
+    off = np.arange(times.size, dtype=float)
+    off *= step
+    off += times[0]
+    off -= times
+    return float(step) if np.abs(off, out=off).max() <= np.spacing(times.max()) else None
+
+
 def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries:
     """Echo, amplitude, and rate function on the given time grid.
 
     Modes k and 2 pi - k share amplitude, mixing angle and gap (eps_q -
     eps_p is odd in k, every other term even), so only the modes with
     0 <= k <= pi are evaluated and paired modes are counted twice.  The
-    echo factor is 1 - A sin^2(gap t / 2).  The amplitude needs no complex
-    exp or log: with s = sin(gap t / 2) and c = cos(gap t / 2), each mode's
-    log|cos^2 eta + sin^2 eta e^{-i gap t}| is half the log of its echo
-    factor and its argument is
+    echo factor is 1 - A s^2 with s = sin(gap t / 2), s^2 clamped at 1.
+    The amplitude needs no complex exp or log: with c = cos(gap t / 2),
+    each mode's log|cos^2 eta + sin^2 eta e^{-i gap t}| is half the log
+    of its echo factor and its argument is
     atan2(-2 sin^2 eta s c, cos^2 eta + sin^2 eta (1 - 2 s^2)); the
     lower-band phase sum_k ea_post t is t * sum(ea_post), one number per
     time.  ``le`` and ``rate`` are therefore the same bits with or without
-    ``include_la``.  Time chunks are sized so each (times x modes)
-    temporary holds about ``_CHUNK_BYTES``.  Measured at N = 9000,
-    2001 times on 2 vCPUs: 0.49 s with the amplitude, 0.23 s without,
-    and a traced allocation peak of 13 MiB with it.
+    ``include_la``.
+
+    On a uniform grid (``_uniform_step``) time runs in blocks of B rows,
+    t = t_I + tau_j with t_I the block's first time and tau_j = j * step,
+    and s and c come from angle addition over sin/cos of (gap t_I / 2),
+    one row per block, and of (gap tau_j / 2), one table for all blocks:
+    ``sin`` and ``cos`` run on T/B + B rows instead of T.  Nothing is
+    carried from block to block, so the rounding does not grow along the
+    grid.  Modes with amplitude exactly 1 keep the direct ``sin`` and
+    ``cos``: their factor is exactly 0 where s^2 rounds to 1, which gives
+    ``rate = +inf`` on every grid.  B = min(floor(sqrt(T)),
+    ``_CHUNK_BYTES`` / (16 M)) for M modes, so the four (B x M) tables of
+    the echo hold 2 ``_CHUNK_BYTES``; other grids run in chunks of
+    ``_CHUNK_BYTES`` per (times x modes) temporary.  Measured at N = 9000
+    on 2 vCPUs, medians of 7 calls: 10001 uniform times, echo only, 0.48 s
+    (1.14 s with ``sin`` on every element) and a traced allocation peak
+    of 8.7 MiB; 2001 uniform times, 0.22 s with the amplitude (0.54 s)
+    and 0.10 s without (0.25 s).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -158,29 +190,53 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     minus_two_sin2 = -2.0 * sin2
     log_le = np.empty(times.size)
     arg = np.empty(times.size) if include_la else None
-    rows = max(1, _CHUNK_BYTES // (8 * half_gap.size))
+    step = _uniform_step(times)
+    if step is None:
+        rows = max(1, _CHUNK_BYTES // (8 * half_gap.size))
+    else:
+        rows = max(1, min(math.isqrt(times.size), _CHUNK_BYTES // (16 * half_gap.size)))
+        offsets = np.multiply.outer(step * np.arange(rows), half_gap)
+        sin_off, cos_off = np.sin(offsets), np.cos(offsets, out=offsets)
+        unit = np.flatnonzero(amplitude == 1.0)
     work = np.empty((3 if include_la else 2, min(rows, times.size), half_gap.size))
     with np.errstate(divide="ignore"):
         for lo in range(0, times.size, rows):
             t = times[lo : lo + rows, None]
             s, f = work[0, : t.size], work[1, : t.size]
-            np.multiply(half_gap, t, out=f)
-            np.sin(f, out=s)
-            if arg is not None:
-                y = work[2, : t.size]
-                np.cos(f, out=y)
-                y *= s
-                y *= minus_two_sin2  # -2 sin^2(eta) s c
+            c = work[2, : t.size] if arg is not None else None
+            if step is None:
+                np.multiply(half_gap, t, out=f)
+                np.sin(f, out=s)
+                if c is not None:
+                    np.cos(f, out=c)
+            else:
+                start = half_gap * times[lo]
+                sin_i, cos_i = np.sin(start), np.cos(start)
+                sin_j, cos_j = sin_off[: t.size], cos_off[: t.size]
+                np.multiply(cos_j, sin_i, out=s)
+                s += np.multiply(sin_j, cos_i, out=f)  # sin(start + offset)
+                if c is not None:
+                    np.multiply(cos_j, cos_i, out=c)
+                    c -= np.multiply(sin_j, sin_i, out=f)  # cos(start + offset)
+                if unit.size:
+                    phase = half_gap[unit] * t
+                    s[:, unit] = np.sin(phase)
+                    if c is not None:
+                        c[:, unit] = np.cos(phase)
+            if c is not None:
+                c *= s
+                c *= minus_two_sin2  # -2 sin^2(eta) s c
             np.square(s, out=s)
+            np.minimum(s, 1.0, out=s)
             np.multiply(amplitude, s, out=f)
             np.subtract(1.0, f, out=f)  # echo factors 1 - A s^2
             log_le[lo : lo + t.size] = _paired_sum(np.log(f, out=f), n)
-            if arg is not None:
+            if c is not None:
                 np.multiply(-2.0, s, out=f)
                 f += 1.0
                 f *= sin2
                 f += cos2  # cos^2(eta) + sin^2(eta) (1 - 2 s^2)
-                arg[lo : lo + t.size] = _paired_sum(np.arctan2(y, f, out=y), n)
+                arg[lo : lo + t.size] = _paired_sum(np.arctan2(c, f, out=c), n)
         le = np.exp(log_le)
         rate = np.where(np.isneginf(log_le), np.inf, -log_le / n)
         la = None

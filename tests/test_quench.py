@@ -16,7 +16,9 @@ from creutz import (
     loschmidt_echo,
     mode_arrays,
     mode_data,
+    work_stats,
 )
+from creutz.quench import _uniform_step
 
 
 def make_spec(th1, th2, n=8, j=1.0, jv=1.0):
@@ -168,6 +170,25 @@ class TestLoschmidtEcho:
         series = loschmidt_echo(spec, times)
         np.testing.assert_allclose(series.le, swapped, atol=1e-12)
 
+    def test_negative_j_h_is_a_flux_gauge(self):
+        # j_h -> -j_h is theta -> theta - pi: eps_q, eps_p, the band center
+        # and the half gap map onto each other, so echo and work agree
+        rng = np.random.default_rng(21)
+        times = np.linspace(0.0, 30.0, 301)
+        for _ in range(20):
+            n = int(rng.integers(2, 60))
+            j_h, j_d, j_v = rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0), rng.uniform(0.1, 2.0)
+            theta1, theta2 = rng.uniform(-np.pi, np.pi, 2)
+            flipped = QuenchSpec(LadderParams(-j_h, j_v, j_d, 0.0, n), theta1, theta2)
+            shifted = QuenchSpec(LadderParams(j_h, j_v, j_d, 0.0, n), theta1 - np.pi, theta2 - np.pi)
+            a, b = loschmidt_echo(flipped, times), loschmidt_echo(shifted, times)
+            np.testing.assert_allclose(n * a.rate, n * b.rate, rtol=0, atol=1e-11)
+            np.testing.assert_allclose(a.la, b.la, rtol=0, atol=1e-11)
+            wa, wb = work_stats(flipped), work_stats(shifted)
+            for x, y in ((wa.average_work, wb.average_work), (wa.delta_f, wb.delta_f),
+                         (wa.irreversible_work, wb.irreversible_work)):
+                assert x == pytest.approx(y, rel=0, abs=1e-12 * max(1.0, abs(x)))
+
     def test_rejects_negative_times(self):
         with pytest.raises(DomainError):
             loschmidt_echo(make_spec(0.1, 0.2), np.array([0.0, -1.0]))
@@ -187,6 +208,15 @@ class TestLoschmidtEcho:
         cases = [(random_spec(rng, n=n), np.concatenate([[0.0], rng.uniform(0.0, 30.0, 60)]))
                  for _ in range(6)]
         cases.append((critical, np.sort(np.concatenate([zeros, rng.uniform(0.0, 30.0, 60)]))))
+        # uniform grids take the angle-addition path; on the last one the
+        # zeros fall on the grid points 100, 300, 500 and 700
+        moved = np.linspace(0.0, 30.0, 301)
+        moved[150] += 1e-9
+        edges = [np.linspace(0.0, 30.0, size) for size in (0, 1, 2, 3)]
+        edges += [np.linspace(2.5, 30.0, 200), moved]
+        cases += [(cases[0][0], times) for times in edges]
+        cases.append((random_spec(rng, n=n), np.linspace(0.0, 30.0, 301)))
+        cases.append((critical, (np.pi / gap_star) * np.linspace(0.0, 8.0, 801)))
         for spec, times in cases:
             series = loschmidt_echo(spec, times)
             echo_only = loschmidt_echo(spec, times, include_la=False)
@@ -201,7 +231,73 @@ class TestLoschmidtEcho:
             np.testing.assert_array_equal(series.le, echo_only.le)
             np.testing.assert_array_equal(series.rate, echo_only.rate)
             assert echo_only.la is None
-        assert np.isinf(series.rate).sum() >= zeros.size
+            if spec is critical:
+                assert np.isinf(series.rate).sum() >= zeros.size
+
+    def test_uniform_grid_detection(self):
+        # CLI, README and acceptance grids take the angle-addition path; a
+        # point moved by 1e-9 or fewer than two points do not
+        for times in (np.linspace(0.0, 10.0, 10001), np.linspace(0.0, 1731.98, 86604),
+                      np.arange(0.0, 175.0, 0.02), np.arange(0.0, 50.0 + 1e-3, 1e-3),
+                      np.linspace(2.5, 30.0, 200), np.array([1.0, 4.0]), np.zeros(3)):
+            assert _uniform_step(times) == pytest.approx((times[-1] - times[0]) / (times.size - 1))
+        moved = np.linspace(0.0, 30.0, 301)
+        moved[150] += 1e-9
+        for times in (moved, np.array([0.0, 1.0, 3.0]), np.array([2.0]), np.array([])):
+            assert _uniform_step(times) is None
+
+    @pytest.mark.parametrize("n", [12, 48])
+    def test_uniform_grid_matches_longdouble(self, n):
+        # pi/6 -> -pi/6 passes factors close to 0 (exactly 0 at k = pi/2 on
+        # odd multiples of pi/gap); ln le against a long-double evaluation
+        # of the same mode table, where le is normal
+        spec = make_spec(np.pi / 6, -np.pi / 6, n=n)
+        times = np.linspace(0.0, 50.0, 5001)
+        _, amplitude, _, gap_post, _, _ = mode_arrays(spec)
+        phase = np.longdouble(0.5) * gap_post.astype(np.longdouble) * times.astype(np.longdouble)[:, None]
+        exact = np.sum(np.log1p(-amplitude.astype(np.longdouble) * np.sin(phase) ** 2), axis=1)
+        le = loschmidt_echo(spec, times, include_la=False).le
+        normal = le >= np.finfo(float).tiny
+        assert normal.sum() > 4900
+        np.testing.assert_allclose(np.log(le[normal]), exact[normal].astype(float), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "n, j_v, theta1, theta2",
+        [
+            (12, 0.635117220190133, 0.9870983074886834, -3.0883817809017686),
+            (20, 0.8944647729084867, 0.7755398430302387, -2.5698122739690272),
+            (26, 0.7974888536417748, 0.7278200781124773, -3.1382427102567276),
+        ],
+    )
+    def test_near_unit_amplitude_factor_stays_finite(self, n, j_v, theta1, theta2):
+        # one mode has amplitude 1 - 2^-52; on this grid the angle-addition
+        # sine of that mode rounds above 1 once, so 1 - A s^2 needs the
+        # clamp s^2 <= 1 to stay positive (it would be NaN or an exact 0)
+        spec = QuenchSpec(LadderParams(j_h=1.0, j_v=j_v, j_d=1.0, theta=0.0, n_rungs=n), theta1, theta2)
+        _, amplitude, _, gap_post, _, _ = mode_arrays(spec)
+        j = int(np.argmax(np.where(amplitude < 1.0, amplitude, 0.0)))
+        assert amplitude[j] == 1.0 - 2.0**-52
+        times = (np.pi / gap_post[j]) * np.linspace(0.0, 8.0, 2401)
+        series = loschmidt_echo(spec, times)
+        log_le, _ = reference_echo(spec, times)
+        assert np.all(np.isfinite(series.rate)) and np.all(np.isfinite(series.la))
+        # away from the factors at the rounding floor, the usual agreement
+        factor = 1.0 - amplitude[j] * np.sin(0.5 * gap_post[j] * times) ** 2
+        ok = factor > 1e-6
+        np.testing.assert_allclose(np.log(series.le[ok]), log_le[ok], rtol=0, atol=1e-10)
+
+    def test_echo_peak_memory_is_chunked(self):
+        # the four (block x modes) tables of the uniform path hold 8 MiB;
+        # tables of a full chunk each would peak at about 16 MiB
+        spec = make_spec(0.25 * np.pi, -0.25 * np.pi, n=9000)
+        times = np.linspace(0.0, 10.0, 10001)
+        tracemalloc.start()
+        try:
+            loschmidt_echo(spec, times, include_la=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     def test_amplitude_peak_memory_is_chunked(self):
         # traced allocations, not timing: a kernel whose complex
