@@ -181,7 +181,7 @@ def _base_metadata(cfg: RunConfig, angle_keys: tuple[str, ...]) -> dict[str, Any
 
 def _cmd_spectrum(cfg: RunConfig):
     params = cfg.params
-    m = mode_data(params, allowed_modes(params.n_rungs).wavenumbers)
+    m = mode_data(params, allowed_modes(params.n_rungs))
     columns = ["k", "eps_q", "eps_p", "eps_qp", "gamma", "e_alpha", "e_beta", "gap"]
     rows = np.column_stack([getattr(m, name) for name in columns])
     return _base_metadata(cfg, ("theta",)), columns, rows

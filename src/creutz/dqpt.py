@@ -230,7 +230,10 @@ def detect_cusps(series: LESeries, sensitivity: float = 20.0) -> list[float]:
     ``sensitivity`` times the median absolute second difference, merges
     neighbouring flags, and reports the strongest sample of each group.
     Infinite rate values (exact echo zeros) are always flagged.
+    ``sensitivity`` must be positive and finite.
     """
+    if not 0.0 < sensitivity < math.inf:  # also refuses nan
+        raise DomainError(f"sensitivity must be positive and finite, got {sensitivity}")
     times = np.asarray(series.times, dtype=float)
     rate = np.asarray(series.rate, dtype=float)
     if times.size < 8:
@@ -238,8 +241,6 @@ def detect_cusps(series: LESeries, sensitivity: float = 20.0) -> list[float]:
     steps = np.diff(times)
     if not np.allclose(steps, steps[0], rtol=1e-8, atol=0.0):
         raise DomainError("cusp detection requires a uniform time grid")
-    if sensitivity <= 0.0:
-        raise DomainError(f"sensitivity must be positive, got {sensitivity}")
 
     with np.errstate(invalid="ignore"):
         d2 = np.abs(np.diff(rate, 2))

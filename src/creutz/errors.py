@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ConfigError",
+    "CreutzError",
+    "DomainError",
+    "IncommensurateAngleError",
+    "InvalidQuenchTargetError",
+    "NoDqptError",
+    "NoRevivalError",
+]
+
 
 class CreutzError(Exception):
     """Base class for all package errors."""

@@ -24,18 +24,13 @@ from .errors import DomainError
 __all__ = [
     "LadderParams",
     "ModeData",
-    "ModeGrid",
     "RationalAngle",
     "allowed_modes",
-    "band_energies",
-    "bogoliubov_angle",
     "canonical_angle",
     "commensurate_base",
     "critical_wavenumbers",
     "detect_rational_angle",
-    "gap",
     "group_velocity",
-    "ground_state_energy",
     "is_commensurate",
     "is_critical_flux",
     "mode_data",
@@ -111,15 +106,6 @@ class LadderParams:
 
 
 @dataclass(frozen=True)
-class ModeGrid:
-    """The quantized wavenumbers k_j = 2 pi j / N, j = 0..N-1."""
-
-    n_rungs: int
-    wavenumbers: np.ndarray
-    delta_k: float
-
-
-@dataclass(frozen=True)
 class ModeData:
     """Spectral data at wavenumber(s) ``k``, each field shaped like ``k`` (shifted bands)."""
 
@@ -147,11 +133,10 @@ class RationalAngle:
             raise DomainError(f"p={self.p}, q={self.q} are not coprime")
 
 
-def allowed_modes(n_rungs: int) -> ModeGrid:
-    """Quantized wavenumbers of a ladder with ``n_rungs`` sites per leg."""
+def allowed_modes(n_rungs: int) -> np.ndarray:
+    """Quantized wavenumbers k_j = 2 pi j / N, j = 0..N-1, of a ladder with N = ``n_rungs``."""
     n = _rung_count(n_rungs)
-    ks = 2.0 * np.pi * np.arange(n) / n
-    return ModeGrid(n_rungs=n, wavenumbers=ks, delta_k=2.0 * np.pi / n)
+    return 2.0 * np.pi * np.arange(n) / n
 
 
 def mode_data(params: LadderParams, k) -> ModeData:
@@ -189,22 +174,6 @@ def _mode_data_at(params: LadderParams, theta, k) -> ModeData:
     )
 
 
-def band_energies(params: LadderParams, k):
-    """Shifted band energies (e_alpha, e_beta) at wavenumber(s) ``k``."""
-    m = mode_data(params, k)
-    return m.e_alpha, m.e_beta
-
-
-def gap(params: LadderParams, k):
-    """Band gap e_beta - e_alpha at wavenumber(s) ``k``."""
-    return mode_data(params, k).gap
-
-
-def bogoliubov_angle(params: LadderParams, k):
-    """Rotation angle diagonalizing the 2x2 Bloch matrix, in (-pi, pi]."""
-    return mode_data(params, k).gamma
-
-
 def _require_equal_hoppings(params: LadderParams) -> float:
     if not math.isclose(params.j_h, params.j_d, rel_tol=0.0, abs_tol=1e-12):
         raise DomainError(
@@ -235,11 +204,14 @@ def detect_rational_angle(
 
     Returns None when no fraction with denominator at most ``q_max``
     approximates the angle to within ``tol``; that signals an
-    incommensurate angle at this resolution.
+    incommensurate angle at this resolution.  ``tol`` must be positive
+    and finite.
     """
     critical_wavenumbers(params)  # validates j_h == j_d and j_v < 2j
     if q_max < 2:
         raise DomainError(f"q_max must be >= 2, got {q_max}")
+    if not 0.0 < tol < math.inf:  # also refuses nan
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     x = math.acos(params.j_v / (2.0 * params.j_h)) / math.pi
     frac = Fraction(x).limit_denominator(int(q_max))
     if frac <= 0 or frac >= 1 or abs(x - float(frac)) >= tol:
@@ -273,9 +245,3 @@ def group_velocity(params: LadderParams) -> float:
     critical_wavenumbers(params)  # validates j_h == j_d and j_v < 2j
     j = params.j_h
     return 2.0 * math.sqrt(4.0 * j * j - params.j_v * params.j_v)
-
-
-def ground_state_energy(params: LadderParams) -> float:
-    """Total energy of the lower band summed over all allowed modes."""
-    ks = allowed_modes(params.n_rungs).wavenumbers
-    return float(np.sum(mode_data(params, ks).e_alpha))

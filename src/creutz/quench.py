@@ -96,7 +96,7 @@ class ModeArrays(NamedTuple):
 def mode_arrays(spec: QuenchSpec, ks=None) -> ModeArrays:
     """Vectorized per-mode quench data at ``ks`` (default: the ladder's mode grid)."""
     if ks is None:
-        ks = allowed_modes(spec.params.n_rungs).wavenumbers
+        ks = allowed_modes(spec.params.n_rungs)
     pre = mode_data(spec.pre, ks)
     post = mode_data(spec.post, ks)
     two_eta = pre.gamma - post.gamma

@@ -49,10 +49,6 @@ class WorkDistribution:
     works: np.ndarray
     probabilities: np.ndarray
 
-    @property
-    def outcomes(self) -> list[tuple[float, float]]:
-        return list(zip(self.works.tolist(), self.probabilities.tolist()))
-
     def moment(self, order: int) -> float:
         return float(np.sum(self.works**order * self.probabilities))
 
@@ -134,7 +130,7 @@ def scan_theta2(
     float64 temporary.  Each row is reduced with a pairwise ``np.sum``.
     """
     n = params.n_rungs
-    k = allowed_modes(n).wavenumbers[: n // 2 + 1]
+    k = allowed_modes(n)[: n // 2 + 1]
     pre = mode_data(params.with_theta(theta1), k)
     theta2 = np.array([canonical_angle(t) for t in np.asarray(theta2_grid, dtype=float)])
     sums = np.empty((3, theta2.size))

@@ -20,16 +20,15 @@ import numpy as np
 from creutz import (
     LadderParams,
     QuenchSpec,
-    band_energies,
     critical_mode_residual,
     critical_wavenumbers,
     detect_cusps,
     detect_revivals,
     exact_le_oracle,
     fisher_zero_lines,
-    gap,
     group_velocity,
     loschmidt_echo,
+    mode_data,
     predict_dqpt_times,
     predict_revival,
     solve_critical_modes,
@@ -273,7 +272,8 @@ def test_criterion_9_spectral_correctness():
         eps_qp = 2 * params.j_d * np.cos(k) + params.j_v
         bloch = -np.array([[eps_q, eps_qp], [eps_qp, eps_p]]) - params.j_v * np.eye(2)
         eigenvalues = np.linalg.eigvalsh(bloch)
-        e_alpha, e_beta = band_energies(params, k)
+        m = mode_data(params, k)
+        e_alpha, e_beta = m.e_alpha, m.e_beta
         worst = max(worst, abs(eigenvalues[0] - e_alpha), abs(eigenvalues[1] - e_beta))
     eig_ok = worst < 1e-12
 
@@ -283,7 +283,8 @@ def test_criterion_9_spectral_correctness():
         params = LadderParams(j, jv, j, 0.0, 16)
         for kc in critical_wavenumbers(params):
             # one-sided second-order difference: the gap is kinked at kc
-            slope = (4 * gap(params, kc + h) - gap(params, kc + 2 * h) - 3 * gap(params, kc)) / (2 * h)
+            gap = mode_data(params, kc + np.array([0.0, h, 2 * h])).gap
+            slope = (4 * gap[1] - gap[2] - 3 * gap[0]) / (2 * h)
             if abs(abs(slope) - group_velocity(params)) > 1e-6:
                 fd_ok = False
 

@@ -38,7 +38,7 @@ class TestSpectrum:
         assert meta["command"] == "spectrum"
         assert meta["n_rungs"] == 12
         assert columns[0] == "k"
-        np.testing.assert_allclose(rows[:, 0], allowed_modes(12).wavenumbers, rtol=1e-14)
+        np.testing.assert_allclose(rows[:, 0], allowed_modes(12), rtol=1e-14)
         params = LadderParams(1.0, 1.0, 1.0, 0.3 * math.pi, 12)
         expected_gap = [mode_data(params, float(k)).gap for k in rows[:, 0]]
         np.testing.assert_allclose(rows[:, -1], expected_gap, rtol=1e-12, atol=1e-12)
@@ -54,7 +54,7 @@ class TestSpectrum:
         assert run_cli("spectrum", "--set", "n_rungs=9", "--out", str(out)) == 0
         lines = out.read_text().splitlines()
         header = lines.index("k,eps_q,eps_p,eps_qp,gamma,e_alpha,e_beta,gap")
-        m = mode_data(LadderParams(1.0, 1.0, 1.0, 0.0, 9), allowed_modes(9).wavenumbers)
+        m = mode_data(LadderParams(1.0, 1.0, 1.0, 0.0, 9), allowed_modes(9))
         table = np.column_stack([m.k, m.eps_q, m.eps_p, m.eps_qp, m.gamma,
                                  m.e_alpha, m.e_beta, m.gap])
         expected = [",".join(format_float(v) for v in row) for row in table]
@@ -175,6 +175,25 @@ class TestConfigHandling:
         out = tmp_path / "le.csv"
         assert run_cli("le", "--set", "t_max=1e308", "--set", "n_points=3", "--set", "n_rungs=4",
                        "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, setting",
+        [("revival", "tol=nan"), ("revival", "tol=inf"), ("revival", "tol=0"),
+         ("dqpt", "sensitivity=nan"), ("dqpt", "sensitivity=inf")],
+    )
+    def test_detector_tolerance_must_be_positive_and_finite(self, tmp_path, capsys, command,
+                                                            setting):
+        # a nan or inf tol used to accept the irrational angle of j_v = 1.3
+        # as rational, and a nan sensitivity used to find no cusps, both
+        # with exit 0
+        base = {"revival": ("n_rungs=20", "j_v=1.3", "t_max=20", "n_points=200"),
+                "dqpt": ("n_rungs=300", "theta1=0.25", "theta2=-0.25")}[command]
+        out = tmp_path / "out.csv"
+        args = [arg for item in (*base, setting) for arg in ("--set", item)]
+        assert run_cli(command, *args, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "domain error" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("t_max", ["inf", "nan", "0"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from creutz import (
+    DomainError,
     InvalidQuenchTargetError,
     LadderParams,
     NoDqptError,
@@ -255,6 +256,12 @@ class TestCuspDetection:
         series = loschmidt_echo(spec, times)
         with pytest.raises(Exception):
             detect_cusps(series)
+
+    @pytest.mark.parametrize("sensitivity", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_sensitivity_outside_positive_finite(self, sensitivity):
+        series = loschmidt_echo(make_spec(*ACROSS, n=20), np.linspace(0, 1, 101))
+        with pytest.raises(DomainError):
+            detect_cusps(series, sensitivity=sensitivity)
 
     def test_short_series_is_empty(self):
         spec = make_spec(*ACROSS, n=20)

@@ -12,14 +12,11 @@ from creutz import (
     LadderParams,
     RationalAngle,
     allowed_modes,
-    band_energies,
     canonical_angle,
     commensurate_base,
     critical_wavenumbers,
     detect_rational_angle,
-    gap,
     group_velocity,
-    ground_state_energy,
     is_commensurate,
     is_critical_flux,
     mode_data,
@@ -28,6 +25,11 @@ from creutz import (
 
 def params(j=1.0, jv=1.0, jd=None, theta=0.0, n=100):
     return LadderParams(j_h=j, j_v=jv, j_d=j if jd is None else jd, theta=theta, n_rungs=n)
+
+
+def ground_state_energy(p):
+    """The lower band summed over the mode grid."""
+    return float(np.sum(mode_data(p, allowed_modes(p.n_rungs)).e_alpha))
 
 
 def random_params(rng, n_max=60):
@@ -42,27 +44,27 @@ def random_params(rng, n_max=60):
 
 class TestModeGrid:
     def test_n4_quantization(self):
-        grid = allowed_modes(4)
-        np.testing.assert_allclose(grid.wavenumbers, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
-        assert grid.delta_k == pytest.approx(np.pi / 2)
+        ks = allowed_modes(4)
+        np.testing.assert_allclose(ks, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
+        assert ks[1] - ks[0] == pytest.approx(np.pi / 2)
 
     def test_n3_contains_two_thirds_pi(self):
-        grid = allowed_modes(3)
-        np.testing.assert_allclose(grid.wavenumbers[1], 2 * np.pi / 3)
+        ks = allowed_modes(3)
+        np.testing.assert_allclose(ks[1], 2 * np.pi / 3)
 
     def test_n100_misses_the_gap_closing_mode(self):
         # 2*pi*33/100 is allowed but 2*pi/3 itself is not on the grid
-        grid = allowed_modes(100)
-        assert np.min(np.abs(grid.wavenumbers - 2 * np.pi * 33 / 100)) < 1e-15
-        assert np.min(np.abs(grid.wavenumbers - 2 * np.pi / 3)) > 1e-3
+        ks = allowed_modes(100)
+        assert np.min(np.abs(ks - 2 * np.pi * 33 / 100)) < 1e-15
+        assert np.min(np.abs(ks - 2 * np.pi / 3)) > 1e-3
 
     def test_rejects_tiny_ladders(self):
         with pytest.raises(DomainError):
             allowed_modes(1)
 
     def test_uniform_spacing(self):
-        grid = allowed_modes(17)
-        np.testing.assert_allclose(np.diff(grid.wavenumbers), grid.delta_k)
+        ks = allowed_modes(17)
+        np.testing.assert_allclose(np.diff(ks), 2 * np.pi / 17)
 
 
 class TestModeData:
@@ -112,20 +114,18 @@ class TestModeData:
         # one array call carries the same per-mode data as scalar calls
         rng = np.random.default_rng(6)
         p = random_params(rng)
-        ks = allowed_modes(p.n_rungs).wavenumbers
+        ks = allowed_modes(p.n_rungs)
         table = mode_data(p, ks)
         for i, k in enumerate(ks):
             m = mode_data(p, float(k))
             for name in ("eps_q", "eps_p", "eps_qp", "gamma", "e_alpha", "e_beta", "gap"):
                 assert getattr(table, name)[i] == pytest.approx(getattr(m, name), rel=1e-13, abs=1e-13)
-        np.testing.assert_array_equal(band_energies(p, ks)[0], table.e_alpha)
-        np.testing.assert_array_equal(gap(p, ks), table.gap)
 
     def test_gap_mirror_symmetry(self):
         p = params(j=1.3, jv=0.8, jd=0.9, theta=0.7, n=31)
-        ks = allowed_modes(31).wavenumbers
-        gaps = gap(p, ks)
-        mirrored = gap(p, (2 * np.pi - ks) % (2 * np.pi))
+        ks = allowed_modes(31)
+        gaps = mode_data(p, ks).gap
+        mirrored = mode_data(p, (2 * np.pi - ks) % (2 * np.pi)).gap
         np.testing.assert_allclose(gaps, mirrored, atol=1e-12)
 
     def test_flux_parity(self):
@@ -133,8 +133,8 @@ class TestModeData:
         for _ in range(100):
             p = random_params(rng)
             k = rng.uniform(0.0, 2 * np.pi)
-            ea_plus, _ = band_energies(p, k)
-            ea_minus, _ = band_energies(p.with_theta(-p.theta), k)
+            ea_plus = mode_data(p, k).e_alpha
+            ea_minus = mode_data(p.with_theta(-p.theta), k).e_alpha
             assert ea_plus == pytest.approx(ea_minus, abs=1e-12)
 
 
@@ -148,7 +148,7 @@ class TestCriticalStructure:
         lo, hi = critical_wavenumbers(params(jv=np.sqrt(3.0)))
         assert lo == pytest.approx(5 * np.pi / 6)
         assert hi == pytest.approx(7 * np.pi / 6)
-        assert gap(params(jv=np.sqrt(3.0)), lo) == pytest.approx(0.0, abs=1e-12)
+        assert mode_data(params(jv=np.sqrt(3.0)), lo).gap == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_large_vertical_hopping(self):
         with pytest.raises(DomainError):
@@ -174,6 +174,11 @@ class TestCriticalStructure:
 
     def test_incommensurate_angle_returns_none(self):
         assert detect_rational_angle(params(jv=0.37), q_max=64, tol=1e-9) is None
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+    def test_rejects_tolerance_outside_positive_finite(self, tol):
+        with pytest.raises(DomainError):
+            detect_rational_angle(params(jv=0.37), q_max=64, tol=tol)
 
     @pytest.mark.parametrize("pq, base", [((1, 3), 3), ((1, 6), 12), ((5, 12), 24)])
     def test_commensurate_base(self, pq, base):
@@ -211,7 +216,8 @@ class TestCriticalStructure:
         p = params(j=j, jv=jv)
         h = 1e-6
         for kc in critical_wavenumbers(p):
-            slope = (4 * gap(p, kc + h) - gap(p, kc + 2 * h) - 3 * gap(p, kc)) / (2 * h)
+            gap = mode_data(p, kc + np.array([0.0, h, 2 * h])).gap
+            slope = (4 * gap[1] - gap[2] - 3 * gap[0]) / (2 * h)
             assert abs(slope) == pytest.approx(group_velocity(p), abs=1e-6)
 
 
@@ -271,7 +277,7 @@ class TestValidation:
                      (1.0, 1.0, 1e200, 0.3, 4), (-1e151, 1.0, 1.0, 0.3, 4)):
             with pytest.raises(DomainError, match="overflow"):
                 LadderParams(*args)
-        m = mode_data(LadderParams(1e150, 1e150, 1e150, 0.3, 4), allowed_modes(4).wavenumbers)
+        m = mode_data(LadderParams(1e150, 1e150, 1e150, 0.3, 4), allowed_modes(4))
         assert all(np.all(np.isfinite(getattr(m, f))) for f in ("gamma", "e_alpha", "e_beta", "gap"))
 
     def test_critical_flux_on_canonical_angle(self):

@@ -66,7 +66,7 @@ class TestRenderCsv:
 class TestRenderJson:
     def test_rows_byte_identical_to_per_row_floats(self):
         params = LadderParams(1.0, 1.0, 1.0, 0.3, 101)
-        m = mode_data(params, allowed_modes(params.n_rungs).wavenumbers)
+        m = mode_data(params, allowed_modes(params.n_rungs))
         columns = ["k", "eps_q", "eps_p", "eps_qp", "gamma", "e_alpha", "e_beta", "gap"]
         rows = np.column_stack([getattr(m, name) for name in columns])
         meta = {"command": "spectrum", "n_rungs": 101}
