@@ -261,15 +261,6 @@ def _cmd_dqpt(cfg: RunConfig):
     return meta, ["cusp_index", "t_cusp", "t_predicted_nearest", "abs_diff"], data
 
 
-def _work_row(stats: thermo.WorkStats, theta1: float, theta2: float) -> list[float]:
-    n = stats.n_rungs
-    return [
-        theta1, theta2,
-        stats.average_work, stats.delta_f, stats.irreversible_work,
-        stats.average_work / n, stats.delta_f / n, stats.irreversible_work / n,
-    ]
-
-
 _WORK_COLUMNS = [
     "theta1_over_pi", "theta2_over_pi",
     "average_work", "delta_f", "irreversible_work",
@@ -278,24 +269,22 @@ _WORK_COLUMNS = [
 
 
 def _cmd_work(cfg: RunConfig):
-    stats = thermo.work_stats(cfg.quench)
-    meta = _base_metadata(cfg, ("theta1", "theta2"))
-    rows = np.asarray([_work_row(stats, cfg["theta1"], cfg["theta2"])])
-    return meta, _WORK_COLUMNS, rows
-
-
-def _cmd_scan(cfg: RunConfig):
-    grid = np.linspace(cfg["theta2_min"], cfg["theta2_max"], cfg["n_theta2"])
-    stats = thermo.scan_theta2(cfg.params, cfg["theta1"] * pi, grid * pi)
-    meta = _base_metadata(cfg, ("theta1",))
-    meta.update(
-        theta2_min_over_pi=cfg["theta2_min"],
-        theta2_max_over_pi=cfg["theta2_max"],
-        n_theta2=cfg["n_theta2"],
-    )
-    rows = np.asarray(
-        [_work_row(s, cfg["theta1"], float(t2)) for s, t2 in zip(stats, grid)]
-    )
+    """``work`` and ``scan``: one row per theta2, ``work`` having the one angle."""
+    if cfg.command == "scan":
+        theta2 = np.linspace(cfg["theta2_min"], cfg["theta2_max"], cfg["n_theta2"])
+        meta = _base_metadata(cfg, ("theta1",))
+        meta.update(
+            theta2_min_over_pi=cfg["theta2_min"],
+            theta2_max_over_pi=cfg["theta2_max"],
+            n_theta2=cfg["n_theta2"],
+        )
+    else:
+        theta2 = np.array([cfg["theta2"]])
+        meta = _base_metadata(cfg, ("theta1", "theta2"))
+    stats = thermo.scan_theta2(cfg.params, cfg["theta1"] * pi, theta2 * pi)
+    sums = np.array([[s.average_work, s.delta_f, s.irreversible_work] for s in stats])
+    theta1 = np.full(theta2.size, cfg["theta1"])
+    rows = np.column_stack([theta1, theta2, sums, sums / cfg.params.n_rungs])
     return meta, _WORK_COLUMNS, rows
 
 
@@ -305,7 +294,7 @@ _RUNNERS = {
     "revival": _cmd_revival,
     "dqpt": _cmd_dqpt,
     "work": _cmd_work,
-    "scan": _cmd_scan,
+    "scan": _cmd_work,
 }
 
 

@@ -145,15 +145,7 @@ def mode_data(params: LadderParams, k) -> ModeData:
     ``gamma`` in (-pi, pi] diagonalizes the 2x2 Bloch matrix; the
     two-argument arctangent keeps it defined where the leg energies cross.
     """
-    return _mode_data_at(params, params.theta, k)
-
-
-def _mode_data_at(params: LadderParams, theta, k) -> ModeData:
-    """``mode_data`` at flux ``theta`` in place of ``params.theta``.
-
-    ``theta`` must be canonical.  A column of angles against a row of
-    ``k`` gives one table row per angle, from the same expressions.
-    """
+    theta = params.theta
     k = np.asarray(k, dtype=float)
     eps_q = 2.0 * params.j_h * np.cos(k - theta)
     eps_p = 2.0 * params.j_h * np.cos(k + theta)

@@ -103,7 +103,8 @@ def detect_revivals(
     post-decay peak height above the mean, which rejects the partial
     rephasings that fall well below the full revivals.  Above-threshold
     runs separated by at most ``window`` samples are merged and each
-    revival time is the weighted center of its run.
+    revival time is the weighted center of its run.  An explicit
+    ``margin`` must be positive and finite.
     """
     times = np.asarray(series.times, dtype=float)
     le = np.asarray(series.le, dtype=float)
@@ -111,6 +112,8 @@ def detect_revivals(
         raise DomainError("series too short for revival detection")
     if window < 1:
         raise DomainError(f"window must be a positive integer, got {window}")
+    if margin is not None and not 0.0 < margin < math.inf:  # also refuses nan
+        raise DomainError(f"margin must be positive and finite, got {margin}")
     steps = np.diff(times)
     if steps.size and not np.allclose(steps, steps[0], rtol=1e-8, atol=0.0):
         raise DomainError("revival detection requires a uniform time grid")

@@ -10,12 +10,13 @@ two-outcome distributions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .model import LadderParams, _mode_data_at, allowed_modes, canonical_angle, mode_data
+from .model import LadderParams, allowed_modes, canonical_angle, mode_data
 from .quench import QuenchSpec, _paired_sum, mode_arrays
 
 __all__ = [
@@ -66,9 +67,9 @@ def work_stats(spec: QuenchSpec) -> WorkStats:
 
     average_work = sum_k [ea_post cos^2(eta) + eb_post sin^2(eta) - ea_pre],
     delta_f = sum_k (ea_post - ea_pre) is the ground-state energy
-    difference, and
-    irreversible_work = sum_k sin^2(eta) gap_post, each summand
-    non-negative.  The one-angle case of ``scan_theta2``.
+    difference, and irreversible_work = sum_k sin^2(eta) gap_post, each
+    summand non-negative.  The one-angle case of ``scan_theta2``, which
+    evaluates these sums without angles (see there).
     """
     return scan_theta2(spec.params, spec.theta_pre, [spec.theta_post])[0]
 
@@ -122,28 +123,43 @@ def scan_theta2(
 ) -> list[WorkStats]:
     """Work statistics for a sweep of post-quench angles at fixed theta1.
 
-    One (theta2 x k) evaluation on the modes j = 0..N//2: modes k and
-    2 pi - k share gap, lower-band energy and cos^2 eta, so paired modes
-    count twice (``_paired_sum``).  The pre-quench table is built once;
-    the post-quench table is ``mode_data`` with a column of angles
-    against the row of k, in chunks of about ``_CHUNK_BYTES`` per
-    float64 temporary.  Each row is reduced with a pairwise ``np.sum``.
+    One (theta2 x k) evaluation on the modes j = 0..N//2, paired modes
+    k and 2 pi - k counting twice (``_paired_sum``).  With
+    u = 2 j_h sin k, v = -2 j_h cos k and q = eps_qp (free of theta), a
+    flux theta has a = u sin theta, half gap h = sqrt(q^2 + a^2) and
+    cos gamma = a / h.  Per mode, dc = v (cos theta2 - cos theta1),
+    dh = h2 - h1 and lin = cos gamma1 (a2 - a1) give
+    average_work = sum (dc - lin), delta_f = sum (dc - dh) and
+    irreversible_work = sum max(dh - lin, 0): no arctan2 or cosine of an
+    angle difference, one sqrt per element, in chunks of about
+    ``_CHUNK_BYTES`` per float64 temporary.  cos gamma1 comes from
+    ``mode_data`` (1 where h1 = 0).  The clamp keeps each term
+    non-negative near theta2 = theta1; at it, every sum is exactly 0.
     """
     n = params.n_rungs
     k = allowed_modes(n)[: n // 2 + 1]
+    theta1 = canonical_angle(theta1)
     pre = mode_data(params.with_theta(theta1), k)
-    theta2 = np.array([canonical_angle(t) for t in np.asarray(theta2_grid, dtype=float)])
-    sums = np.empty((3, theta2.size))
+    u = 2.0 * params.j_h * np.sin(k)
+    v = -2.0 * params.j_h * np.cos(k)
+    q2 = pre.eps_qp**2
+    a1 = u * math.sin(theta1)
+    h1 = np.sqrt(q2 + a1 * a1)
+    c1 = np.cos(pre.gamma)
+    theta2 = [canonical_angle(t) for t in np.asarray(theta2_grid, dtype=float)]
+    sin_theta2 = np.array([math.sin(t) for t in theta2])[:, None]
+    dcos = np.array([math.cos(t) - math.cos(theta1) for t in theta2])[:, None]
+    sums = np.empty((3, len(theta2)))
     rows = max(1, _CHUNK_BYTES // (8 * k.size))
-    for lo in range(0, theta2.size, rows):
-        post = _mode_data_at(params, theta2[lo : lo + rows, None], k)
-        cos2 = np.cos(0.5 * (pre.gamma - post.gamma)) ** 2
-        sin2 = 1.0 - cos2
-        eb_post = post.e_alpha + post.gap
+    for lo in range(0, len(theta2), rows):
+        a2 = u * sin_theta2[lo : lo + rows]
+        dh = np.sqrt(q2 + a2 * a2) - h1
+        lin = c1 * (a2 - a1)
+        dc = v * dcos[lo : lo + rows]
         chunk = sums[:, lo : lo + rows]
-        chunk[0] = _paired_sum(post.e_alpha * cos2 + eb_post * sin2 - pre.e_alpha, n)
-        chunk[1] = _paired_sum(post.e_alpha - pre.e_alpha, n)
-        chunk[2] = _paired_sum(sin2 * post.gap, n)
+        chunk[0] = _paired_sum(dc - lin, n)
+        chunk[1] = _paired_sum(dc - dh, n)
+        chunk[2] = _paired_sum(np.maximum(dh - lin, 0.0), n)
     return [
         WorkStats(average_work=a, delta_f=f, irreversible_work=w, n_rungs=n)
         for a, f, w in sums.T.tolist()

@@ -180,15 +180,21 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "command, setting",
         [("revival", "tol=nan"), ("revival", "tol=inf"), ("revival", "tol=0"),
-         ("dqpt", "sensitivity=nan"), ("dqpt", "sensitivity=inf")],
+         ("dqpt", "sensitivity=nan"), ("dqpt", "sensitivity=inf"),
+         ("revival", "margin=-1"), ("revival", "margin=nan"), ("revival", "margin=inf"),
+         ("revival", "margin=0")],
     )
     def test_detector_tolerance_must_be_positive_and_finite(self, tmp_path, capsys, command,
                                                             setting):
         # a nan or inf tol used to accept the irrational angle of j_v = 1.3
-        # as rational, and a nan sensitivity used to find no cusps, both
-        # with exit 0
-        base = {"revival": ("n_rungs=20", "j_v=1.3", "t_max=20", "n_points=200"),
-                "dqpt": ("n_rungs=300", "theta1=0.25", "theta2=-0.25")}[command]
+        # as rational, a nan sensitivity used to find no cusps, and a
+        # negative margin used to report a revival, all with exit 0; the
+        # margin cases use the rational default j_v so that the prediction
+        # succeeds and the detector sees the margin
+        base = {"tol": ("n_rungs=20", "j_v=1.3", "t_max=20", "n_points=200"),
+                "margin": ("n_rungs=20", "t_max=40", "n_points=2001"),
+                "sensitivity": ("n_rungs=300", "theta1=0.25", "theta2=-0.25")}[
+                    setting.partition("=")[0]]
         out = tmp_path / "out.csv"
         args = [arg for item in (*base, setting) for arg in ("--set", item)]
         assert run_cli(command, *args, "--out", str(out)) == 2

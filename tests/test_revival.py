@@ -128,6 +128,14 @@ class TestDetection:
         with pytest.raises(NoRevivalError):
             detect_revivals(simulate(spec, prediction.period), margin=1.0)
 
+    @pytest.mark.parametrize("margin", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_margin_outside_positive_finite(self, margin):
+        # a negative margin put the threshold below every echo value and
+        # reported a "revival"; nan and inf ended as NoRevivalError
+        series = simulate(quench_to_zero(20), 40.0)
+        with pytest.raises(DomainError, match="margin must be positive and finite"):
+            detect_revivals(series, margin=margin)
+
     def test_rejects_nonuniform_grid(self):
         times = np.array([0.0, 0.1, 0.3, 0.35, 0.9] * 10).cumsum()
         series = loschmidt_echo(quench_to_zero(10), times)

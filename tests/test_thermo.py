@@ -226,6 +226,42 @@ class TestScan:
                     if theta2 == theta1:
                         assert irreversible == 0.0
 
+    @pytest.mark.parametrize("n", [2, 4, 10, 64, 100])
+    def test_pre_quench_gap_closing_on_grid(self, n):
+        # j_v = 2 j_d at theta1 = 0 closes the pre-quench gap at k = pi,
+        # which even N puts on the grid: the mixing angle there is the
+        # arctan2(0, 0) = 0 convention
+        rng = np.random.default_rng(50 + n)
+        for j in (1.0, rng.uniform(0.3, 2.0)):
+            params = LadderParams(j, 2.0 * j, j, 0.0, n)
+            assert mode_data(params, allowed_modes(n)).gap[n // 2] == 0.0
+            grid = np.concatenate([[0.0, math.pi, -math.pi, 0.5 * math.pi], rng.uniform(-4, 4, 8)])
+            for theta2, stats in zip(grid, scan_theta2(params, 0.0, grid)):
+                actual = (stats.average_work, stats.delta_f, stats.irreversible_work)
+                assert all(math.isfinite(a) for a in actual)
+                expected = reference_work_stats(QuenchSpec(params, 0.0, theta2))
+                for a, e in zip(actual, expected):
+                    assert abs(a - e) <= 1e-12 * max(1.0, abs(e)), theta2
+
+    def test_near_no_quench_irreversible_work_nonnegative(self):
+        rng = np.random.default_rng(51)
+        for _ in range(200):
+            spec = random_spec(rng, n_max=200)
+            theta1 = spec.theta_pre
+            grid = theta1 + np.array([1e-9, -1e-9, 1e-6])
+            for stats in scan_theta2(spec.params, theta1, grid):
+                assert stats.irreversible_work >= 0.0
+
+    def test_large_ladder_matches_per_point_reference(self):
+        params = LadderParams(1.0, 1.0, 1.0, 0.0, 20000)
+        theta1 = 0.25 * math.pi
+        grid = np.array([-1.0, -0.5, -0.25, 0.0, 0.2549722, 0.5, 1.0]) * math.pi
+        for theta2, stats in zip(grid, scan_theta2(params, theta1, grid)):
+            expected = reference_work_stats(QuenchSpec(params, theta1, theta2))
+            actual = (stats.average_work, stats.delta_f, stats.irreversible_work)
+            for a, e in zip(actual, expected):
+                assert abs(a - e) <= 1e-12 * max(1.0, abs(e)), theta2
+
     def test_scan_peak_memory_is_chunked(self):
         params = LadderParams(1.0, 1.0, 1.0, 0.0, 20000)
         grid = np.linspace(-1.0, 1.0, 401) * math.pi
