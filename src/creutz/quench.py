@@ -16,6 +16,8 @@ matrix provides an independent check for ladders of up to 128 rungs.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -36,6 +38,11 @@ __all__ = [
 ORACLE_MAX_RUNGS = 128
 # Bytes of one float64 (times x modes) temporary in ``loschmidt_echo``.
 _CHUNK_BYTES = 4 << 20
+# ``loschmidt_echo`` starts at most one thread per this many rows and per
+# this many (rows x modes) elements of a block: each thread also pays for
+# every block's start row and about 20 numpy calls per block.
+_PIECE_ROWS = 8
+_PIECE_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,7 @@ class LESeries:
     underflows.  An exact zero of a mode factor shows up as +inf.
     ``la`` is None when the series was computed without the complex
     amplitude; ``le`` and ``rate`` are the same either way, and skipping
-    ``la`` makes the kernel about 2.2x faster (see ``loschmidt_echo``).
+    ``la`` makes the kernel about 2x faster (see ``loschmidt_echo``).
     """
 
     times: np.ndarray
@@ -140,6 +147,36 @@ def _uniform_step(times: np.ndarray) -> Optional[float]:
     return float(step) if np.abs(off, out=off).max() <= np.spacing(times.max()) else None
 
 
+def _worker_count() -> int:
+    """CPUs in this process's affinity set (``os.cpu_count`` without one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_pieces(run, pieces) -> None:
+    """``run(*piece)`` for each of ``pieces``, the first in this thread and
+    the others on threads; the first error of any piece is raised here
+    once all pieces have stopped."""
+    errors = []
+
+    def guarded(*piece) -> None:
+        try:
+            run(*piece)
+        except BaseException as exc:  # re-raised below, in the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=piece) for piece in pieces[1:]]
+    for thread in threads:
+        thread.start()
+    guarded(*pieces[0])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries:
     """Echo, amplitude, and rate function on the given time grid.
 
@@ -166,11 +203,30 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     ``rate = +inf`` on every grid.  B = min(floor(sqrt(T)),
     ``_CHUNK_BYTES`` / (16 M)) for M modes, so the four (B x M) tables of
     the echo hold 2 ``_CHUNK_BYTES``; other grids run in chunks of
-    ``_CHUNK_BYTES`` per (times x modes) temporary.  Measured at N = 9000
-    on 2 vCPUs, medians of 7 calls: 10001 uniform times, echo only, 0.48 s
-    (1.14 s with ``sin`` on every element) and a traced allocation peak
-    of 8.7 MiB; 2001 uniform times, 0.22 s with the amplitude (0.54 s)
-    and 0.10 s without (0.25 s).
+    ``_CHUNK_BYTES`` per (times x modes) temporary.
+
+    The rows of each block (or chunk) are split into one contiguous piece
+    per CPU of the process's affinity set, pieces differing by at most one
+    row, and the pieces run on threads (numpy releases the GIL); a grid
+    of one block runs in the calling thread.  A piece reads its block's
+    start row and its own rows of the offset tables, so every element and
+    row sum takes the same operations for any split: the results are the
+    same bits for any number of CPUs.  Each thread computes the sin/cos
+    start row of every block itself and makes about 20 numpy calls per
+    block, so there is at most one thread per ``_PIECE_ROWS`` (8) rows
+    and per ``_PIECE_ELEMENTS`` (2^14) elements of a block: 7 threads at
+    most for N = 9000 x 10001 and 8 for N = 1000 x 86604.  The start rows
+    then hold at most 1/8 of the work buffers (a traced peak of 9.3 MiB
+    with 7 threads, 8.6 MiB with one, at N = 9000 x 10001), and the
+    pieces run one after another in one thread take 4% (N = 9000) and 6%
+    (N = 1000) more CPU time than one piece per block, where 32 pieces
+    would take twice as much.  The count does not see a CPU quota below
+    the affinity set: 8 threads on 2 vCPUs take 1.5x the time of one
+    thread at N = 1000 x 86604.  Measured at N = 9000 on 2 vCPUs, medians
+    of 7 calls: 10001 uniform times, echo only, 0.28 s (0.64 s with
+    ``sin`` on every element; 0.54 s on one thread) and a traced
+    allocation peak of 8.8 MiB; 2001 uniform times, 0.15 s with the
+    amplitude (0.30 s) and 0.07 s without (0.14 s).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -198,50 +254,65 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
         offsets = np.multiply.outer(step * np.arange(rows), half_gap)
         sin_off, cos_off = np.sin(offsets), np.cos(offsets, out=offsets)
         unit = np.flatnonzero(amplitude == 1.0)
-    work = np.empty((3 if include_la else 2, min(rows, times.size), half_gap.size))
-    with np.errstate(divide="ignore"):
-        for lo in range(0, times.size, rows):
-            t = times[lo : lo + rows, None]
-            s, f = work[0, : t.size], work[1, : t.size]
-            c = work[2, : t.size] if arg is not None else None
-            if step is None:
-                np.multiply(half_gap, t, out=f)
-                np.sin(f, out=s)
-                if c is not None:
-                    np.cos(f, out=c)
-            else:
-                start = half_gap * times[lo]
-                sin_i, cos_i = np.sin(start), np.cos(start)
-                sin_j, cos_j = sin_off[: t.size], cos_off[: t.size]
-                np.multiply(cos_j, sin_i, out=s)
-                s += np.multiply(sin_j, cos_i, out=f)  # sin(start + offset)
-                if c is not None:
-                    np.multiply(cos_j, cos_i, out=c)
-                    c -= np.multiply(sin_j, sin_i, out=f)  # cos(start + offset)
-                if unit.size:
-                    phase = half_gap[unit] * t
-                    s[:, unit] = np.sin(phase)
+    span = min(rows, times.size)
+    workers = 1
+    if times.size > rows:
+        workers = max(1, min(_worker_count(), span // _PIECE_ROWS,
+                             span * half_gap.size // _PIECE_ELEMENTS))
+
+    def run(first: int, stop: int) -> None:
+        # rows [first, stop) of every block; each element and row sum takes
+        # the same operations as with one piece per block
+        work = np.empty((3 if include_la else 2, stop - first, half_gap.size))
+        with np.errstate(divide="ignore"):
+            for lo in range(0, times.size, rows):
+                a, b = lo + first, min(lo + stop, times.size)
+                if a >= b:
+                    continue
+                t = times[a:b, None]
+                s, f = work[0, : t.size], work[1, : t.size]
+                c = work[2, : t.size] if arg is not None else None
+                if step is None:
+                    np.multiply(half_gap, t, out=f)
+                    np.sin(f, out=s)
                     if c is not None:
-                        c[:, unit] = np.cos(phase)
-            if c is not None:
-                c *= s
-                c *= minus_two_sin2  # -2 sin^2(eta) s c
-            np.square(s, out=s)
-            np.minimum(s, 1.0, out=s)
-            np.multiply(amplitude, s, out=f)
-            np.subtract(1.0, f, out=f)  # echo factors 1 - A s^2
-            log_le[lo : lo + t.size] = _paired_sum(np.log(f, out=f), n)
-            if c is not None:
-                np.multiply(-2.0, s, out=f)
-                f += 1.0
-                f *= sin2
-                f += cos2  # cos^2(eta) + sin^2(eta) (1 - 2 s^2)
-                arg[lo : lo + t.size] = _paired_sum(np.arctan2(c, f, out=c), n)
-        le = np.exp(log_le)
-        rate = np.where(np.isneginf(log_le), np.inf, -log_le / n)
-        la = None
-        if arg is not None:
-            la = np.exp(0.5 * log_le + 1j * (arg - times * lower_band))
+                        np.cos(f, out=c)
+                else:
+                    start = half_gap * times[lo]
+                    sin_i = np.sin(start)
+                    cos_i = np.cos(start, out=start)
+                    sin_j, cos_j = sin_off[a - lo : b - lo], cos_off[a - lo : b - lo]
+                    np.multiply(cos_j, sin_i, out=s)
+                    s += np.multiply(sin_j, cos_i, out=f)  # sin(start + offset)
+                    if c is not None:
+                        np.multiply(cos_j, cos_i, out=c)
+                        c -= np.multiply(sin_j, sin_i, out=f)  # cos(start + offset)
+                    if unit.size:
+                        phase = half_gap[unit] * t
+                        s[:, unit] = np.sin(phase)
+                        if c is not None:
+                            c[:, unit] = np.cos(phase)
+                if c is not None:
+                    c *= s
+                    c *= minus_two_sin2  # -2 sin^2(eta) s c
+                np.square(s, out=s)
+                np.minimum(s, 1.0, out=s)
+                np.multiply(amplitude, s, out=f)
+                np.subtract(1.0, f, out=f)  # echo factors 1 - A s^2
+                log_le[a:b] = _paired_sum(np.log(f, out=f), n)
+                if c is not None:
+                    np.multiply(-2.0, s, out=f)
+                    f += 1.0
+                    f *= sin2
+                    f += cos2  # cos^2(eta) + sin^2(eta) (1 - 2 s^2)
+                    arg[a:b] = _paired_sum(np.arctan2(c, f, out=c), n)
+
+    _run_pieces(run, [(span * i // workers, span * (i + 1) // workers) for i in range(workers)])
+    le = np.exp(log_le)
+    rate = np.where(np.isneginf(log_le), np.inf, -log_le / n)
+    la = None
+    if arg is not None:
+        la = np.exp(0.5 * log_le + 1j * (arg - times * lower_band))
     return LESeries(times=times, le=le, la=la, rate=rate, n_rungs=n)
 
 

@@ -130,11 +130,14 @@ def scan_theta2(
     cos gamma = a / h.  Per mode, dc = v (cos theta2 - cos theta1),
     dh = h2 - h1 and lin = cos gamma1 (a2 - a1) give
     average_work = sum (dc - lin), delta_f = sum (dc - dh) and
-    irreversible_work = sum max(dh - lin, 0): no arctan2 or cosine of an
+    irreversible_work = sum (dh - lin): no arctan2 or cosine of an
     angle difference, one sqrt per element, in chunks of about
     ``_CHUNK_BYTES`` per float64 temporary.  cos gamma1 comes from
-    ``mode_data`` (1 where h1 = 0).  The clamp keeps each term
-    non-negative near theta2 = theta1; at it, every sum is exactly 0.
+    ``mode_data`` (1 where h1 = 0).  Where q^2 + a1 a2 > 0 an irreversible
+    term is q^2 (a2 - a1)^2 / (h1 (h1 h2 + q^2 + a1 a2)), which is
+    non-negative and exactly 0 at a2 = a1, so theta2 = pi - theta1 costs no
+    irreversible work; elsewhere it is max(dh - lin, 0).  At
+    theta2 = theta1, every sum is exactly 0.
     """
     n = params.n_rungs
     k = allowed_modes(n)[: n // 2 + 1]
@@ -153,13 +156,20 @@ def scan_theta2(
     rows = max(1, _CHUNK_BYTES // (8 * k.size))
     for lo in range(0, len(theta2), rows):
         a2 = u * sin_theta2[lo : lo + rows]
-        dh = np.sqrt(q2 + a2 * a2) - h1
-        lin = c1 * (a2 - a1)
+        h2 = np.sqrt(q2 + a2 * a2)
+        dh = h2 - h1
+        d = a2 - a1
+        lin = c1 * d
         dc = v * dcos[lo : lo + rows]
         chunk = sums[:, lo : lo + rows]
         chunk[0] = _paired_sum(dc - lin, n)
         chunk[1] = _paired_sum(dc - dh, n)
-        chunk[2] = _paired_sum(np.maximum(dh - lin, 0.0), n)
+        # max(dh - lin, 0), and where q^2 + a1 a2 > 0 (so h1 > 0) the same
+        # term without its cancellation
+        cross = q2 + a1 * a2
+        irreversible = np.maximum(dh - lin, 0.0)
+        np.divide(q2 * d * d, h1 * (h1 * h2 + cross), out=irreversible, where=cross > 0.0)
+        chunk[2] = _paired_sum(irreversible, n)
     return [
         WorkStats(average_work=a, delta_f=f, irreversible_work=w, n_rungs=n)
         for a, f, w in sums.T.tolist()

@@ -21,7 +21,7 @@ from creutz import (
     loschmidt_echo,
     mode_data,
 )
-from creutz import __version__
+from creutz import __version__, quench
 from creutz.cli import MAX_TIME_POINTS, main
 from creutz.serialize import format_float, read_table
 
@@ -301,6 +301,22 @@ class TestDqptCommand:
                        "--set", "n_points=201", "--out", str(out)) == 0
         meta, _, _ = read_table(str(out))
         assert meta["zero_mode_gate"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["dqpt", "--set", "n_rungs=2000", "--set", "theta1=0.25", "--set", "theta2=-0.25",
+     "--set", "t_max=3.5", "--set", "n_points=3501"],
+    ["revival", "--set", "n_rungs=100"],
+])
+def test_output_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, argv):
+    outputs = []
+    monkeypatch.setattr(quench, "_PIECE_ELEMENTS", 1)  # split N = 100 too
+    for workers in (1, 2):
+        monkeypatch.setattr(quench, "_worker_count", lambda: workers)
+        out = tmp_path / f"{workers}.csv"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 class TestWorkCommands:

@@ -1,5 +1,7 @@
 """Echo kernels against the exact determinant oracle and per-mode identities."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,7 @@ from creutz import (
     mode_data,
     work_stats,
 )
+from creutz import quench
 from creutz.quench import _uniform_step
 
 
@@ -315,6 +318,116 @@ class TestLoschmidtEcho:
     def test_rejects_overflowing_phases(self):
         with pytest.raises(DomainError):
             loschmidt_echo(make_spec(0.1, 0.2), np.array([0.0, 1e308]))
+
+    @pytest.mark.parametrize("include_la", [False, True])
+    def test_same_bits_for_any_worker_count(self, monkeypatch, include_la):
+        # each worker takes one contiguous piece of every block's rows; with
+        # more workers than cores and a short switch interval, a piece
+        # written twice or not at all would show.  Pieces of one row are
+        # allowed so that every case below is split.
+        monkeypatch.setattr(quench, "_PIECE_ROWS", 1)
+        monkeypatch.setattr(quench, "_PIECE_ELEMENTS", 1)
+        critical = make_spec(np.pi / 6, -np.pi / 6, n=48)
+        gap_star = mode_data(critical.post, np.pi / 2).gap
+        moved = np.linspace(0.0, 30.0, 3001)
+        moved[1500] += 1e-9
+        rng = np.random.default_rng(23)
+        cases = [(make_spec(0.25 * np.pi, -0.25 * np.pi, n=300), np.linspace(0.0, 10.0, 4001)),
+                 (make_spec(0.3, -1.1, n=37), moved),
+                 # non-uniform and several chunks of 262 rows
+                 (make_spec(0.3, -1.1, n=4001), np.sort(rng.uniform(0.0, 40.0, 1500))),
+                 (critical, (np.pi / gap_star) * np.linspace(0.0, 8.0, 8001))]
+        cases += [(make_spec(0.3, -1.1, n=20), np.linspace(0.0, 30.0, size)) for size in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for spec, times in cases:
+                monkeypatch.setattr(quench, "_worker_count", lambda: 1)
+                ref = loschmidt_echo(spec, times, include_la=include_la)
+                for workers in (2, 3, 5):
+                    monkeypatch.setattr(quench, "_worker_count", lambda: workers)
+                    got = loschmidt_echo(spec, times, include_la=include_la)
+                    np.testing.assert_array_equal(got.le, ref.le)
+                    np.testing.assert_array_equal(got.rate, ref.rate)
+                    if include_la:
+                        np.testing.assert_array_equal(got.la, ref.la)
+                if spec is critical:
+                    assert np.isinf(ref.rate).sum() >= 4
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("in_main", [True, False])
+    def test_piece_failure_is_raised(self, monkeypatch, in_main):
+        # an error in any piece reaches the caller after every thread stopped
+        monkeypatch.setattr(quench, "_worker_count", lambda: 2)
+        monkeypatch.setattr(quench, "_PIECE_ELEMENTS", 1)
+        paired_sum = quench._paired_sum
+
+        def failing(x, n):
+            if (threading.current_thread() is threading.main_thread()) == in_main:
+                raise RuntimeError("injected")
+            return paired_sum(x, n)
+
+        monkeypatch.setattr(quench, "_paired_sum", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected"):
+            loschmidt_echo(make_spec(0.25 * np.pi, -0.25 * np.pi, n=300), np.linspace(0.0, 10.0, 401))
+        assert threading.active_count() == before
+
+    def test_threads_are_capped_by_block_size(self, monkeypatch):
+        # every thread computes each block's start row and makes ~20 numpy
+        # calls per block, so a thread needs 8 rows and 2^14 elements of a
+        # block; pieces differ by at most one row
+        class Split(Exception):
+            pass
+
+        def record(run, pieces):
+            raise Split(pieces)
+
+        monkeypatch.setattr(quench, "_worker_count", lambda: 64)
+        monkeypatch.setattr(quench, "_run_pieces", record)
+        rng = np.random.default_rng(4)
+        cases = [(9000, np.linspace(0.0, 10.0, 10001), 7),  # blocks of 58 rows
+                 (9000, np.linspace(0.0, 10.0, 2001), 5),  # 44 rows
+                 (1000, np.linspace(0.0, 8660.3, 86604), 8),  # 294 rows x 501 modes
+                 (100, np.linspace(0.0, 8660.3, 86604), 1),  # 294 rows x 51 modes
+                 (9000, np.sort(rng.uniform(0.0, 10.0, 300)), 14)]  # chunks of 116 rows
+        for n, times, expected in cases:
+            with pytest.raises(Split) as caught:
+                loschmidt_echo(make_spec(0.3, -1.1, n=n), times, include_la=False)
+            pieces = caught.value.args[0]
+            assert len(pieces) == expected
+            sizes = [stop - first for first, stop in pieces]
+            assert pieces[0][0] == 0 and all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
+            assert max(sizes) - min(sizes) <= 1
+            assert expected == 1 or min(sizes) >= 8
+
+    def test_echo_peak_memory_with_many_cpus(self, monkeypatch):
+        # the per-thread start rows stay a small share of the chunk budget
+        # however many CPUs there are: 9.3 MiB with 7 threads, where one
+        # thread per row of the 58-row blocks would peak at 14.5 MiB; the
+        # limit is that of test_echo_peak_memory_is_chunked
+        monkeypatch.setattr(quench, "_worker_count", lambda: 58)
+        spec = make_spec(0.25 * np.pi, -0.25 * np.pi, n=9000)
+        times = np.linspace(0.0, 10.0, 10001)
+        tracemalloc.start()
+        try:
+            loschmidt_echo(spec, times, include_la=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+    def test_small_grids_start_no_thread(self, monkeypatch):
+        # one chunk, or blocks of one row: nothing to split
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(quench, "_worker_count", lambda: 4)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        spec = make_spec(0.3, -1.1, n=40)
+        for times in (np.array([0.0, 1.0, 3.0, 7.5]), np.linspace(0.0, 1.0, 2)):
+            assert np.all(np.isfinite(loschmidt_echo(spec, times).rate))
 
     @given(
         st.floats(min_value=-2.5, max_value=2.5),

@@ -46,16 +46,18 @@ def random_spec(rng, n_max=40):
 def reference_work_stats(spec):
     """(average_work, delta_f, irreversible_work) from a per-point loop.
 
-    The full-mode table of one quench and plain sums over all N modes,
-    as work statistics were computed before the (theta2 x k) scan.
+    The full-mode table of one quench, as work statistics were computed
+    before the (theta2 x k) scan, and correctly rounded sums (``math.fsum``)
+    of per-mode terms over all N modes, so that the referee adds no
+    rounding of its own at large N.
     """
     _, _, cos2, gap_post, ea_pre, ea_post = mode_arrays(spec)
     sin2 = 1.0 - cos2
     eb_post = ea_post + gap_post
     return (
-        float(np.sum(ea_post * cos2 + eb_post * sin2 - ea_pre)),
-        float(np.sum(ea_post)) - float(np.sum(ea_pre)),
-        float(np.sum(sin2 * gap_post)),
+        math.fsum(ea_post * cos2 + eb_post * sin2 - ea_pre),
+        math.fsum(ea_post - ea_pre),
+        math.fsum(sin2 * gap_post),
     )
 
 
@@ -261,6 +263,14 @@ class TestScan:
             actual = (stats.average_work, stats.delta_f, stats.irreversible_work)
             for a, e in zip(actual, expected):
                 assert abs(a - e) <= 1e-12 * max(1.0, abs(e)), theta2
+
+    @pytest.mark.parametrize("theta1", [0.24, 0.25, 0.26])
+    def test_mirror_flux_excites_nothing(self, theta1):
+        # theta2 = pi - theta1 has the same sin theta up to rounding, so no
+        # mode is excited; clamped dh - lin terms would sum 7e-13 of noise
+        params = LadderParams(1.0, 1.0, 1.0, 0.0, 20000)
+        (stats,) = scan_theta2(params, theta1 * math.pi, [(1.0 - theta1) * math.pi])
+        assert 0.0 <= stats.irreversible_work <= 1e-20
 
     def test_scan_peak_memory_is_chunked(self):
         params = LadderParams(1.0, 1.0, 1.0, 0.0, 20000)
