@@ -16,7 +16,7 @@ import argparse
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from math import inf, pi
+from math import inf, isfinite, pi
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -152,6 +152,14 @@ def _validate(command: str, values: dict[str, Any]) -> None:
         raise ConfigError(f"t_max must be positive and finite, got {values['t_max']}")
     if command == "scan" and values["n_theta2"] < 2:
         raise ConfigError(f"n_theta2 must be >= 2, got {values['n_theta2']}")
+    # checked before np.linspace and the numpy conversion to radians, which
+    # would overflow: every grid angle lies between finite ends in radians
+    if command == "scan":
+        lo, hi = values["theta2_min"], values["theta2_max"]
+        if not (isfinite((hi - lo) * pi) and isfinite(max(abs(lo), abs(hi)) * pi)):
+            raise DomainError(f"theta2 range [{lo}, {hi}] pi must be finite in radians")
+    elif command == "work" and not isfinite(values["theta2"] * pi):
+        raise DomainError(f"angle must be finite, got {values['theta2']} pi")
 
 
 def _time_grid(cfg: RunConfig, default_t_max: float, default_dt: float) -> np.ndarray:

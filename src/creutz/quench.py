@@ -147,12 +147,50 @@ def _uniform_step(times: np.ndarray) -> Optional[float]:
     return float(step) if np.abs(off, out=off).max() <= np.spacing(times.max()) else None
 
 
+# The cgroup CPU quota as "quota period" (v2), or as quota and period
+# files (v1); the first of these that can be read holds it.
+_CPU_QUOTA_FILES = (
+    ("/sys/fs/cgroup/cpu.max",),
+    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
+)
+
+
+def _read_text(path: str) -> str:
+    with open(path) as handle:
+        return handle.read()
+
+
+def _cpu_quota() -> float:
+    """CPUs' worth of time the cgroup CPU quota grants; inf without a quota.
+
+    "max" (v2), -1 (v1) and a file that is missing, unreadable or
+    malformed all mean no quota.
+    """
+    for paths in _CPU_QUOTA_FILES:
+        try:
+            fields = " ".join(_read_text(path) for path in paths).split()
+        except OSError:
+            continue
+        try:
+            quota, period = int(fields[0]), int(fields[1])
+        except (IndexError, ValueError):
+            return math.inf
+        return quota / period if quota > 0 and period > 0 else math.inf
+    return math.inf
+
+
 def _worker_count() -> int:
-    """CPUs in this process's affinity set (``os.cpu_count`` without one)."""
+    """CPUs in this process's affinity set (``os.cpu_count`` without one),
+    at most the whole CPUs that cover the cgroup CPU quota.
+
+    More threads than the quota allows only queue for CPU time.
+    """
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cpus if quota == math.inf else max(1, min(cpus, math.ceil(quota)))
 
 
 def _run_pieces(run, pieces) -> None:
@@ -220,13 +258,13 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     with 7 threads, 8.6 MiB with one, at N = 9000 x 10001), and the
     pieces run one after another in one thread take 4% (N = 9000) and 6%
     (N = 1000) more CPU time than one piece per block, where 32 pieces
-    would take twice as much.  The count does not see a CPU quota below
-    the affinity set: 8 threads on 2 vCPUs take 1.5x the time of one
-    thread at N = 1000 x 86604.  Measured at N = 9000 on 2 vCPUs, medians
-    of 7 calls: 10001 uniform times, echo only, 0.28 s (0.64 s with
-    ``sin`` on every element; 0.54 s on one thread) and a traced
-    allocation peak of 8.8 MiB; 2001 uniform times, 0.15 s with the
-    amplitude (0.30 s) and 0.07 s without (0.14 s).
+    would take twice as much.  A cgroup CPU quota below the affinity
+    set caps the count too (``_worker_count``): 8 threads on 2 vCPUs
+    take 1.5x the time of one thread at N = 1000 x 86604.  Measured at
+    N = 9000 on 2 vCPUs, medians of 7 calls: 10001 uniform times, echo
+    only, 0.28 s (0.64 s with ``sin`` on every element; 0.54 s on one
+    thread) and a traced allocation peak of 8.8 MiB; 2001 uniform times,
+    0.15 s with the amplitude (0.30 s) and 0.07 s without (0.14 s).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:

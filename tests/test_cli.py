@@ -202,6 +202,25 @@ class TestConfigHandling:
         assert "domain error" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, settings",
+        [("scan", ["theta2_max=inf"]), ("scan", ["theta2_min=nan"]),
+         ("scan", ["theta2_min=-1e308", "theta2_max=1e308"]),
+         ("scan", ["theta2_min=1e308", "theta2_max=1e308"]),
+         ("work", ["theta2=1e308"]), ("work", ["theta2=-inf"])],
+    )
+    def test_post_quench_angles_are_checked_before_numpy(self, tmp_path, capsys, command,
+                                                         settings):
+        # np.linspace and theta2 * pi used to warn of an overflow or an
+        # invalid value before the angle check; pytest turns those
+        # warnings into errors
+        out = tmp_path / "out.csv"
+        args = [arg for item in ("n_rungs=8", "n_theta2=3", *settings) for arg in ("--set", item)]
+        assert run_cli(command, *args, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "domain error" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("t_max", ["inf", "nan", "0"])
     def test_time_grid_end_must_be_positive_and_finite(self, t_max):
         assert run_cli("le", "--set", f"t_max={t_max}", "--set", "n_rungs=4") == 1

@@ -429,6 +429,42 @@ class TestLoschmidtEcho:
         for times in (np.array([0.0, 1.0, 3.0, 7.5]), np.linspace(0.0, 1.0, 2)):
             assert np.all(np.isfinite(loschmidt_echo(spec, times).rate))
 
+    @pytest.mark.parametrize(
+        "files, workers",
+        [
+            ({"/sys/fs/cgroup/cpu.max": "150000 100000\n"}, 2),
+            ({"/sys/fs/cgroup/cpu.max": "50000 100000\n"}, 1),
+            ({"/sys/fs/cgroup/cpu.max": "max 100000\n"}, 8),
+            ({"/sys/fs/cgroup/cpu.max": "4000000 100000\n"}, 8),
+            ({"/sys/fs/cgroup/cpu.max": "max 100000\n",
+              "/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "200000\n",
+              "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000\n"}, 8),
+            ({"/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "300000\n",
+              "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000\n"}, 3),
+            ({"/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "-1\n",
+              "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000\n"}, 8),
+            ({"/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "300000\n"}, 8),
+            ({"/sys/fs/cgroup/cpu.max": ""}, 8),
+            ({"/sys/fs/cgroup/cpu.max": "garbage\n"}, 8),
+            ({"/sys/fs/cgroup/cpu.max": PermissionError}, 8),
+            ({}, 8),
+        ],
+    )
+    def test_worker_count_respects_the_cpu_quota(self, monkeypatch, files, workers):
+        # a quota below the affinity set caps the threads at its whole CPUs,
+        # rounded up; "max", -1 and a missing, unreadable or malformed file
+        # mean no cap
+        def read_text(path):
+            text = files.get(path, FileNotFoundError)
+            if isinstance(text, type):
+                raise text(path)
+            return text
+
+        monkeypatch.setattr(quench, "_read_text", read_text)
+        monkeypatch.setattr(quench.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        assert quench._worker_count() == workers
+
     @given(
         st.floats(min_value=-2.5, max_value=2.5),
         st.floats(min_value=-2.5, max_value=2.5),

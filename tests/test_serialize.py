@@ -58,6 +58,60 @@ class TestRenderCsv:
         assert_same_text(text, reference_csv(list("abcd"), rows))
         assert text.splitlines()[2].startswith("-0,0,nan,inf")
 
+    @pytest.mark.parametrize("n_columns", [1, 3, 8])
+    def test_block_boundaries(self, n_columns):
+        step = _CSV_BLOCK_ROWS // n_columns
+        rng = np.random.default_rng(n_columns)
+        columns = [f"c{i}" for i in range(n_columns)]
+        for n_rows in (step - 1, step, step + 1, 2 * step + 1):
+            rows = rng.standard_normal((n_rows, n_columns))
+            assert_same_text(render_csv({}, columns, rows), reference_csv(columns, rows))
+
+    @pytest.mark.parametrize("exponents", [(0, 2048), (1023 - 20, 1023 + 55)])
+    def test_random_bit_patterns(self, exponents):
+        # every sign, mantissa and (biased) exponent in the range: the full
+        # range has subnormals, inf and nan of both signs; the narrow one
+        # is mostly printed in fixed notation
+        rng = np.random.default_rng(exponents[0])
+        bits = rng.integers(0, 2**52, 60000, dtype=np.uint64)
+        bits |= rng.integers(*exponents, bits.size, dtype=np.uint64) << np.uint64(52)
+        bits |= rng.integers(0, 2, bits.size, dtype=np.uint64) << np.uint64(63)
+        values = np.concatenate([bits.view(np.float64), [-0.0, 0.0, np.inf, -np.inf, np.nan]])
+        values = np.concatenate([values, [np.copysign(np.nan, -1.0)]]).reshape(-1, 3)
+        assert_same_text(render_csv({}, list("abc"), values), reference_csv(list("abc"), values))
+
+    def test_half_way_ties_and_neighbours(self):
+        # f / 2**j with f odd has exactly j fraction digits; in [10**X, 10**(X+1))
+        # with X = 15 - j that is 16 significant digits ending in 5, a tie
+        # at the 15th digit (j = 1: 100000000000000.5 and the like)
+        rng = np.random.default_rng(5)
+        ties = [100000000000000.5, 100000000000001.5, 999999999999999.5, 1234567890123.125]
+        for j in range(1, 20):
+            lo, hi = 10.0 ** (15 - j) * 2.0**j, 10.0 ** (16 - j) * 2.0**j
+            f = rng.integers(int(lo) // 2, int(hi) // 2, 2000) * 2 + 1
+            ties.extend(f / 2.0**j)
+        ties = np.array(ties)
+        values = np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)])
+        values = np.concatenate([values, -values]).reshape(-1, 2)
+        assert_same_text(render_csv({}, list("ab"), values), reference_csv(list("ab"), values))
+
+    def test_carries_and_notation_switches(self):
+        # values that round up across a power of ten at the 15th digit, and
+        # the switches to exponent notation below 1e-4 and from 1e15
+        edges = [9.9999999999999995e-5, 99999999999999.99, 0.99999999999999995,
+                 1e-4, 1e-5, 1e15, 999999999999999.5]
+        edges += [(1e15 - 0.5) * 10.0 ** (x - 14) for x in range(-6, 17)]
+        edges += [10.0**x for x in range(-6, 17)]
+        values = []
+        for edge in edges:
+            below = above = edge
+            for _ in range(40):
+                below, above = np.nextafter(below, 0), np.nextafter(above, np.inf)
+                values += [below, above]
+        values = np.array(edges + values)
+        values = np.concatenate([values, -values]).reshape(-1, 2)
+        assert_same_text(render_csv({}, list("ab"), values), reference_csv(list("ab"), values))
+
     def test_single_row_from_flat_array(self):
         rows = np.array([1.5, -0.0, 1e16])
         assert_same_text(render_csv({}, list("xyz"), rows), reference_csv(list("xyz"), [rows]))
