@@ -6,8 +6,9 @@
 Commands: spectrum, le, revival, dqpt, work, scan.  Configuration is a
 flat key = value text file; ``--set`` overrides win over the file.  All
 angles are given in units of pi (``theta2 = -0.25`` means -0.25 pi).
-Exit codes: 0 success, 1 configuration error, 2 domain error, 3 I/O
-error.
+Identical configurations write identical bytes.  Exit codes: 0 success,
+1 configuration error (including a size beyond ``MAX_TIME_POINTS`` or
+``MAX_TABLE_ROWS``), 2 domain error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from math import inf, isfinite, pi
 from typing import Any, Callable, Optional
 
@@ -30,6 +30,10 @@ from .serialize import write_table
 # Most points a time grid may have: 10^8 float64 times are 800 MB before
 # the echo series triples them.
 MAX_TIME_POINTS = 10**8
+# Most rows a mode or theta2 table may have (n_rungs, and n_theta2 for
+# scan): a spectrum of 10^6 rungs peaks at about 340 MB, a scan of 10^6
+# angles at about 460 MB, and both grow linearly.
+MAX_TABLE_ROWS = 10**7
 
 # key -> (parser, default).  ``j`` is not a key of its own: it parses as a
 # float and fills j_h and j_d where those are not set explicitly.
@@ -54,7 +58,6 @@ _KEYS: dict[str, tuple[Callable[[str], Any], Any]] = {
     "n_theta2": (int, 401),
     "out": (str, "-"),
     "format": (str, "csv"),
-    "timestamp": (lambda v: v.lower() in ("1", "true", "yes", "on"), False),
 }
 
 
@@ -136,22 +139,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         values["format"] = args.format
     if values["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {values['format']!r}")
-    command = args.command
-    if command == "work" and getattr(args, "scan", False):
-        command = "scan"
-    _validate(command, values)
-    return RunConfig(command=command, values=values)
+    _validate(args.command, values)
+    return RunConfig(command=args.command, values=values)
 
 
 def _validate(command: str, values: dict[str, Any]) -> None:
-    if values["n_rungs"] < 2:
-        raise ConfigError(f"n_rungs must be >= 2, got {values['n_rungs']}")
+    for key in ("n_rungs", "n_theta2") if command == "scan" else ("n_rungs",):
+        if not 2 <= values[key] <= MAX_TABLE_ROWS:
+            raise ConfigError(f"{key} must lie in [2, {MAX_TABLE_ROWS:g}], got {values[key]}")
     if values["n_points"] is not None and values["n_points"] < 2:
         raise ConfigError(f"n_points must be >= 2, got {values['n_points']}")
     if values["t_max"] is not None and not 0.0 < values["t_max"] < inf:
         raise ConfigError(f"t_max must be positive and finite, got {values['t_max']}")
-    if command == "scan" and values["n_theta2"] < 2:
-        raise ConfigError(f"n_theta2 must be >= 2, got {values['n_theta2']}")
     # checked before np.linspace and the numpy conversion to radians, which
     # would overflow: every grid angle lies between finite ends in radians
     if command == "scan":
@@ -182,8 +181,6 @@ def _base_metadata(cfg: RunConfig, angle_keys: tuple[str, ...]) -> dict[str, Any
     meta.update(j_h=p.j_h, j_v=p.j_v, j_d=p.j_d, n_rungs=p.n_rungs)
     for key in angle_keys:
         meta[f"{key}_over_pi"] = cfg[key]
-    if cfg["timestamp"]:
-        meta["timestamp"] = datetime.now(timezone.utc).isoformat()
     return meta
 
 
@@ -240,6 +237,9 @@ def _cmd_revival(cfg: RunConfig):
 def _cmd_dqpt(cfg: RunConfig):
     spec = cfg.quench
     times = _time_grid(cfg, default_t_max=10.0, default_dt=1e-3)
+    gate = None  # decided before the kernel runs, so a bad q_max or tol fails fast
+    if is_critical_flux(spec.theta_post):
+        gate = dqpt.finite_size_dqpt_gate(spec, q_max=cfg["q_max"], tol=cfg["tol"])
     possible = dqpt.dqpt_possible(spec)
     modes = dqpt.solve_critical_modes(spec)
     predicted = dqpt.predict_dqpt_times(spec, t_max=float(times[-1])) if modes else []
@@ -256,8 +256,8 @@ def _cmd_dqpt(cfg: RunConfig):
         t_max=float(times[-1]),
         n_points=int(times.size),
     )
-    if is_critical_flux(spec.theta_post):
-        meta["zero_mode_gate"] = dqpt.finite_size_dqpt_gate(spec)
+    if gate is not None:
+        meta.update(q_max=cfg["q_max"], tol=cfg["tol"], zero_mode_gate=gate)
     cusps = np.asarray(cusps, dtype=float)
     nearest = np.full(cusps.size, np.nan)
     if predicted:  # sorted; the neighbours of each cusp, the earlier one on a tie
@@ -336,11 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--out", help="output path ('-' for stdout)")
         cmd.add_argument("--format", choices=("csv", "json"), help="output format")
-        if name == "work":
-            cmd.add_argument(
-                "--scan", action="store_true",
-                help="sweep theta2 instead of a single quench (same as the scan command)",
-            )
     return parser
 
 

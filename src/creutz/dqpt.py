@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidQuenchTargetError, NoDqptError
-from .model import (
-    _require_equal_hoppings,
-    detect_rational_angle,
-    is_commensurate,
-    is_critical_flux,
-    mode_data,
-)
+from .model import _require_equal_hoppings, commensurate_base, is_critical_flux, mode_data
 from .quench import LESeries, QuenchSpec, mode_arrays
 
 __all__ = [
@@ -80,22 +74,22 @@ class FisherZeroLine:
         return bool(np.any(real == 0.0) or np.any(real[:-1] * real[1:] < 0.0))
 
 
-def _sin_exact(theta: float) -> float:
-    """sin of a canonical angle, exactly zero at the critical fluxes 0, pi."""
-    if theta == 0.0 or abs(theta) == math.pi:
+def _sine_product(spec: QuenchSpec) -> float:
+    """sin(theta_pre) sin(theta_post), exactly 0 when ``is_critical_flux`` holds for either."""
+    if is_critical_flux(spec.theta_pre) or is_critical_flux(spec.theta_post):
         return 0.0
-    return math.sin(theta)
+    return math.sin(spec.theta_pre) * math.sin(spec.theta_post)
 
 
 def dqpt_possible(spec: QuenchSpec) -> bool:
     """True when the amplitude-one condition can have a solution."""
-    return _sin_exact(spec.theta_pre) * _sin_exact(spec.theta_post) <= 0.0
+    return _sine_product(spec) <= 0.0
 
 
 def critical_mode_residual(spec: QuenchSpec, k: float) -> float:
     """Residual of the amplitude-one condition at wavenumber ``k``."""
     j = _require_equal_hoppings(spec.params)
-    s = _sin_exact(spec.theta_pre) * _sin_exact(spec.theta_post)
+    s = _sine_product(spec)
     return (2.0 * j * math.cos(k) + spec.params.j_v) ** 2 + (2.0 * j * math.sin(k)) ** 2 * s
 
 
@@ -109,18 +103,18 @@ def solve_critical_modes(spec: QuenchSpec) -> list[CriticalMode]:
     """
     j = _require_equal_hoppings(spec.params)
     jv = spec.params.j_v
-    s = _sin_exact(spec.theta_pre) * _sin_exact(spec.theta_post)
+    s = _sine_product(spec)
     if s > 0.0:
         return []
     if s == 0.0:
-        # One flux sits exactly at a critical value: double root at the
-        # gap-closing wavenumber of the infinite system.  The timescale
-        # stays finite when only the initial flux is critical; it
-        # diverges when the quench ends at a critical flux.
+        # One flux is critical: double root at the gap-closing
+        # wavenumber of the infinite system.  The timescale stays finite
+        # when only the initial flux is critical; it diverges when the
+        # quench ends at a critical flux.
         if jv >= 2.0 * j:
             return []
         k_star = math.acos(-jv / (2.0 * j))
-        if _sin_exact(spec.theta_post) == 0.0:
+        if is_critical_flux(spec.theta_post):
             gap_star, t_star = 0.0, math.inf
         else:
             gap_star = float(mode_data(spec.post, k_star).gap)
@@ -261,17 +255,17 @@ def detect_cusps(series: LESeries, sensitivity: float = 20.0) -> list[float]:
     return cusps
 
 
-def finite_size_dqpt_gate(spec: QuenchSpec) -> bool:
+def finite_size_dqpt_gate(spec: QuenchSpec, q_max: int = 64, tol: float = 1e-9) -> bool:
     """Whether a finite ladder quenched to a critical flux can show cusps.
 
-    True exactly when the gap-closing wavenumber lies on the mode grid,
-    decided by integer arithmetic on the rational gap-closing angle.
+    True exactly when the ladder size is a multiple of
+    ``commensurate_base(spec.params, q_max, tol)``, i.e. when the
+    gap-closing wavenumbers lie on the mode grid; False when the angle
+    is incommensurate at this resolution.
     """
     if not is_critical_flux(spec.theta_post):
         raise InvalidQuenchTargetError(
             f"gate defined only for quenches to a critical flux, got theta_post={spec.theta_post}"
         )
-    angle = detect_rational_angle(spec.params)
-    if angle is None:
-        return False
-    return is_commensurate(angle, spec.params.n_rungs)
+    base = commensurate_base(spec.params, q_max=q_max, tol=tol)
+    return base is not None and spec.params.n_rungs % base == 0

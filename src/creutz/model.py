@@ -24,14 +24,11 @@ from .errors import DomainError
 __all__ = [
     "LadderParams",
     "ModeData",
-    "RationalAngle",
     "allowed_modes",
     "canonical_angle",
     "commensurate_base",
     "critical_wavenumbers",
-    "detect_rational_angle",
     "group_velocity",
-    "is_commensurate",
     "is_critical_flux",
     "mode_data",
 ]
@@ -119,20 +116,6 @@ class ModeData:
     gap: np.ndarray
 
 
-@dataclass(frozen=True)
-class RationalAngle:
-    """The gap-closing angle arccos(j_v/2j)/pi written as p/q in lowest terms."""
-
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if not (0 < self.p < self.q):
-            raise DomainError(f"need 0 < p < q, got p={self.p}, q={self.q}")
-        if math.gcd(self.p, self.q) != 1:
-            raise DomainError(f"p={self.p}, q={self.q} are not coprime")
-
-
 def allowed_modes(n_rungs: int) -> np.ndarray:
     """Quantized wavenumbers k_j = 2 pi j / N, j = 0..N-1, of a ladder with N = ``n_rungs``."""
     n = _rung_count(n_rungs)
@@ -189,15 +172,16 @@ def critical_wavenumbers(params: LadderParams) -> tuple[float, float]:
     return math.pi - acos, math.pi + acos
 
 
-def detect_rational_angle(
-    params: LadderParams, q_max: int = 64, tol: float = 1e-9
-) -> Optional[RationalAngle]:
-    """Recognize arccos(j_v/2j)/pi as a rational p/q with q <= q_max.
+def commensurate_base(params: LadderParams, q_max: int = 64, tol: float = 1e-9) -> Optional[int]:
+    """Smallest N whose mode grid 2 pi m / N holds both gap-closing wavenumbers.
 
-    Returns None when no fraction with denominator at most ``q_max``
-    approximates the angle to within ``tol``; that signals an
-    incommensurate angle at this resolution.  ``tol`` must be positive
-    and finite.
+    The gap-closing angle arccos(j_v/2j)/pi must be a fraction p/q in
+    lowest terms with q <= ``q_max``, to within ``tol``; otherwise the
+    angle is incommensurate at this resolution and the result is None.
+    pi -/+ pi p/q lies on the grid exactly when N (q -/+ p) / 2q is an
+    integer, so the base is q when p and q are both odd and 2q otherwise:
+    a ladder hosts the gap-closing modes exactly when the base divides
+    its size.  ``tol`` must be positive and finite.
     """
     critical_wavenumbers(params)  # validates j_h == j_d and j_v < 2j
     if q_max < 2:
@@ -205,27 +189,12 @@ def detect_rational_angle(
     if not 0.0 < tol < math.inf:  # also refuses nan
         raise DomainError(f"tol must be positive and finite, got {tol}")
     x = math.acos(params.j_v / (2.0 * params.j_h)) / math.pi
+    # 0 < x < 1/2 since j_v > 0, so the fraction is at most 1/2
     frac = Fraction(x).limit_denominator(int(q_max))
-    if frac <= 0 or frac >= 1 or abs(x - float(frac)) >= tol:
+    if frac == 0 or abs(x - float(frac)) >= tol:
         return None
-    return RationalAngle(p=frac.numerator, q=frac.denominator)
-
-
-def commensurate_base(angle: RationalAngle) -> int:
-    """Smallest N that is an integer multiple of both 2q/(q-p) and 2q/(q+p).
-
-    A ladder size hosts the gap-closing modes exactly when this base
-    divides it.
-    """
-    two_q = 2 * angle.q
-    need_minus = two_q // math.gcd(two_q, angle.q - angle.p)
-    need_plus = two_q // math.gcd(two_q, angle.q + angle.p)
-    return math.lcm(need_minus, need_plus)
-
-
-def is_commensurate(angle: RationalAngle, n_rungs: int) -> bool:
-    """True when a ladder of ``n_rungs`` sites hosts the gap-closing modes."""
-    return n_rungs % commensurate_base(angle) == 0
+    p, q = frac.numerator, frac.denominator
+    return q if (q - p) % 2 == 0 else 2 * q
 
 
 def group_velocity(params: LadderParams) -> float:

@@ -252,19 +252,10 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     same bits for any number of CPUs.  Each thread computes the sin/cos
     start row of every block itself and makes about 20 numpy calls per
     block, so there is at most one thread per ``_PIECE_ROWS`` (8) rows
-    and per ``_PIECE_ELEMENTS`` (2^14) elements of a block: 7 threads at
-    most for N = 9000 x 10001 and 8 for N = 1000 x 86604.  The start rows
-    then hold at most 1/8 of the work buffers (a traced peak of 9.3 MiB
-    with 7 threads, 8.6 MiB with one, at N = 9000 x 10001), and the
-    pieces run one after another in one thread take 4% (N = 9000) and 6%
-    (N = 1000) more CPU time than one piece per block, where 32 pieces
-    would take twice as much.  A cgroup CPU quota below the affinity
-    set caps the count too (``_worker_count``): 8 threads on 2 vCPUs
-    take 1.5x the time of one thread at N = 1000 x 86604.  Measured at
-    N = 9000 on 2 vCPUs, medians of 7 calls: 10001 uniform times, echo
-    only, 0.28 s (0.64 s with ``sin`` on every element; 0.54 s on one
-    thread) and a traced allocation peak of 8.8 MiB; 2001 uniform times,
-    0.15 s with the amplitude (0.30 s) and 0.07 s without (0.14 s).
+    and per ``_PIECE_ELEMENTS`` (2^14) elements of a block, and a cgroup
+    CPU quota below the affinity set caps the count too
+    (``_worker_count``).  The measured costs of these choices are in
+    docs/formats.md, under ``le``.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:

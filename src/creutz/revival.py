@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, IncommensurateAngleError, InvalidQuenchTargetError, NoRevivalError
-from .model import commensurate_base, detect_rational_angle, group_velocity, is_critical_flux
+from .model import commensurate_base, group_velocity, is_critical_flux
 from .quench import LESeries, QuenchSpec
 
 __all__ = [
@@ -65,18 +65,17 @@ def predict_revival(spec: QuenchSpec, q_max: int = 64, tol: float = 1e-9) -> Rev
     """First-revival period for a quench to a critical flux.
 
     The post-quench flux must be 0 or pi and the gap-closing angle must
-    be recognizably rational (see ``detect_rational_angle``).
+    be recognizably rational (see ``commensurate_base``).
     """
     if not is_critical_flux(spec.theta_post):
         raise InvalidQuenchTargetError(
             f"revival prediction needs theta_post at a critical flux (0 or pi), got {spec.theta_post}"
         )
-    angle = detect_rational_angle(spec.params, q_max=q_max, tol=tol)
-    if angle is None:
+    base = commensurate_base(spec.params, q_max=q_max, tol=tol)
+    if base is None:
         raise IncommensurateAngleError(
             f"arccos(j_v/2j)/pi not rational within tol={tol} for q <= {q_max}"
         )
-    base = commensurate_base(angle)
     n = spec.params.n_rungs
     effective_n = math.lcm(base, n)
     period = effective_n / group_velocity(spec.params)

@@ -5,7 +5,9 @@ import io
 import json
 import math
 import os
+import string
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +23,8 @@ from creutz import (
     loschmidt_echo,
     mode_data,
 )
-from creutz import __version__, quench
-from creutz.cli import MAX_TIME_POINTS, main
+from creutz import __version__, cli, quench
+from creutz.cli import MAX_TABLE_ROWS, MAX_TIME_POINTS, main
 from creutz.serialize import format_float, read_table
 
 
@@ -241,6 +243,27 @@ class TestConfigHandling:
         assert "configuration error" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, setting",
+        [("spectrum", "n_rungs=1000000000"), ("le", f"n_rungs={MAX_TABLE_ROWS + 1}"),
+         ("work", "n_rungs=100000000"), ("scan", "n_theta2=1000000000"),
+         ("scan", f"n_theta2={MAX_TABLE_ROWS + 1}")],
+    )
+    def test_oversized_table_is_config_error(self, monkeypatch, capsys, tmp_path, command,
+                                             setting):
+        # these ended in a numpy _ArrayMemoryError traceback; the size must
+        # be refused before any mode or theta2 table is allocated
+        def refuse(*args, **kwargs):
+            raise AssertionError("table was allocated")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        monkeypatch.setattr(np, "linspace", refuse)
+        out = tmp_path / "out.csv"
+        assert run_cli(command, "--set", setting, "--set", "n_points=3", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_io_error_exit_code(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "o.csv"
         assert run_cli("spectrum", "--set", "n_rungs=4", "--out", str(missing_dir)) == 3
@@ -321,6 +344,32 @@ class TestDqptCommand:
         meta, _, _ = read_table(str(out))
         assert meta["zero_mode_gate"] is True
 
+    def test_near_critical_targets_agree(self, tmp_path):
+        # a target within 1e-12 of the flux 0 is critical for every part of
+        # the run: the same tangent mode and gate as the exact flux 0
+        keys = ("possible", "n_critical_modes", "k_star", "t_star", "zero_mode_gate")
+        metas = []
+        for theta2 in ("0", "1e-13", "-1e-13"):
+            out = tmp_path / f"dqpt{theta2}.csv"
+            assert run_cli("dqpt", "--set", "n_rungs=99", "--set", "theta1=0.25",
+                           "--set", f"theta2={theta2}", "--set", "t_max=2",
+                           "--set", "n_points=201", "--out", str(out)) == 0
+            meta, _, _ = read_table(str(out))
+            metas.append({key: meta[key] for key in keys})
+        assert metas[0] == metas[1] == metas[2]
+        assert metas[0]["zero_mode_gate"] is True and metas[0]["n_critical_modes"] == 1
+
+    def test_gate_reads_q_max_and_tol(self, tmp_path):
+        # q_max = 2 cannot resolve the angle 1/3, for which revival exits 2
+        out = tmp_path / "dqpt.csv"
+        args = ["--set", "theta2=0", "--set", "q_max=2"]
+        assert run_cli("dqpt", *args, "--set", "t_max=2", "--set", "n_points=201",
+                       "--out", str(out)) == 0
+        meta, _, _ = read_table(str(out))
+        assert meta["zero_mode_gate"] is False
+        assert meta["q_max"] == 2 and meta["tol"] == 1e-9
+        assert run_cli("revival", *args, "--out", str(tmp_path / "revival.csv")) == 2
+
 
 @pytest.mark.parametrize("argv", [
     ["dqpt", "--set", "n_rungs=2000", "--set", "theta1=0.25", "--set", "theta2=-0.25",
@@ -353,8 +402,9 @@ class TestWorkCommands:
         direct, alias = tmp_path / "scan.csv", tmp_path / "alias.csv"
         args = ["--set", "n_rungs=32", "--set", "theta1=0.25", "--set", "n_theta2=21"]
         assert run_cli("scan", *args, "--out", str(direct)) == 0
-        assert run_cli("work", "--scan", *args, "--out", str(alias)) == 0
-        assert direct.read_bytes() == alias.read_bytes()
+        # the work --scan alias is gone: the scan command is the one spelling
+        assert run_cli("work", "--scan", *args, "--out", str(alias)) == 1
+        assert not alias.exists()
         meta, columns, rows = read_table(str(direct))
         assert rows.shape[0] == 21
         assert columns[1] == "theta2_over_pi"
@@ -389,4 +439,40 @@ def test_le_inputs_end_in_exit_code_not_traceback(j, j_v, theta1, theta2):
         if code == 0:
             _, _, rows = read_table(out)
             assert rows.shape == (7, 3)
+            assert not np.any(np.isnan(rows))
+
+
+# Integers are drawn either small or beyond every size cap, and n_points is
+# pinned small unless it is drawn itself, so that a valid draw never starts a
+# large grid or mode table; every other size is pinned small too.
+fuzz_value = st.one_of(
+    st.sampled_from(["1e308", "-1e308", "5e-324", "-0.0", "nan", "inf", "-inf"]),
+    st.integers(-3, 64).map(str),
+    st.integers(MAX_TIME_POINTS + 1, 10**18).map(str),
+    st.text(string.ascii_letters + string.digits + "+-._ ", max_size=6),
+)
+
+
+@given(
+    command=st.sampled_from(sorted(set(cli._RUNNERS))),
+    settings_=st.dictionaries(st.sampled_from(sorted(["j", *cli._KEYS])), fuzz_value,
+                              min_size=1, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_every_command_and_key_ends_in_exit_code_not_traceback(command, settings_):
+    base = {"n_rungs": "6", "n_points": "64", "n_theta2": "3"}
+    items = [f"{key}={value}" for key, value in {**base, **settings_}.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv")  # --out wins over a drawn out key
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(command, *(arg for item in items for arg in ("--set", item)),
+                           "--out", out)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            meta, _, rows = read_table(out)
+            if command == "dqpt" and meta["predicted_times"] == "":
+                rows = rows[:, :2]  # documented NaN: no finite cusp time to compare with
             assert not np.any(np.isnan(rows))

@@ -7,10 +7,12 @@ import pytest
 
 from creutz import (
     DomainError,
+    IncommensurateAngleError,
     InvalidQuenchTargetError,
     LadderParams,
     NoDqptError,
     QuenchSpec,
+    commensurate_base,
     critical_mode_residual,
     detect_cusps,
     dqpt_possible,
@@ -19,6 +21,7 @@ from creutz import (
     loschmidt_echo,
     mode_arrays,
     predict_dqpt_times,
+    predict_revival,
     solve_critical_modes,
 )
 
@@ -138,6 +141,23 @@ class TestCriticalModes:
         assert len(modes) == 1 and modes[0].tangent
         assert modes[0].gap_star == 0.0
         assert math.isinf(modes[0].t_star)
+
+    @pytest.mark.parametrize("offset", [1e-13, -1e-13, 9e-13])
+    @pytest.mark.parametrize("pre, post", [(0.25, 0.0), (0.75, 1.0), (0.0, 0.3), (1.0, -0.3)])
+    def test_near_critical_flux_counts_as_critical(self, offset, pre, post):
+        # is_critical_flux decides criticality within 1e-12 of 0 or pi, and
+        # the amplitude-one condition follows it: the same modes as the
+        # exact critical flux, never the two close roots of a tiny sine
+        exact = make_spec(pre * math.pi, post * math.pi, n=2000)
+        pre_critical = pre in (0.0, 1.0)
+        near = make_spec(pre * math.pi + offset * pre_critical,
+                         post * math.pi + offset * (not pre_critical), n=2000)
+        assert dqpt_possible(near)
+        assert critical_mode_residual(near, 1.0) == critical_mode_residual(exact, 1.0)
+        got, expected = solve_critical_modes(near), solve_critical_modes(exact)
+        assert len(got) == len(expected) == 1 and got[0].tangent
+        assert got[0].k_star == expected[0].k_star
+        assert got[0].t_star == pytest.approx(expected[0].t_star, rel=1e-9)
 
     def test_same_phase_has_no_modes(self):
         assert solve_critical_modes(make_spec(*SAME_PHASE)) == []
@@ -286,3 +306,17 @@ class TestFiniteSizeGate:
 
     def test_unrecognizable_angle_is_never_commensurate(self):
         assert not finite_size_dqpt_gate(make_spec(0.25 * math.pi, 0.0, n=300, jv=0.37))
+
+    @pytest.mark.parametrize("q_max", [2, 6, 64])
+    def test_agrees_with_revival_prediction(self, q_max):
+        # both read commensurate_base with the same q_max and tol
+        for jv, n in ((1.0, 99), (1.0, 100), (math.sqrt(3.0), 24), (math.sqrt(3.0), 30),
+                      (0.37, 300)):
+            spec = make_spec(0.25 * math.pi, 0.0, n=n, jv=jv)
+            gate = finite_size_dqpt_gate(spec, q_max=q_max, tol=1e-9)
+            if commensurate_base(spec.params, q_max=q_max, tol=1e-9) is None:
+                assert gate is False
+                with pytest.raises(IncommensurateAngleError):
+                    predict_revival(spec, q_max=q_max, tol=1e-9)
+            else:
+                assert gate == predict_revival(spec, q_max=q_max, tol=1e-9).commensurate

@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 from creutz import (
     DomainError,
     LadderParams,
-    RationalAngle,
     allowed_modes,
     canonical_angle,
     commensurate_base,
     critical_wavenumbers,
-    detect_rational_angle,
     group_velocity,
-    is_commensurate,
     is_critical_flux,
     mode_data,
 )
@@ -167,34 +164,38 @@ class TestCriticalStructure:
         ],
     )
     def test_rational_angle_detection(self, jv, j, expected):
-        angle = detect_rational_angle(params(j=j, jv=jv), q_max=64, tol=1e-9)
-        assert (angle.p, angle.q) == expected
-        # the detected fraction reproduces the hopping ratio
-        assert math.cos(angle.p / angle.q * math.pi) == pytest.approx(jv / (2 * j), abs=1e-12)
+        # the fraction p/q reproduces the hopping ratio, and the base is the
+        # smallest size whose grid holds both pi -/+ pi p/q
+        p, q = expected
+        assert math.cos(p / q * math.pi) == pytest.approx(jv / (2 * j), abs=1e-12)
+        hosts = [n for n in range(2, 2 * q + 1)
+                 if (n * (q - p)) % (2 * q) == 0 and (n * (q + p)) % (2 * q) == 0]
+        assert commensurate_base(params(j=j, jv=jv), q_max=64, tol=1e-9) == hosts[0]
 
     def test_incommensurate_angle_returns_none(self):
-        assert detect_rational_angle(params(jv=0.37), q_max=64, tol=1e-9) is None
+        assert commensurate_base(params(jv=0.37), q_max=64, tol=1e-9) is None
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
     def test_rejects_tolerance_outside_positive_finite(self, tol):
         with pytest.raises(DomainError):
-            detect_rational_angle(params(jv=0.37), q_max=64, tol=tol)
+            commensurate_base(params(jv=0.37), q_max=64, tol=tol)
 
     @pytest.mark.parametrize("pq, base", [((1, 3), 3), ((1, 6), 12), ((5, 12), 24)])
     def test_commensurate_base(self, pq, base):
-        assert commensurate_base(RationalAngle(*pq)) == base
+        p, q = pq
+        assert commensurate_base(params(j=1.0, jv=2.0 * math.cos(p * math.pi / q))) == base
 
     def test_base_divides_iff_modes_on_grid(self):
-        # exhaustive: base | N  <=>  both gap-closing wavenumbers quantized
-        for q in range(2, 13):
-            for p in range(1, q):
+        # exhaustive: base | N  <=>  both gap-closing wavenumbers quantized,
+        # for every angle p/q < 1/2 (j_v > 0 rules out the others)
+        for q in range(3, 13):
+            for p in range(1, (q + 1) // 2):
                 if math.gcd(p, q) != 1:
                     continue
-                base = commensurate_base(RationalAngle(p, q))
+                base = commensurate_base(params(j=1.0, jv=2.0 * math.cos(p * math.pi / q)))
                 for n in range(2, 201):
                     on_grid = (n * (q - p)) % (2 * q) == 0 and (n * (q + p)) % (2 * q) == 0
-                    assert (n % base == 0) == on_grid
-                    assert is_commensurate(RationalAngle(p, q), n) == (n % base == 0)
+                    assert (n % base == 0) == on_grid, (p, q, n)
 
     @pytest.mark.parametrize(
         "jv, j, expected",

@@ -8,8 +8,10 @@ import pytest
 import creutz
 
 MODULES = ("dqpt", "errors", "model", "quench", "revival", "thermo")
-# one-line views of ``mode_data`` and a wrapper of the mode grid, removed
-DELETED = ("ModeGrid", "band_energies", "bogoliubov_angle", "gap", "ground_state_energy")
+# one-line views of ``mode_data``, a wrapper of the mode grid, and the
+# rational-angle path that ``commensurate_base`` replaced, removed
+DELETED = ("ModeGrid", "RationalAngle", "band_energies", "bogoliubov_angle", "detect_rational_angle",
+           "gap", "ground_state_energy", "is_commensurate")
 
 
 def module_lists():

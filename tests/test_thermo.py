@@ -61,6 +61,47 @@ def reference_work_stats(spec):
     )
 
 
+def longdouble_work_sums(params, theta1, theta2):
+    """Per-row work sums and their scales, every operation in ``np.longdouble``.
+
+    The modes of the scan (j = 0..N//2, paired modes counted twice) with the
+    scan's per-mode terms: dc = v cos theta2 - v cos theta1, dh = h2 - h1,
+    lin = c1 a2 - c1 a1 and the irreversible term as in ``scan_theta2``.
+    Returns, per theta2, ((average_work, delta_f, irreversible_work),
+    (scale_average, scale_delta_f, scale_irreversible)), a scale being the
+    sum over modes of the absolute values of the products the sum adds and
+    subtracts: |v cos theta1| + |v cos theta2| for dc, h1 + h2 for dh and
+    |c1 a1| + |c1 a2| for lin.
+    """
+    ld = np.longdouble
+    n = params.n_rungs
+    k = allowed_modes(n)[: n // 2 + 1].astype(ld)
+    weight = np.full(k.size, ld(2))
+    weight[0] = 1
+    if n % 2 == 0:
+        weight[-1] = 1
+    j_h, j_v, j_d = ld(params.j_h), ld(params.j_v), ld(params.j_d)
+    u, v, q = 2 * j_h * np.sin(k), -2 * j_h * np.cos(k), 2 * j_d * np.cos(k) + j_v
+    t1 = ld(theta1)
+    a1 = u * np.sin(t1)
+    h1 = np.sqrt(q * q + a1 * a1)
+    c1 = a1 / h1  # h1 > 0: the pre-quench flux is not critical
+    rows = []
+    for t2 in np.asarray(theta2, dtype=float).astype(ld):
+        a2 = u * np.sin(t2)
+        h2 = np.sqrt(q * q + a2 * a2)
+        dc, dh, lin = v * np.cos(t2) - v * np.cos(t1), h2 - h1, c1 * a2 - c1 * a1
+        cross = q * q + a1 * a2
+        safe = np.where(cross > 0, h1 * (h1 * h2 + cross), 1)
+        irreversible = np.where(cross > 0, q * q * (a2 - a1) ** 2 / safe, dh - lin)
+        e_c = np.abs(v) * (abs(np.cos(t1)) + abs(np.cos(t2)))
+        e_h, e_l = h1 + h2, np.abs(c1) * (np.abs(a1) + np.abs(a2))
+        sums = [np.sum(weight * x) for x in (dc - lin, dc - dh, irreversible)]
+        scales = [np.sum(weight * x) for x in (e_c + e_l, e_c + e_h, e_h + e_l)]
+        rows.append((sums, scales))
+    return rows
+
+
 class TestWorkStats:
     def test_no_quench_is_free(self):
         stats = work_stats(make_spec(0.3, 0.3))
@@ -263,6 +304,22 @@ class TestScan:
             actual = (stats.average_work, stats.delta_f, stats.irreversible_work)
             for a, e in zip(actual, expected):
                 assert abs(a - e) <= 1e-12 * max(1.0, abs(e)), theta2
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble has no extra precision on this platform")
+    @pytest.mark.parametrize("theta1", [0.24, 0.25, 0.2549722, 0.26])
+    def test_full_grid_within_longdouble_bound(self, theta1):
+        # every row of the N = 20000 x 401 scan is within 2 eps of the
+        # summed magnitudes of its per-mode products (measured at most 0.61)
+        params = LadderParams(1.0, 1.0, 1.0, 0.0, 20000)
+        grid = np.linspace(-1.0, 1.0, 401) * math.pi
+        eps = np.finfo(float).eps
+        stats = scan_theta2(params, theta1 * math.pi, grid)
+        reference = longdouble_work_sums(params, theta1 * math.pi, grid)
+        for theta2, got, (sums, scales) in zip(grid, stats, reference):
+            actual = (got.average_work, got.delta_f, got.irreversible_work)
+            for a, e, scale in zip(actual, sums, scales):
+                assert abs(np.longdouble(a) - e) <= 2 * eps * scale, theta2
 
     @pytest.mark.parametrize("theta1", [0.24, 0.25, 0.26])
     def test_mirror_flux_excites_nothing(self, theta1):
