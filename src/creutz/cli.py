@@ -4,7 +4,8 @@
                      [--format csv|json]
 
 Commands: spectrum, le, revival, dqpt, work, scan.  Configuration is a
-flat key = value text file; ``--set`` overrides win over the file.  All
+flat key = value text file; ``--set`` overrides win over the file.  The
+output target is set by ``--out`` and ``--format`` only.  All
 angles are given in units of pi (``theta2 = -0.25`` means -0.25 pi).
 Identical configurations write identical bytes.  Exit codes: 0 success,
 1 configuration error (including a size beyond ``MAX_TIME_POINTS`` or
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf, isfinite, pi
 from typing import Any, Callable, Optional
 
@@ -56,8 +57,6 @@ _KEYS: dict[str, tuple[Callable[[str], Any], Any]] = {
     "theta2_min": (float, -1.0),
     "theta2_max": (float, 1.0),
     "n_theta2": (int, 401),
-    "out": (str, "-"),
-    "format": (str, "csv"),
 }
 
 
@@ -66,7 +65,9 @@ class RunConfig:
     """One fully resolved run: command, physics inputs, and output target."""
 
     command: str
-    values: dict[str, Any] = field(default_factory=dict)
+    values: dict[str, Any]
+    out: str  # path, '-' for stdout
+    fmt: str  # csv or json
 
     def __getitem__(self, key: str) -> Any:
         return self.values[key]
@@ -133,14 +134,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         overrides.setdefault("j_h", j)
         overrides.setdefault("j_d", j)
     values.update(overrides)
-    if args.out is not None:
-        values["out"] = args.out
-    if args.format is not None:
-        values["format"] = args.format
-    if values["format"] not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {values['format']!r}")
     _validate(args.command, values)
-    return RunConfig(command=args.command, values=values)
+    return RunConfig(command=args.command, values=values, out=args.out, fmt=args.format)
 
 
 def _validate(command: str, values: dict[str, Any]) -> None:
@@ -259,7 +254,7 @@ def _cmd_dqpt(cfg: RunConfig):
     if gate is not None:
         meta.update(q_max=cfg["q_max"], tol=cfg["tol"], zero_mode_gate=gate)
     cusps = np.asarray(cusps, dtype=float)
-    nearest = np.full(cusps.size, np.nan)
+    nearest = np.full(cusps.size, np.inf)  # no finite cusp time predicted
     if predicted:  # sorted; the neighbours of each cusp, the earlier one on a tie
         predicted = np.asarray(predicted)
         i = np.searchsorted(predicted, cusps)
@@ -309,7 +304,7 @@ _RUNNERS = {
 def run(config: RunConfig) -> int:
     """Execute one resolved configuration and write its output table."""
     meta, columns, rows = _RUNNERS[config.command](config)
-    write_table(config["out"], meta, columns, rows, fmt=config["format"])
+    write_table(config.out, meta, columns, rows, fmt=config.fmt)
     return 0
 
 
@@ -334,8 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--set", action="append", metavar="KEY=VALUE",
             help="override one configuration key (repeatable; wins over --config)",
         )
-        cmd.add_argument("--out", help="output path ('-' for stdout)")
-        cmd.add_argument("--format", choices=("csv", "json"), help="output format")
+        cmd.add_argument("--out", default="-", help="output path ('-' for stdout)")
+        cmd.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     return parser
 
 

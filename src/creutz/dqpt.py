@@ -10,9 +10,14 @@ the Creutz ladder with j_h = j_d = j that condition reads
 
     (2 j cos k + j_v)^2 = -(2 j sin k)^2 sin(theta_pre) sin(theta_post)
 
-which is a quadratic in cos k, solvable only when the product of the
-sines is non-positive.  Each solution k* fixes a timescale
-t* = 2 pi / gap(k*) and cusps of the rate function at t*(n + 1/2).
+solvable only when the product s of the sines is non-positive.  It is
+then cos(k +/- phi) = r with phi = atan sqrt(-s) and
+r = -j_v / (2 j sqrt(1 - s)): with alpha = acos r the roots in (0, pi)
+are alpha - phi and alpha + phi, the latter reflected to
+2 pi - (alpha + phi) past pi.  There is none when r < -1, and one
+tangent double root when phi = 0 or r = -1.  Each solution k* fixes a
+timescale t* = 2 pi / gap(k*) and cusps of the rate function at
+t*(n + 1/2).
 """
 
 from __future__ import annotations
@@ -42,9 +47,10 @@ __all__ = [
 class CriticalMode:
     """A wavenumber with unit oscillation amplitude and its timescale.
 
-    ``tangent`` marks the degenerate double root that appears when the
-    quench ends exactly at a critical flux; there the gap at k* closes
-    and no finite cusp timescale exists (``t_star`` is inf).
+    ``tangent`` marks the degenerate double root that appears when
+    either flux is critical or when r = -1 (see the module docstring).
+    When the quench ends at a critical flux the gap at k* closes and no
+    finite cusp timescale exists (``t_star`` is inf).
     """
 
     k_star: float
@@ -94,75 +100,33 @@ def critical_mode_residual(spec: QuenchSpec, k: float) -> float:
 
 
 def solve_critical_modes(spec: QuenchSpec) -> list[CriticalMode]:
-    """All wavenumbers in (0, pi) with oscillation amplitude one.
+    """All wavenumbers in (0, pi) with oscillation amplitude one, ascending.
 
-    Substituting c = cos k reduces the condition to a quadratic in c;
-    closed-form roots are polished with one Newton step in k.  Each
-    returned mode also exists mirrored at 2 pi - k*.  The list is empty
-    when the quench cannot support a transition.
+    The closed form of the module docstring.  Each returned mode also
+    exists mirrored at 2 pi - k*.  The list is empty when the quench
+    cannot support a transition.
     """
     j = _require_equal_hoppings(spec.params)
-    jv = spec.params.j_v
     s = _sine_product(spec)
-    if s > 0.0:
+    scale = 2.0 * j * math.sqrt(1.0 - s)  # -j_v / r
+    # r < -1; also j <= 0, which j_h == j_d (to 1e-12) admits only for j_d <= 1e-12
+    if s > 0.0 or scale < spec.params.j_v:
         return []
-    if s == 0.0:
-        # One flux is critical: double root at the gap-closing
-        # wavenumber of the infinite system.  The timescale stays finite
-        # when only the initial flux is critical; it diverges when the
-        # quench ends at a critical flux.
-        if jv >= 2.0 * j:
-            return []
-        k_star = math.acos(-jv / (2.0 * j))
-        if is_critical_flux(spec.theta_post):
-            gap_star, t_star = 0.0, math.inf
-        else:
-            gap_star = float(mode_data(spec.post, k_star).gap)
-            t_star = 2.0 * math.pi / gap_star
-        return [CriticalMode(k_star=k_star, gap_star=gap_star, t_star=t_star, tangent=True)]
-
-    # (2jc + jv)^2 + 4j^2 (1 - c^2) s = 0
-    a = 4.0 * j * j * (1.0 - s)
-    b = 4.0 * j * jv
-    c0 = jv * jv + 4.0 * j * j * s
-    disc = b * b - 4.0 * a * c0
-    if disc < 0.0:
-        return []
-    sqrt_disc = math.sqrt(disc)
-    tangent = disc == 0.0
-    roots = {(-b + sqrt_disc) / (2.0 * a)} if tangent else {
-        (-b + sqrt_disc) / (2.0 * a),
-        (-b - sqrt_disc) / (2.0 * a),
-    }
+    phi = math.atan(math.sqrt(-s))
+    r = -spec.params.j_v / scale
+    alpha = math.acos(r)  # above pi/2 > phi as r < 0, so every root is positive
+    tangent = phi == 0.0 or r == -1.0
+    roots = [alpha - phi] if tangent else [alpha - phi, alpha + phi]
+    closed = is_critical_flux(spec.theta_post)  # the gap closes at k*: no finite timescale
     modes = []
-    for c in sorted(roots, reverse=True):
-        if abs(c) >= 1.0:
-            continue
-        k_star = math.acos(c)
-        k_star = _newton_polish(spec, j, jv, s, k_star)
-        gap_star = float(mode_data(spec.post, k_star).gap)
-        modes.append(
-            CriticalMode(
-                k_star=k_star,
-                gap_star=gap_star,
-                t_star=2.0 * math.pi / gap_star,
-                tangent=tangent,
-            )
-        )
+    for k_star in roots:
+        if k_star > math.pi:  # exact, by Sterbenz's lemma
+            k_star = 2.0 * math.pi - k_star
+        if k_star < math.pi:
+            gap_star = 0.0 if closed else float(mode_data(spec.post, k_star).gap)
+            t_star = 2.0 * math.pi / gap_star if gap_star > 0.0 else math.inf
+            modes.append(CriticalMode(k_star, gap_star, t_star, tangent))
     return modes
-
-
-def _newton_polish(spec: QuenchSpec, j: float, jv: float, s: float, k: float) -> float:
-    f = critical_mode_residual(spec, k)
-    df = (
-        -4.0 * j * math.sin(k) * (2.0 * j * math.cos(k) + jv)
-        + 8.0 * j * j * math.sin(k) * math.cos(k) * s
-    )
-    if df != 0.0:
-        step = f / df
-        if abs(step) < 1e-6:
-            k = k - step
-    return k
 
 
 def predict_dqpt_times(spec: QuenchSpec, t_max: float) -> list[float]:

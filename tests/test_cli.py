@@ -143,7 +143,11 @@ class TestConfigHandling:
         )
 
     def test_unknown_key_is_config_error(self, tmp_path):
-        assert run_cli("spectrum", "--set", "bogus=1") == 1
+        # the output target is set by the --out and --format flags only
+        out = tmp_path / "o.csv"
+        for setting in ("bogus=1", f"out={out}", "format=json"):
+            assert run_cli("spectrum", "--set", setting) == 1
+        assert not out.exists()
 
     def test_unparsable_value_is_config_error(self):
         assert run_cli("spectrum", "--set", "n_rungs=many") == 1
@@ -157,6 +161,15 @@ class TestConfigHandling:
     def test_domain_error_exit_code(self):
         # vertical hopping too strong for a gap closing
         assert run_cli("revival", "--set", "j_v=2.5") == 2
+
+    def test_q_max_too_fine_for_tol_is_domain_error(self, tmp_path, capsys):
+        # at q_max^2 tol = 10 any angle counts as rational: j_v = 0.37 gave base 20117
+        out = tmp_path / "revival.csv"
+        assert run_cli("revival", "--set", "j_v=0.37", "--set", "q_max=100000",
+                       "--set", "n_points=2000", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "100000" in err and "1e-09" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("setting", ["j_v=nan", "j=inf", "theta1=inf", "theta2=-inf"])
     def test_non_finite_input_is_domain_error(self, setting):
@@ -359,6 +372,29 @@ class TestDqptCommand:
         assert metas[0] == metas[1] == metas[2]
         assert metas[0]["zero_mode_gate"] is True and metas[0]["n_critical_modes"] == 1
 
+    def test_cusp_without_finite_prediction_compares_with_inf(self, tmp_path):
+        # a quench to the critical flux predicts no finite cusp time; the
+        # detected cusp is compared with inf, never with NaN
+        out = tmp_path / "dqpt.csv"
+        assert run_cli("dqpt", "--set", "n_rungs=300", "--set", "theta1=0.25",
+                       "--set", "theta2=0", "--out", str(out)) == 0
+        meta, _, rows = read_table(str(out))
+        assert meta["t_star"] == math.inf and meta["predicted_times"] == ""
+        assert rows.shape[0] >= 1
+        assert not np.any(np.isnan(rows))
+        assert np.all(np.isinf(rows[:, 2:]))
+
+    def test_near_tangent_quench_has_both_critical_modes(self, tmp_path):
+        # 1 + r = 2e-6: two distinct roots, k* = 3.13762 and 3.1415901
+        out = tmp_path / "dqpt.csv"
+        assert run_cli("dqpt", "--set", "j=1", "--set", "j_v=1.99999999",
+                       "--set", "theta1=1e-5", "--set", "theta2=-0.04",
+                       "--set", "n_points=64", "--out", str(out)) == 0
+        meta, _, _ = read_table(str(out))
+        assert meta["n_critical_modes"] == 2
+        k_star = [float(k) for k in meta["k_star"].split(";")]
+        np.testing.assert_allclose(k_star, [3.13762, 3.1415901], rtol=1e-6)
+
     def test_gate_reads_q_max_and_tol(self, tmp_path):
         # q_max = 2 cannot resolve the angle 1/3, for which revival exits 2
         out = tmp_path / "dqpt.csv"
@@ -463,7 +499,7 @@ def test_every_command_and_key_ends_in_exit_code_not_traceback(command, settings
     base = {"n_rungs": "6", "n_points": "64", "n_theta2": "3"}
     items = [f"{key}={value}" for key, value in {**base, **settings_}.items()]
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out.csv")  # --out wins over a drawn out key
+        out = os.path.join(tmp, "out.csv")
         err = io.StringIO()
         with contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -472,7 +508,5 @@ def test_every_command_and_key_ends_in_exit_code_not_traceback(command, settings
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
         if code == 0:
-            meta, _, rows = read_table(out)
-            if command == "dqpt" and meta["predicted_times"] == "":
-                rows = rows[:, :2]  # documented NaN: no finite cusp time to compare with
+            _, _, rows = read_table(out)
             assert not np.any(np.isnan(rows))

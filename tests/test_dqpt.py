@@ -56,6 +56,25 @@ def bisect_roots(spec, n_scan=40001, tol=1e-13):
     return roots
 
 
+def longdouble_critical_modes(spec):
+    """Roots in (0, pi) of the amplitude-one condition and its r, in ``np.longdouble``.
+
+    The closed form cos(k +/- phi) = r with phi = atan sqrt(-s) and
+    r = -j_v / (2 j sqrt(1 - s)), every operation in long double.  pi is
+    the long-double pi: ``np.pi`` is the double pi, which would shift the
+    reflected root 2 pi - (alpha + phi) and the (0, pi) filter by 1.2e-16.
+    """
+    ld = np.longdouble
+    pi = np.arccos(ld(-1))
+    s = np.sin(ld(spec.theta_pre)) * np.sin(ld(spec.theta_post))
+    r = -ld(spec.params.j_v) / (2 * ld(spec.params.j_h) * np.sqrt(1 - s))
+    if s > 0 or r < -1:
+        return [], r
+    alpha, phi = np.arccos(r), np.arctan(np.sqrt(-s))
+    plus = alpha + phi if alpha + phi <= pi else 2 * pi - (alpha + phi)
+    return sorted(k for k in {alpha - phi, plus} if 0 < k < pi), r
+
+
 class TestPossibility:
     def test_across_quench(self):
         assert dqpt_possible(make_spec(*ACROSS))
@@ -101,6 +120,38 @@ class TestCriticalModes:
             numeric = sorted(bisect_roots(spec))
             assert len(analytic) == len(numeric)
             np.testing.assert_allclose(analytic, numeric, atol=1e-9)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble has no extra precision on this platform")
+    def test_within_longdouble_bound(self):
+        # generic, near-tangent (|1 + r| from 1e-14 to 1e-1, either side) and
+        # small-theta1 quenches: the same root count, and every root within
+        # 2 eps times the conditioning 1 + 1/sqrt(1 - r^2) of acos r
+        # (measured: at most 1.09 eps times it)
+        rng = np.random.default_rng(23)
+        eps = np.finfo(float).eps
+        specs = [make_spec(1e-5 * math.pi, -0.04 * math.pi, jv=1.99999999),
+                 make_spec(2e-7 * math.pi, -0.05 * math.pi, jv=1.99999996),
+                 make_spec(0.25 * math.pi, 0.0), make_spec(0.0, 0.3 * math.pi)]
+        for _ in range(200):
+            j = rng.uniform(0.5, 2.0)
+            th2 = -rng.uniform(0.02, 0.45) * math.pi
+            specs.append(make_spec(rng.uniform(0.02, 0.45) * math.pi, th2, j=j,
+                                   jv=rng.uniform(0.2, 1.8) * j))
+            specs.append(make_spec(10 ** rng.uniform(-11, -3), th2, j=j,
+                                   jv=rng.uniform(0.2, 1.99) * j))
+            th1 = 10 ** rng.uniform(-6, -1)
+            scale = 2 * j * math.sqrt(1 - math.sin(th1) * math.sin(th2))
+            offset = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-14, -1)
+            specs.append(make_spec(th1, th2, j=j, jv=scale * (1 - offset)))
+        for spec in specs:
+            expected, r = longdouble_critical_modes(spec)
+            got = [mode.k_star for mode in solve_critical_modes(spec)]
+            assert len(got) == len(expected), spec
+            if expected:
+                bound = 2 * eps * (1 + float(1 / np.sqrt(1 - r * r)))
+                for k, k_ref in zip(got, expected):
+                    assert abs(float(np.longdouble(k) - k_ref)) <= bound, spec
 
     def test_timescale_count_matches_unit_amplitude_count(self):
         # distinct timescales == number of amplitude-one modes in (0, pi)
@@ -168,6 +219,13 @@ class TestCriticalModes:
         assert dqpt_possible(spec)
         assert solve_critical_modes(spec) == []
         assert bisect_roots(spec) == []
+
+
+    @pytest.mark.parametrize("j_h, j_d", [(0.0, 5e-324), (5e-324, 5e-324)])
+    def test_vanishing_hopping_has_no_modes(self, j_h, j_d):
+        # 2 |j| sqrt(1 - s) < j_v: no root, and no division by a zero j
+        spec = QuenchSpec(LadderParams(j_h, 1.0, j_d, 0.0, 10), *ACROSS)
+        assert solve_critical_modes(spec) == []
 
 
 class TestPredictedTimes:

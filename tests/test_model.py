@@ -180,6 +180,13 @@ class TestCriticalStructure:
         with pytest.raises(DomainError):
             commensurate_base(params(jv=0.37), q_max=64, tol=tol)
 
+    def test_rejects_q_max_too_fine_for_tol(self):
+        # q_max^2 tol may reach 1e-3, and a huge int q_max does not overflow
+        assert commensurate_base(params(jv=0.37), q_max=1000, tol=1e-9) is None
+        for q_max, tol in ((1001, 1e-9), (100000, 1e-9), (64, 1e-6), (10**400, 1e-9)):
+            with pytest.raises(DomainError, match=f"q_max = {q_max} .*tol = {tol}"):
+                commensurate_base(params(jv=0.37), q_max=q_max, tol=tol)
+
     @pytest.mark.parametrize("pq, base", [((1, 3), 3), ((1, 6), 12), ((5, 12), 24)])
     def test_commensurate_base(self, pq, base):
         p, q = pq
