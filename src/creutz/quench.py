@@ -10,7 +10,7 @@ echo factorizes over modes:
 with ``gap_k`` the post-quench band gap and ``A_k`` an oscillation
 amplitude fixed by the rotation between pre- and post-quench
 eigenbases.  An exact determinant overlap on the full single-particle
-matrix provides an independent check for ladders of up to 128 rungs.
+matrix provides an independent check for ladders of up to 512 rungs.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ __all__ = [
     "mode_arrays",
 ]
 
-ORACLE_MAX_RUNGS = 128
+ORACLE_MAX_RUNGS = 512
 # Bytes of one float64 (times x modes) temporary in ``loschmidt_echo``.
 _CHUNK_BYTES = 4 << 20
 # ``loschmidt_echo`` starts at most one thread per this many rows and per
@@ -43,6 +43,12 @@ _CHUNK_BYTES = 4 << 20
 # every block's start row and about 20 numpy calls per block.
 _PIECE_ROWS = 8
 _PIECE_ELEMENTS = 1 << 14
+_EPS = float(np.finfo(float).eps)
+# Modes whose amplitude A has 1 - A at most this keep the half-angle echo
+# factor: the full-angle factor p + q cos phi can round to <= 0 there.
+_NEAR_UNIT = 8 * _EPS
+# Most harmonics a mode may take in the series form of ``loschmidt_echo``.
+_SERIES_HARMONICS = 8
 
 
 @dataclass(frozen=True)
@@ -118,13 +124,15 @@ def mode_arrays(spec: QuenchSpec, ks=None) -> ModeArrays:
 
 
 def _paired_sum(x: np.ndarray, n: int) -> np.ndarray:
-    """Row sums over all ``n`` modes from the columns j = 0..n//2 of ``x``.
+    """Row sums over all ``n`` modes from columns of ``x`` that run from k = 0
+    (counted once) to, for even ``n``, k = pi (counted once).
 
-    Modes j and n - j carry the same factor, so the columns strictly
-    between k = 0 and k = pi count twice; k = pi (even ``n``) counts once.
+    Modes j and n - j carry the same factor, so every column in between
+    counts twice: with the columns j = 0..n//2 that is every mode.
     """
-    total = x[:, 0] + 2.0 * np.sum(x[:, 1 : (n + 1) // 2], axis=1)
-    if n % 2 == 0:
+    even = n % 2 == 0
+    total = x[:, 0] + 2.0 * np.sum(x[:, 1 : x.shape[1] - even], axis=1)
+    if even:
         total += x[:, -1]
     return total
 
@@ -215,47 +223,211 @@ def _run_pieces(run, pieces) -> None:
         raise errors[0]
 
 
+def _harmonics(angle: np.ndarray, counts) -> np.ndarray:
+    """exp(i m x) for the columns x of ``angle``: harmonic m = 1, 2, ... for
+    the first ``counts[m - 1]`` columns, concatenated along the last axis.
+
+    Harmonic m >= 2 is harmonic m - 1 times harmonic 1, the angle addition
+    of the first harmonic's cos and sin.
+    """
+    out = np.empty(angle.shape[:-1] + (sum(counts),), dtype=complex)
+    np.cos(angle, out=out[..., : counts[0]].real)
+    np.sin(angle, out=out[..., : counts[0]].imag)
+    lo = 0
+    for prev, count in zip(counts, counts[1:]):
+        np.multiply(out[..., lo : lo + count], out[..., :count], out=out[..., lo + prev : lo + prev + count])
+        lo += prev
+    return out
+
+
+class _SeriesGroup(NamedTuple):
+    """Modes of the series form, by descending harmonic count: ``counts[m - 1]``
+    modes take harmonic m; ``echo`` and ``phase`` hold one (complex)
+    coefficient per term, in the layout of ``_harmonics``."""
+
+    gap: np.ndarray
+    counts: tuple
+    echo: np.ndarray
+    phase: np.ndarray
+
+
+def _series_groups(amplitude, cos2, gap, harmonics, max_terms):
+    """The series modes (``harmonics`` >= 1) in groups of at most
+    ``max_terms`` terms, a mode's harmonics never split.
+
+    With c = cos 2 eta, rho = A / (1 + |c|)^2 = tan^2 eta or cot^2 eta
+    and weight 2 (modes k and 2 pi - k), harmonic m of a mode adds
+    4 (-1)^(m+1) rho^m cos(m phi) / m to ln le and
+    -/+ 2 (-1)^(m+1) rho^m sin(m phi) / m to the amplitude's argument
+    (- where c >= 0).  The -phi of the argument where c < 0 is left out.
+    """
+    order = np.argsort(-harmonics, kind="stable")
+    order = order[harmonics[order] > 0]
+    rho = amplitude / (1.0 + np.sqrt(1.0 - amplitude)) ** 2
+    sign = np.where(cos2 >= 0.5, -2.0, 2.0)
+    ends = np.cumsum(harmonics[order])
+    groups = []
+    lo = 0
+    while lo < order.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - harmonics[order[lo]] + max_terms, "right")))
+        cols = order[lo:hi]
+        counts = tuple(int(np.count_nonzero(harmonics[cols] >= m))
+                       for m in range(1, int(harmonics[cols[0]]) + 1))
+        terms = [(m, cols[:count]) for m, count in enumerate(counts, 1)]
+        coef = np.concatenate([(-1.0) ** (m + 1) * rho[c] ** m / m for m, c in terms])
+        sign_t = np.concatenate([sign[c] for _, c in terms])
+        groups.append(_SeriesGroup(gap[cols], counts, 4.0 * coef, -1j * sign_t * coef))
+        lo = hi
+    return groups
+
+
+class _DirectModes:
+    """The modes whose factors ``loschmidt_echo`` takes per element.
+
+    ``unit`` columns take the half-angle factor and ``full`` columns the
+    full-angle one.  On a uniform grid time runs in blocks of ``rows``
+    rows with one (``rows`` x modes) offset table; otherwise in chunks
+    of ``rows`` rows.
+    """
+
+    def __init__(self, amplitude, cos2, gap, unit, full, n, step, size):
+        self.n, self.step = n, step
+        self.amp_u, self.cos2_u, self.half_gap_u = amplitude[unit], cos2[unit], 0.5 * gap[unit]
+        self.q, self.cos2_f, self.gap_f = 0.5 * amplitude[full], cos2[full], gap[full]
+        cols = max(1, unit.size + full.size)
+        if step is None:
+            self.rows = max(1, _CHUNK_BYTES // (8 * cols))
+        else:
+            # about sqrt(T) rows, but at least _PIECE_ELEMENTS elements; the
+            # offset tables and the pieces' buffers hold 2 _CHUNK_BYTES
+            rows = max(math.isqrt(size), _PIECE_ELEMENTS // cols)
+            self.rows = max(1, min(rows, _CHUNK_BYTES // (16 * cols)))
+            offsets = np.multiply.outer(step * np.arange(self.rows), self.gap_f)
+            self.sin_off, self.cos_off = np.sin(offsets), np.cos(offsets, out=offsets)
+
+    def run(self, times, log_le, arg, first: int, stop: int) -> None:
+        """Add the sums of rows [first, stop) of every block (or chunk) to
+        ``log_le`` and, unless it is None, ``arg``; each element and row
+        sum takes the same operations for any split."""
+        layers = 3 if arg is not None else 2
+        work_u = np.empty((layers, stop - first, self.amp_u.size))
+        work_f = np.empty((layers, stop - first, self.q.size))
+        with np.errstate(divide="ignore"):
+            for lo in range(0, times.size, self.rows):
+                a, b = lo + first, min(lo + stop, times.size)
+                if a >= b:
+                    continue
+                self._half_angle(times[a:b, None], log_le[a:b], arg, a, work_u[:, : b - a])
+                if self.q.size:
+                    self._full_angle(times[lo], a - lo, b - lo, log_le[a:b],
+                                     None if arg is None else arg[a:b], work_f[:, : b - a])
+
+    def _half_angle(self, t, log_le, arg, a, work) -> None:
+        s, f = work[0], work[1]
+        c = work[2] if arg is not None else None
+        np.multiply(self.half_gap_u, t, out=f)
+        np.sin(f, out=s)
+        if c is not None:
+            np.cos(f, out=c)
+            c *= s
+            c *= -2.0 * (1.0 - self.cos2_u)  # -2 sin^2(eta) s c
+        np.square(s, out=s)
+        np.minimum(s, 1.0, out=s)
+        np.multiply(self.amp_u, s, out=f)
+        np.subtract(1.0, f, out=f)  # echo factors 1 - A s^2
+        log_le += _paired_sum(np.log(f, out=f), self.n)
+        if c is not None:
+            np.multiply(-2.0, s, out=f)
+            f += 1.0
+            f *= 1.0 - self.cos2_u
+            f += self.cos2_u  # cos^2(eta) + sin^2(eta) (1 - 2 s^2)
+            arg[a : a + t.size] += _paired_sum(np.arctan2(c, f, out=c), self.n)
+
+    def _full_angle(self, start, j0, j1, log_le, arg, work) -> None:
+        phase = self.gap_f * start
+        sin_i = np.sin(phase)
+        cos_i = np.cos(phase, out=phase)
+        sin_j, cos_j = self.sin_off[j0:j1], self.cos_off[j0:j1]
+        f, g = work[0], work[1]
+        np.multiply(cos_j, self.q * cos_i, out=f)
+        f -= np.multiply(sin_j, self.q * sin_i, out=g)
+        f += 1.0 - self.q  # p + q cos(phi_I + tau_j)
+        log_le += 2.0 * np.sum(np.log(f, out=f), axis=1)
+        if arg is not None:
+            x = work[2]
+            sin2 = 1.0 - self.cos2_f
+            sin2_s, sin2_c = sin2 * sin_i, sin2 * cos_i
+            np.multiply(cos_j, sin2_c, out=x)
+            x -= np.multiply(sin_j, sin2_s, out=g)
+            x += self.cos2_f  # cos^2(eta) + sin^2(eta) cos(phi)
+            np.multiply(cos_j, sin2_s, out=f)
+            f += np.multiply(sin_j, sin2_c, out=g)
+            np.negative(f, out=f)  # -sin^2(eta) sin(phi)
+            arg += 2.0 * np.sum(np.arctan2(f, x, out=f), axis=1)
+
+
 def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries:
     """Echo, amplitude, and rate function on the given time grid.
 
     Modes k and 2 pi - k share amplitude, mixing angle and gap (eps_q -
     eps_p is odd in k, every other term even), so only the modes with
-    0 <= k <= pi are evaluated and paired modes are counted twice.  The
-    echo factor is 1 - A s^2 with s = sin(gap t / 2), s^2 clamped at 1.
-    The amplitude needs no complex exp or log: with c = cos(gap t / 2),
-    each mode's log|cos^2 eta + sin^2 eta e^{-i gap t}| is half the log
-    of its echo factor and its argument is
-    atan2(-2 sin^2 eta s c, cos^2 eta + sin^2 eta (1 - 2 s^2)); the
-    lower-band phase sum_k ea_post t is t * sum(ea_post), one number per
-    time.  ``le`` and ``rate`` are therefore the same bits with or without
-    ``include_la``.
+    0 <= k <= pi are evaluated and paired modes are counted twice.  Each
+    mode's amplitude factor is cos^2 eta + sin^2 eta e^{-i phi}, phi =
+    gap t; its squared modulus is the echo factor 1 - A sin^2(phi / 2)
+    = p + q cos phi with p = 1 - A/2 and q = A/2, and the lower-band
+    phase sum_k ea_post t is t * sum(ea_post), one number per time.  Each
+    mode takes one of three forms:
 
-    On a uniform grid (``_uniform_step``) time runs in blocks of B rows,
-    t = t_I + tau_j with t_I the block's first time and tau_j = j * step,
-    and s and c come from angle addition over sin/cos of (gap t_I / 2),
-    one row per block, and of (gap tau_j / 2), one table for all blocks:
-    ``sin`` and ``cos`` run on T/B + B rows instead of T.  Nothing is
-    carried from block to block, so the rounding does not grow along the
-    grid.  Modes with amplitude exactly 1 keep the direct ``sin`` and
-    ``cos``: their factor is exactly 0 where s^2 rounds to 1, which gives
-    ``rate = +inf`` on every grid.  B = min(floor(sqrt(T)),
-    ``_CHUNK_BYTES`` / (16 M)) for M modes, so the four (B x M) tables of
-    the echo hold 2 ``_CHUNK_BYTES``; other grids run in chunks of
-    ``_CHUNK_BYTES`` per (times x modes) temporary.
+    * Half angle: 1 - A s^2 with s = sin(phi / 2), s^2 clamped at 1, and
+      argument atan2(-2 sin^2 eta s c, cos^2 eta + sin^2 eta (1 - 2 s^2)),
+      c = cos(phi / 2), from ``sin`` and ``cos`` per element.  Every mode
+      on a grid that is not uniform (``_uniform_step``); on a uniform
+      grid the modes k = 0 and k = pi (counted once) and those with
+      1 - A <= ``_NEAR_UNIT``.  A factor is exactly 0 only for A = 1 where
+      s^2 rounds to 1, which gives ``rate = +inf``.
+    * Full angle: p + q cos phi and argument
+      atan2(-sin^2 eta sin phi, cos^2 eta + sin^2 eta cos phi), with
+      sin phi and cos phi by angle addition (below).
+    * Series: with c = cos 2 eta and rho = A / (1 + |c|)^2 (tan^2 eta or
+      cot^2 eta, below 1), ln(p + q cos phi) =
+      2 ln((1 + |c|) / 2) + 2 sum_m (-1)^(m+1) rho^m cos(m phi) / m, and
+      the argument is -/+ sum_m (-1)^(m+1) rho^m sin(m phi) / m (- for
+      c >= 0), minus phi for c < 0, which joins the lower-band phase.  A
+      mode takes the series when some K <= ``_SERIES_HARMONICS`` has
+      2 rho^(K+1) / ((K + 1)(1 - rho)) <= eps / 4, the bound on the
+      series tail after K terms; it takes the least such K.
+
+    On a uniform grid time runs in blocks of B rows, t = t_I + tau_j with
+    t_I the block's first time and tau_j = j * step.  The full-angle
+    factor is (q cos phi_I) cos tau_j - (q sin phi_I) sin tau_j + p, with
+    one ``sin``/``cos`` row per block and one (B x modes) table of the
+    offsets.  The series sums over all its (mode, harmonic) terms are
+    one real contraction per group of blocks,
+    Re sum conj(coef exp(i m gap t_I)) exp(i m gap tau_j), with the
+    harmonics of the block starts and of the offsets built from their
+    first harmonic (``_harmonics``).  It runs as ``np.einsum`` with
+    ``optimize=False``, never through BLAS, whose results can depend on
+    its thread count.  Nothing is carried from block to block, so the
+    rounding does not grow along the grid.  B = min(floor(sqrt(T)),
+    ``_CHUNK_BYTES`` / (16 M)) for M modes; the series terms are split in
+    groups whose offset table holds at most ``_CHUNK_BYTES`` / 4.  Other
+    grids run in chunks of ``_CHUNK_BYTES`` per (times x modes)
+    temporary.  ``le`` and ``rate`` are the same bits with or without
+    ``include_la``.
 
     The rows of each block (or chunk) are split into one contiguous piece
     per CPU of the process's affinity set, pieces differing by at most one
     row, and the pieces run on threads (numpy releases the GIL); a grid
     of one block runs in the calling thread.  A piece reads its block's
     start row and its own rows of the offset tables, so every element and
-    row sum takes the same operations for any split: the results are the
-    same bits for any number of CPUs.  Each thread computes the sin/cos
-    start row of every block itself and makes about 20 numpy calls per
-    block, so there is at most one thread per ``_PIECE_ROWS`` (8) rows
-    and per ``_PIECE_ELEMENTS`` (2^14) elements of a block, and a cgroup
-    CPU quota below the affinity set caps the count too
-    (``_worker_count``).  The measured costs of these choices are in
-    docs/formats.md, under ``le``.
+    row sum takes the same operations for any split.  The series splits
+    whole groups of blocks the same way.  The results are the same bits
+    for any number of CPUs.  Each thread computes the sin/cos start row
+    of every block itself and makes about 20 numpy calls per block, so
+    there is at most one thread per ``_PIECE_ROWS`` (8) rows and per
+    ``_PIECE_ELEMENTS`` (2^14) elements of a block, and a cgroup CPU quota
+    below the affinity set caps the count too (``_worker_count``).  The
+    measured costs of these choices are in docs/formats.md, under ``le``.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -270,73 +442,65 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
         raise DomainError(f"times up to {t_max:g} overflow the mode phases gap * t")
     n = spec.params.n_rungs
     half = slice(0, n // 2 + 1)
-    amplitude, cos2, half_gap = amplitude[half], cos2[half], 0.5 * gap_post[half]
-    sin2 = 1.0 - cos2
-    minus_two_sin2 = -2.0 * sin2
-    log_le = np.empty(times.size)
-    arg = np.empty(times.size) if include_la else None
+    amplitude, cos2, gap = amplitude[half], cos2[half], gap_post[half]
     step = _uniform_step(times)
-    if step is None:
-        rows = max(1, _CHUNK_BYTES // (8 * half_gap.size))
-    else:
-        rows = max(1, min(math.isqrt(times.size), _CHUNK_BYTES // (16 * half_gap.size)))
-        offsets = np.multiply.outer(step * np.arange(rows), half_gap)
-        sin_off, cos_off = np.sin(offsets), np.cos(offsets, out=offsets)
-        unit = np.flatnonzero(amplitude == 1.0)
-    span = min(rows, times.size)
+    # k = 0 and k = pi count once; interior modes by the split rule
+    unit = np.ones(gap.size, dtype=bool)
+    harmonics = np.zeros(gap.size, dtype=int)
+    if step is not None:
+        unit[1 : (n + 1) // 2] = amplitude[1 : (n + 1) // 2] > 1.0 - _NEAR_UNIT
+        rho = amplitude / (1.0 + np.sqrt(1.0 - amplitude)) ** 2
+        harmonics[~unit] = _SERIES_HARMONICS + 1
+        for k in range(_SERIES_HARMONICS, -1, -1):
+            harmonics[~unit & (2.0 * rho ** (k + 1) <= 0.25 * _EPS * (k + 1) * (1.0 - rho))] = k
+    series = ~unit & (harmonics <= _SERIES_HARMONICS)
+    full = np.flatnonzero(~unit & ~series)
+    unit = np.flatnonzero(unit)
+    # ln le starts at the series constants 2 * 2 ln((1 + |c|) / 2)
+    amp_s = amplitude[series]
+    log_le = np.full(times.size, float(np.sum(4.0 * np.log1p(-amp_s / (2.0 + 2.0 * np.sqrt(1.0 - amp_s))))))
+    arg = np.zeros(times.size) if include_la else None
+    # the -phi of the series modes with c < 0 joins the lower-band phase
+    lower_band += 2.0 * float(np.sum(gap[series][cos2[series] < 0.5]))
+
+    size = gap.size
+    rows = max(1, _CHUNK_BYTES // (8 * size))
+    if step is not None:
+        rows = max(1, min(math.isqrt(times.size), _CHUNK_BYTES // (16 * size)))
+    span = min(rows, times.size) or 1
     workers = 1
     if times.size > rows:
         workers = max(1, min(_worker_count(), span // _PIECE_ROWS,
-                             span * half_gap.size // _PIECE_ELEMENTS))
+                             span * size // _PIECE_ELEMENTS))
+    pieces = [(span * i // workers, span * (i + 1) // workers) for i in range(workers)]
+    direct = _DirectModes(amplitude, cos2, gap, unit, full, n, step, times.size)
+    # the same share of the direct blocks' rows
+    share = min(direct.rows, times.size)
+    _run_pieces(lambda first, stop: direct.run(times, log_le, arg, first * share // span,
+                                               stop * share // span), pieces)
+    del direct  # its tables
+    blocks = -(-times.size // rows)
+    for group in _series_groups(amplitude[series], cos2[series], gap[series], harmonics[series],
+                                max(_SERIES_HARMONICS, _CHUNK_BYTES // (32 * rows))):
+        # an offset table of up to _CHUNK_BYTES / 2, and contractions over
+        # `per` blocks whose start rows hold up to _CHUNK_BYTES / 16
+        table = _harmonics(np.multiply.outer(step * np.arange(rows), group.gap), group.counts).view(float)
+        per = max(1, _CHUNK_BYTES // (256 * group.echo.size))
+        count = -(-blocks // per)
 
-    def run(first: int, stop: int) -> None:
-        # rows [first, stop) of every block; each element and row sum takes
-        # the same operations as with one piece per block
-        work = np.empty((3 if include_la else 2, stop - first, half_gap.size))
-        with np.errstate(divide="ignore"):
-            for lo in range(0, times.size, rows):
-                a, b = lo + first, min(lo + stop, times.size)
-                if a >= b:
-                    continue
-                t = times[a:b, None]
-                s, f = work[0, : t.size], work[1, : t.size]
-                c = work[2, : t.size] if arg is not None else None
-                if step is None:
-                    np.multiply(half_gap, t, out=f)
-                    np.sin(f, out=s)
-                    if c is not None:
-                        np.cos(f, out=c)
-                else:
-                    start = half_gap * times[lo]
-                    sin_i = np.sin(start)
-                    cos_i = np.cos(start, out=start)
-                    sin_j, cos_j = sin_off[a - lo : b - lo], cos_off[a - lo : b - lo]
-                    np.multiply(cos_j, sin_i, out=s)
-                    s += np.multiply(sin_j, cos_i, out=f)  # sin(start + offset)
-                    if c is not None:
-                        np.multiply(cos_j, cos_i, out=c)
-                        c -= np.multiply(sin_j, sin_i, out=f)  # cos(start + offset)
-                    if unit.size:
-                        phase = half_gap[unit] * t
-                        s[:, unit] = np.sin(phase)
-                        if c is not None:
-                            c[:, unit] = np.cos(phase)
-                if c is not None:
-                    c *= s
-                    c *= minus_two_sin2  # -2 sin^2(eta) s c
-                np.square(s, out=s)
-                np.minimum(s, 1.0, out=s)
-                np.multiply(amplitude, s, out=f)
-                np.subtract(1.0, f, out=f)  # echo factors 1 - A s^2
-                log_le[a:b] = _paired_sum(np.log(f, out=f), n)
-                if c is not None:
-                    np.multiply(-2.0, s, out=f)
-                    f += 1.0
-                    f *= sin2
-                    f += cos2  # cos^2(eta) + sin^2(eta) (1 - 2 s^2)
-                    arg[a:b] = _paired_sum(np.arctan2(c, f, out=c), n)
+        def run(first: int, stop: int, group=group, table=table, per=per) -> None:
+            # contractions [first, stop), the same for any split
+            for i in range(first * per, min(stop * per, blocks), per):
+                lo, hi = i * rows, min((i + per) * rows, times.size)
+                z = _harmonics(np.multiply.outer(times[lo:hi:rows], group.gap), group.counts)
+                for out, coef in ((log_le, group.echo), (arg, group.phase)):
+                    if out is not None:
+                        terms = np.multiply(z, coef)
+                        np.conjugate(terms, out=terms)
+                        out[lo:hi] += np.einsum("ik,jk->ij", terms.view(float), table,
+                                                optimize=False).ravel()[: hi - lo]
 
-    _run_pieces(run, [(span * i // workers, span * (i + 1) // workers) for i in range(workers)])
+        _run_pieces(run, [(count * first // span, count * stop // span) for first, stop in pieces])
     le = np.exp(log_le)
     rate = np.where(np.isneginf(log_le), np.inf, -log_le / n)
     la = None
@@ -370,26 +534,32 @@ def _single_particle_matrix(params: LadderParams) -> np.ndarray:
     return h
 
 
-def exact_le_oracle(spec: QuenchSpec, t: float) -> tuple[float, complex]:
+def exact_le_oracle(spec: QuenchSpec, t):
     """Echo and amplitude from an exact determinant overlap.
 
     Fills the N lowest orbitals of the pre-quench single-particle
     matrix, evolves with the post-quench matrix, and returns
-    (|det|^2, det) of the occupied-orbital overlap.  Limited to
-    ``ORACLE_MAX_RUNGS`` (about 60 ms per call at 128 rungs); the
-    mode-product formula must agree exactly.
+    (|det|^2, det) of the occupied-orbital overlap: floats for a scalar
+    ``t``, arrays for an array of times.  The two ``eigh`` calls and the
+    projection of the occupied orbitals on the post-quench ones run once
+    per call, then one N x N determinant per time.  Limited to
+    ``ORACLE_MAX_RUNGS``: one call with six times took 0.3 s at 256 rungs
+    and 2.4 s at 512 (2 vCPUs), nearly all of it in the two ``eigh``
+    calls.  The mode-product formula must agree exactly.
     """
     n = spec.params.n_rungs
     if n > ORACLE_MAX_RUNGS:
         raise DomainError(
             f"oracle limited to n_rungs <= {ORACLE_MAX_RUNGS}, got {n}"
         )
-    t = float(t)
-    h_pre = _single_particle_matrix(spec.pre)
-    h_post = _single_particle_matrix(spec.post)
-    _, v_pre = np.linalg.eigh(h_pre)
-    w_post, v_post = np.linalg.eigh(h_post)
-    occupied = v_pre[:, :n]
-    evolution = (v_post * np.exp(-1j * w_post * t)) @ v_post.conj().T
-    la = complex(np.linalg.det(occupied.conj().T @ evolution @ occupied))
-    return abs(la) ** 2, la
+    times = np.asarray(t, dtype=float)
+    _, v_pre = np.linalg.eigh(_single_particle_matrix(spec.pre))
+    w_post, v_post = np.linalg.eigh(_single_particle_matrix(spec.post))
+    projection = v_post.conj().T @ v_pre[:, :n]
+    adjoint = projection.conj().T
+    la = np.array([np.linalg.det((adjoint * np.exp(-1j * w_post * time)) @ projection)
+                   for time in times.ravel()]).reshape(times.shape)
+    if times.ndim == 0:
+        la = complex(la)
+        return abs(la) ** 2, la
+    return np.abs(la) ** 2, la

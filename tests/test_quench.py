@@ -1,8 +1,11 @@
 """Echo kernels against the exact determinant oracle and per-mode identities."""
 
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,8 @@ from creutz import (
 )
 from creutz import quench
 from creutz.quench import _uniform_step
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def make_spec(th1, th2, n=8, j=1.0, jv=1.0):
@@ -53,6 +58,35 @@ def reference_echo(spec, times):
         la_factors = cos2 + (1.0 - cos2) * np.exp(-1j * phase)
         log_la = np.sum(-1j * ea_post * times[:, None] + np.log(la_factors), axis=1)
         return log_le, np.exp(log_la)
+
+
+def longdouble_echo(spec, times, table=None):
+    """(ln le, scale) per time from the kernel's mode table (``table``, by
+    default ``mode_arrays(spec)``) in np.longdouble.
+
+    The modes 0 <= k <= pi, the interior ones twice, as the kernel takes
+    them (mode_arrays rounds k and 2 pi - k apart).  Each factor
+    f = 1 - A sin^2(phi / 2), phi = gap t, is evaluated in long double;
+    ``scale`` is sum_k (|ln f_k| + (1 + A_k phi_k |sin phi_k|) / f_k).  A
+    float64 kernel that rounds each phase (an error of about eps phi_k,
+    which moves ln f_k by A_k sin(phi_k) / (2 f_k) per unit), each factor
+    (eps / f_k in ln f_k) and each logarithm (eps |ln f_k|) is within a
+    few eps * scale of the long-double ln le.
+    """
+    n = spec.params.n_rungs
+    _, amplitude, _, gap_post, _, _ = mode_arrays(spec) if table is None else table
+    half = n // 2 + 1
+    weight = np.full(half, 2.0)
+    weight[0] = 1.0
+    if n % 2 == 0:
+        weight[-1] = 1.0
+    ld = np.longdouble
+    amplitude = amplitude[:half].astype(ld)
+    phase = gap_post[:half].astype(ld) * np.asarray(times, dtype=float).astype(ld)[:, None]
+    factor = 1 - amplitude * np.sin(phase / 2) ** 2
+    log_factor = np.log(factor)
+    scale = np.abs(log_factor) + (1 + amplitude * phase * np.abs(np.sin(phase))) / factor
+    return np.sum(weight * log_factor, axis=1), np.sum(weight * scale, axis=1)
 
 
 def band_vectors(params, k):
@@ -256,13 +290,52 @@ class TestLoschmidtEcho:
         # of the same mode table, where le is normal
         spec = make_spec(np.pi / 6, -np.pi / 6, n=n)
         times = np.linspace(0.0, 50.0, 5001)
-        _, amplitude, _, gap_post, _, _ = mode_arrays(spec)
-        phase = np.longdouble(0.5) * gap_post.astype(np.longdouble) * times.astype(np.longdouble)[:, None]
-        exact = np.sum(np.log1p(-amplitude.astype(np.longdouble) * np.sin(phase) ** 2), axis=1)
+        exact, _ = longdouble_echo(spec, times)
         le = loschmidt_echo(spec, times, include_la=False).le
         normal = le >= np.finfo(float).tiny
         assert normal.sum() > 4900
         np.testing.assert_allclose(np.log(le[normal]), exact[normal].astype(float), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "n, theta1, theta2, t_max, size, stride",
+        [
+            (1000, 0.0016, 0.0, 1731.98, 86604, 97),  # revival: nearly all modes in the series
+            (9000, 0.25, -0.25, 10.0, 10001, 7),  # dqpt: mostly full-angle factors
+        ],
+    )
+    def test_within_longdouble_bound(self, n, theta1, theta2, t_max, size, stride):
+        # ln le within 2 eps * sum_k (|ln f_k| + 1 / f_k) of the long-double
+        # referee on every stride-th time (measured: at most 0.33 eps * scale,
+        # and 0.47 for the kernel without the series and full-angle forms)
+        spec = make_spec(theta1 * np.pi, theta2 * np.pi, n=n)
+        times = np.linspace(0.0, t_max, size)
+        rate = loschmidt_echo(spec, times, include_la=False).rate[::stride]
+        exact, scale = longdouble_echo(spec, times[::stride])
+        error = np.abs((-n * rate).astype(np.longdouble) - exact)
+        assert np.all(error <= 2 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_amplitudes_next_to_one_stay_finite(self, monkeypatch, uniform):
+        # amplitudes 1 - j 2^-53 for j = 1..40, on both sides of the
+        # half-angle threshold, at times where phi = gap t passes odd
+        # multiples of pi: no factor may round to 0 or below
+        n = 84
+        ks = allowed_modes(n)
+        j = np.arange(n) % 40 + 1
+        amplitude = 1.0 - j * 2.0**-53
+        amplitude[0] = amplitude[n // 2] = 0.5
+        cos2 = 0.5 * (1.0 + np.sqrt(1.0 - amplitude))
+        gap = np.pi / (0.01 * (np.arange(n) % 7 + 1))
+        table = quench.ModeArrays(ks, amplitude, cos2, gap, -np.ones(n), -np.ones(n) - gap)
+        monkeypatch.setattr(quench, "mode_arrays", lambda spec: table)
+        times = np.linspace(0.0, 2.0, 4001)
+        if not uniform:
+            times[2000] += 1e-9
+        series = loschmidt_echo(make_spec(0.3, -0.6, n=n), times)
+        assert np.all(np.isfinite(series.rate)) and np.all(np.isfinite(series.la))
+        exact, scale = longdouble_echo(make_spec(0.3, -0.6, n=n), times, table)
+        error = np.abs((-n * series.rate).astype(np.longdouble) - exact)
+        assert np.all(error <= 2 * np.finfo(float).eps * scale)
 
     @pytest.mark.parametrize(
         "n, j_v, theta1, theta2",
@@ -355,6 +428,33 @@ class TestLoschmidtEcho:
                     assert np.isinf(ref.rate).sum() >= 4
         finally:
             sys.setswitchinterval(interval)
+
+    def test_same_bits_for_any_cpu_and_blas_thread_count(self):
+        # in fresh processes: 1 or 2 kernel threads and 1 or 2 OpenBLAS
+        # threads give the same bits, for a run mostly in the series (the
+        # contraction must not go through BLAS) and one mostly direct
+        script = (
+            "import sys, hashlib, numpy as np\n"
+            "from creutz import quench, LadderParams, QuenchSpec\n"
+            "quench._worker_count = lambda: int(sys.argv[1])\n"
+            "digest = hashlib.sha256()\n"
+            "for n, th1, th2, t_max in ((1000, 0.0016, 0.0, 300.0), (2000, 0.25, -0.25, 5.0)):\n"
+            "    spec = QuenchSpec(LadderParams(1.0, 1.0, 1.0, 0.0, n), th1 * np.pi, th2 * np.pi)\n"
+            "    s = quench.loschmidt_echo(spec, np.linspace(0.0, t_max, 6001))\n"
+            "    for x in (s.le, s.rate, s.la):\n"
+            "        digest.update(x.tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        digests = set()
+        for blas in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                       PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+            for workers in ("1", "2"):
+                done = subprocess.run([sys.executable, "-c", script, workers], env=env,
+                                      capture_output=True, text=True, timeout=120)
+                assert done.returncode == 0, done.stderr
+                digests.add(done.stdout.strip())
+        assert len(digests) == 1
 
     @pytest.mark.parametrize("in_main", [True, False])
     def test_piece_failure_is_raised(self, monkeypatch, in_main):
@@ -514,9 +614,32 @@ class TestDeterminantOracle:
                 assert series.le[i] == pytest.approx(le_oracle, abs=1e-11)
                 assert series.la[i] == pytest.approx(la_oracle, abs=1e-11)
 
+    def test_accepts_an_array_of_times(self):
+        spec = make_spec(0.4, -0.3, n=7)
+        times = np.array([0.0, 1.5, 7.25])
+        le, la = exact_le_oracle(spec, times)
+        assert le.shape == la.shape == (3,)
+        for i, t in enumerate(times):
+            le_t, la_t = exact_le_oracle(spec, t)
+            assert isinstance(le_t, float) and isinstance(la_t, complex)
+            assert le[i] == pytest.approx(le_t, abs=1e-14)
+            assert la[i] == pytest.approx(la_t, abs=1e-14)
+
+    def test_series_path_matches_oracle_at_256_rungs(self):
+        # a small quench: every interior mode takes the harmonic series
+        spec = make_spec(0.3, 0.25, n=256)
+        _, amplitude, _, _, _, _ = mode_arrays(spec)
+        assert amplitude.max() < 1e-2  # rho < 0.003: at most 6 harmonics
+        times = np.linspace(0.0, 40.0, 401)
+        series = loschmidt_echo(spec, times)
+        pick = np.array([7, 123, 250, 399])
+        le, la = exact_le_oracle(spec, times[pick])
+        np.testing.assert_allclose(series.le[pick], le, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(series.la[pick], la, rtol=0, atol=1e-10)
+
     def test_size_guard(self):
         with pytest.raises(DomainError):
-            exact_le_oracle(make_spec(0.1, 0.2, n=129), 1.0)
+            exact_le_oracle(make_spec(0.1, 0.2, n=quench.ORACLE_MAX_RUNGS + 1), 1.0)
 
     def test_pins_incommensurate_echo_minimum(self):
         # criterion 7's N = 100 ladder after 0.25 pi -> 0, on its grid: the
