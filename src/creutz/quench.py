@@ -81,7 +81,8 @@ class LESeries:
     underflows.  An exact zero of a mode factor shows up as +inf.
     ``la`` is None when the series was computed without the complex
     amplitude; ``le`` and ``rate`` are the same either way, and skipping
-    ``la`` makes the kernel about 2x faster (see ``loschmidt_echo``).
+    ``la`` makes the kernel 2.0x faster at N = 9000 x 2001 times and
+    2.0x at N = 1000 x 86604 (2 vCPUs; see docs/formats.md, ``le``).
     """
 
     times: np.ndarray
@@ -223,16 +224,37 @@ def _run_pieces(run, pieces) -> None:
         raise errors[0]
 
 
-def _harmonics(angle: np.ndarray, counts) -> np.ndarray:
-    """exp(i m x) for the columns x of ``angle``: harmonic m = 1, 2, ... for
-    the first ``counts[m - 1]`` columns, concatenated along the last axis.
+def _offset_phases(step: float, rows: int, gap: np.ndarray):
+    """cos and sin of gap (j step) for j < ``rows``, as (``rows`` x modes)
+    arrays.
+
+    With j = a s + b and s = isqrt(rows), ``cos`` and ``sin`` run on the
+    2 sqrt(rows) rows of gap (a s step) and gap (b step) only; angle
+    addition fills the table, within a few eps of the direct values.
+    """
+    width = max(1, math.isqrt(rows))
+    coarse = np.multiply.outer(step * width * np.arange(-(-rows // width)), gap)[:, None]
+    fine = np.multiply.outer(step * np.arange(width), gap)
+    cos_c, sin_c, cos_f, sin_f = np.cos(coarse), np.sin(coarse), np.cos(fine), np.sin(fine)
+    cos = np.multiply(cos_c, cos_f)
+    cos -= sin_c * sin_f
+    sin = np.multiply(sin_c, cos_f)
+    sin += cos_c * sin_f
+    shape = (cos.shape[0] * width, gap.size)
+    return cos.reshape(shape)[:rows], sin.reshape(shape)[:rows]
+
+
+def _harmonics(cos: np.ndarray, sin: np.ndarray, counts) -> np.ndarray:
+    """exp(i m x) from the cos and sin of the columns x: harmonic m = 1, 2,
+    ... for the first ``counts[m - 1]`` columns, concatenated along the last
+    axis.
 
     Harmonic m >= 2 is harmonic m - 1 times harmonic 1, the angle addition
     of the first harmonic's cos and sin.
     """
-    out = np.empty(angle.shape[:-1] + (sum(counts),), dtype=complex)
-    np.cos(angle, out=out[..., : counts[0]].real)
-    np.sin(angle, out=out[..., : counts[0]].imag)
+    out = np.empty(cos.shape[:-1] + (sum(counts),), dtype=complex)
+    out[..., : counts[0]].real = cos
+    out[..., : counts[0]].imag = sin
     lo = 0
     for prev, count in zip(counts, counts[1:]):
         np.multiply(out[..., lo : lo + count], out[..., :count], out=out[..., lo + prev : lo + prev + count])
@@ -291,7 +313,7 @@ class _DirectModes:
     """
 
     def __init__(self, amplitude, cos2, gap, unit, full, n, step, size):
-        self.n, self.step = n, step
+        self.n = n
         self.amp_u, self.cos2_u, self.half_gap_u = amplitude[unit], cos2[unit], 0.5 * gap[unit]
         self.q, self.cos2_f, self.gap_f = 0.5 * amplitude[full], cos2[full], gap[full]
         cols = max(1, unit.size + full.size)
@@ -302,27 +324,29 @@ class _DirectModes:
             # offset tables and the pieces' buffers hold 2 _CHUNK_BYTES
             rows = max(math.isqrt(size), _PIECE_ELEMENTS // cols)
             self.rows = max(1, min(rows, _CHUNK_BYTES // (16 * cols)))
-            offsets = np.multiply.outer(step * np.arange(self.rows), self.gap_f)
-            self.sin_off, self.cos_off = np.sin(offsets), np.cos(offsets, out=offsets)
+            self.cos_off, self.sin_off = _offset_phases(step, self.rows, self.gap_f)
 
-    def run(self, times, log_le, arg, first: int, stop: int) -> None:
-        """Add the sums of rows [first, stop) of every block (or chunk) to
-        ``log_le`` and, unless it is None, ``arg``; each element and row
-        sum takes the same operations for any split."""
+    def run(self, times, log_le, arg, first: int, stop: int, size: int) -> None:
+        """Add the sums of blocks (or chunks) [first, stop) to ``log_le``
+        and, unless it is None, ``arg``, ``size`` rows at a time; each
+        element and row sum takes the same operations for any split."""
         layers = 3 if arg is not None else 2
-        work_u = np.empty((layers, stop - first, self.amp_u.size))
-        work_f = np.empty((layers, stop - first, self.q.size))
+        work_u = np.empty((layers, size, self.amp_u.size))
+        work_f = np.empty((layers, size, self.q.size))
         with np.errstate(divide="ignore"):
-            for lo in range(0, times.size, self.rows):
-                a, b = lo + first, min(lo + stop, times.size)
-                if a >= b:
-                    continue
-                self._half_angle(times[a:b, None], log_le[a:b], arg, a, work_u[:, : b - a])
+            for lo in range(first * self.rows, min(stop * self.rows, times.size), self.rows):
+                hi = min(lo + self.rows, times.size)
                 if self.q.size:
-                    self._full_angle(times[lo], a - lo, b - lo, log_le[a:b],
-                                     None if arg is None else arg[a:b], work_f[:, : b - a])
+                    phase = self.gap_f * times[lo]
+                    start = np.sin(phase), np.cos(phase, out=phase)
+                for a in range(lo, hi, size):
+                    b = min(a + size, hi)
+                    arg_rows = None if arg is None else arg[a:b]
+                    self._half_angle(times[a:b, None], log_le[a:b], arg_rows, work_u[:, : b - a])
+                    if self.q.size:
+                        self._full_angle(*start, a - lo, b - lo, log_le[a:b], arg_rows, work_f[:, : b - a])
 
-    def _half_angle(self, t, log_le, arg, a, work) -> None:
+    def _half_angle(self, t, log_le, arg, work) -> None:
         s, f = work[0], work[1]
         c = work[2] if arg is not None else None
         np.multiply(self.half_gap_u, t, out=f)
@@ -341,12 +365,9 @@ class _DirectModes:
             f += 1.0
             f *= 1.0 - self.cos2_u
             f += self.cos2_u  # cos^2(eta) + sin^2(eta) (1 - 2 s^2)
-            arg[a : a + t.size] += _paired_sum(np.arctan2(c, f, out=c), self.n)
+            arg += _paired_sum(np.arctan2(c, f, out=c), self.n)
 
-    def _full_angle(self, start, j0, j1, log_le, arg, work) -> None:
-        phase = self.gap_f * start
-        sin_i = np.sin(phase)
-        cos_i = np.cos(phase, out=phase)
+    def _full_angle(self, sin_i, cos_i, j0, j1, log_le, arg, work) -> None:
         sin_j, cos_j = self.sin_off[j0:j1], self.cos_off[j0:j1]
         f, g = work[0], work[1]
         np.multiply(cos_j, self.q * cos_i, out=f)
@@ -360,9 +381,8 @@ class _DirectModes:
             np.multiply(cos_j, sin2_c, out=x)
             x -= np.multiply(sin_j, sin2_s, out=g)
             x += self.cos2_f  # cos^2(eta) + sin^2(eta) cos(phi)
-            np.multiply(cos_j, sin2_s, out=f)
-            f += np.multiply(sin_j, sin2_c, out=g)
-            np.negative(f, out=f)  # -sin^2(eta) sin(phi)
+            np.multiply(cos_j, -sin2_s, out=f)
+            f -= np.multiply(sin_j, sin2_c, out=g)  # -sin^2(eta) sin(phi)
             arg += 2.0 * np.sum(np.arctan2(f, x, out=f), axis=1)
 
 
@@ -397,37 +417,40 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
       2 rho^(K+1) / ((K + 1)(1 - rho)) <= eps / 4, the bound on the
       series tail after K terms; it takes the least such K.
 
-    On a uniform grid time runs in blocks of B rows, t = t_I + tau_j with
-    t_I the block's first time and tau_j = j * step.  The full-angle
-    factor is (q cos phi_I) cos tau_j - (q sin phi_I) sin tau_j + p, with
-    one ``sin``/``cos`` row per block and one (B x modes) table of the
-    offsets.  The series sums over all its (mode, harmonic) terms are
-    one real contraction per group of blocks,
-    Re sum conj(coef exp(i m gap t_I)) exp(i m gap tau_j), with the
-    harmonics of the block starts and of the offsets built from their
-    first harmonic (``_harmonics``).  It runs as ``np.einsum`` with
-    ``optimize=False``, never through BLAS, whose results can depend on
-    its thread count.  Nothing is carried from block to block, so the
-    rounding does not grow along the grid.  B = min(floor(sqrt(T)),
-    ``_CHUNK_BYTES`` / (16 M)) for M modes; the series terms are split in
-    groups whose offset table holds at most ``_CHUNK_BYTES`` / 4.  Other
-    grids run in chunks of ``_CHUNK_BYTES`` per (times x modes)
-    temporary.  ``le`` and ``rate`` are the same bits with or without
-    ``include_la``.
+    On a uniform grid time runs in blocks, t = t_I + tau_j with t_I the
+    block's first time and tau_j = j * step, and nothing is carried from
+    block to block, so the rounding does not grow along the grid.  The
+    full-angle factor is (q cos phi_I) cos tau_j - (q sin phi_I) sin tau_j
+    + p, from one ``sin``/``cos`` row per block and one table of the
+    offsets; its blocks hold about sqrt(T) rows, at least
+    ``_PIECE_ELEMENTS`` elements, and the tables and buffers of the
+    per-element modes stay within 2 ``_CHUNK_BYTES``.  The series sums
+    over all (mode, harmonic) terms are real contractions,
+    Re sum conj(coef exp(i m gap t_I)) exp(i m gap tau_j) over blocks of
+    B = min(floor(sqrt(T)), ``_CHUNK_BYTES`` / (16 M)) rows for M modes,
+    with the harmonics of the block starts and of the offsets built from
+    their first harmonic (``_harmonics``).  The terms run in groups whose
+    offset table holds at most ``_CHUNK_BYTES`` / 2, each group in
+    contractions over fixed runs of blocks.  They run as ``np.einsum``
+    with ``optimize=False``, never through BLAS, whose results can
+    depend on its thread count.  Other grids run in chunks of
+    ``_CHUNK_BYTES`` per (times x modes) temporary.  ``le`` and ``rate``
+    are the same bits with or without ``include_la``.
 
-    The rows of each block (or chunk) are split into one contiguous piece
-    per CPU of the process's affinity set, pieces differing by at most one
-    row, and the pieces run on threads (numpy releases the GIL); a grid
-    of one block runs in the calling thread.  A piece reads its block's
-    start row and its own rows of the offset tables, so every element and
-    row sum takes the same operations for any split.  The series splits
-    whole groups of blocks the same way.  The results are the same bits
-    for any number of CPUs.  Each thread computes the sin/cos start row
-    of every block itself and makes about 20 numpy calls per block, so
-    there is at most one thread per ``_PIECE_ROWS`` (8) rows and per
-    ``_PIECE_ELEMENTS`` (2^14) elements of a block, and a cgroup CPU quota
-    below the affinity set caps the count too (``_worker_count``).  The
-    measured costs of these choices are in docs/formats.md, under ``le``.
+    The work is split into one piece per CPU of the process's affinity
+    set, and the pieces run on threads (numpy releases the GIL); a grid
+    of one block runs in the calling thread.  A piece takes a contiguous
+    share of the rows of every block (or chunk) of the per-element modes,
+    reading its block's start row and its own rows of the offset table,
+    then the same share of the series contractions.  Every element, row
+    sum and contraction takes the same operations for any split, so the
+    results are the same bits for any number of CPUs.  Each thread
+    computes the start rows of its blocks itself and makes about 20 numpy
+    calls per block, so there is at most one thread per ``_PIECE_ROWS``
+    (8) rows and per ``_PIECE_ELEMENTS`` (2^14) elements of a block of B
+    rows, and a cgroup CPU quota below the affinity set caps the count
+    too (``_worker_count``).  The measured costs of these choices are in
+    docs/formats.md, under ``le``.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -436,10 +459,6 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
         raise DomainError("times must be non-negative and finite")
 
     _, amplitude, cos2, gap_post, _, ea_post = mode_arrays(spec)
-    lower_band = float(np.sum(ea_post))
-    t_max = float(times.max()) if times.size else 0.0
-    if not math.isfinite(t_max * (float(gap_post.max()) + abs(lower_band))):
-        raise DomainError(f"times up to {t_max:g} overflow the mode phases gap * t")
     n = spec.params.n_rungs
     half = slice(0, n // 2 + 1)
     amplitude, cos2, gap = amplitude[half], cos2[half], gap_post[half]
@@ -461,7 +480,10 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     log_le = np.full(times.size, float(np.sum(4.0 * np.log1p(-amp_s / (2.0 + 2.0 * np.sqrt(1.0 - amp_s))))))
     arg = np.zeros(times.size) if include_la else None
     # the -phi of the series modes with c < 0 joins the lower-band phase
-    lower_band += 2.0 * float(np.sum(gap[series][cos2[series] < 0.5]))
+    lower_band = float(np.sum(ea_post)) + 2.0 * float(np.sum(gap[series][cos2[series] < 0.5]))
+    t_max = float(times.max()) if times.size else 0.0
+    if not math.isfinite(t_max * (float(gap_post.max()) + abs(lower_band))):
+        raise DomainError(f"times up to {t_max:g} overflow the mode phases gap * t")
 
     size = gap.size
     rows = max(1, _CHUNK_BYTES // (8 * size))
@@ -474,31 +496,36 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
                              span * size // _PIECE_ELEMENTS))
     pieces = [(span * i // workers, span * (i + 1) // workers) for i in range(workers)]
     direct = _DirectModes(amplitude, cos2, gap, unit, full, n, step, times.size)
-    # the same share of the direct blocks' rows
-    share = min(direct.rows, times.size)
-    _run_pieces(lambda first, stop: direct.run(times, log_le, arg, first * share // span,
-                                               stop * share // span), pieces)
+    # each piece takes whole blocks of the per-element modes, so that every
+    # start row is computed once, in rows of 1/workers of a block
+    count = -(-times.size // direct.rows)
+    size = -(-min(direct.rows, times.size) // workers)
+    _run_pieces(lambda first, stop: direct.run(times, log_le, arg, count * first // span,
+                                               count * stop // span, size), pieces)
     del direct  # its tables
     blocks = -(-times.size // rows)
+    outs = [log_le] if arg is None else [log_le, arg]
     for group in _series_groups(amplitude[series], cos2[series], gap[series], harmonics[series],
                                 max(_SERIES_HARMONICS, _CHUNK_BYTES // (32 * rows))):
         # an offset table of up to _CHUNK_BYTES / 2, and contractions over
         # `per` blocks whose start rows hold up to _CHUNK_BYTES / 16
-        table = _harmonics(np.multiply.outer(step * np.arange(rows), group.gap), group.counts).view(float)
+        table = _harmonics(*_offset_phases(step, rows, group.gap), group.counts).view(float)
         per = max(1, _CHUNK_BYTES // (256 * group.echo.size))
         count = -(-blocks // per)
 
-        def run(first: int, stop: int, group=group, table=table, per=per) -> None:
+        coefs = np.array([group.echo] if arg is None else [group.echo, group.phase])
+
+        def run(first: int, stop: int, group=group, table=table, per=per, coefs=coefs) -> None:
             # contractions [first, stop), the same for any split
             for i in range(first * per, min(stop * per, blocks), per):
                 lo, hi = i * rows, min((i + per) * rows, times.size)
-                z = _harmonics(np.multiply.outer(times[lo:hi:rows], group.gap), group.counts)
-                for out, coef in ((log_le, group.echo), (arg, group.phase)):
-                    if out is not None:
-                        terms = np.multiply(z, coef)
-                        np.conjugate(terms, out=terms)
-                        out[lo:hi] += np.einsum("ik,jk->ij", terms.view(float), table,
-                                                optimize=False).ravel()[: hi - lo]
+                start = np.multiply.outer(times[lo:hi:rows], group.gap)
+                z = _harmonics(np.cos(start), np.sin(start), group.counts)
+                terms = np.multiply(z, coefs[:, None])
+                np.conjugate(terms, out=terms)
+                sums = np.einsum("aik,jk->aij", terms.view(float), table, optimize=False)
+                for out, part in zip(outs, sums):
+                    out[lo:hi] += part.ravel()[: hi - lo]
 
         _run_pieces(run, [(count * first // span, count * stop // span) for first, stop in pieces])
     le = np.exp(log_le)
