@@ -39,8 +39,8 @@ ORACLE_MAX_RUNGS = 512
 # Bytes of one float64 (times x modes) temporary in ``loschmidt_echo``.
 _CHUNK_BYTES = 4 << 20
 # ``loschmidt_echo`` starts at most one thread per this many rows and per
-# this many (rows x modes) elements of a block: each thread also pays for
-# every block's start row and about 20 numpy calls per block.
+# this many (rows x modes) elements of a block: each thread pays about 20
+# numpy calls for each share of a block.
 _PIECE_ROWS = 8
 _PIECE_ELEMENTS = 1 << 14
 _EPS = float(np.finfo(float).eps)
@@ -233,13 +233,17 @@ def _offset_phases(step: float, rows: int, gap: np.ndarray):
     addition fills the table, within a few eps of the direct values.
     """
     width = max(1, math.isqrt(rows))
-    coarse = np.multiply.outer(step * width * np.arange(-(-rows // width)), gap)[:, None]
+    coarse = np.multiply.outer(step * width * np.arange(-(-rows // width)), gap)
     fine = np.multiply.outer(step * np.arange(width), gap)
     cos_c, sin_c, cos_f, sin_f = np.cos(coarse), np.sin(coarse), np.cos(fine), np.sin(fine)
-    cos = np.multiply(cos_c, cos_f)
-    cos -= sin_c * sin_f
-    sin = np.multiply(sin_c, cos_f)
-    sin += cos_c * sin_f
+    cos = np.empty((coarse.shape[0], width, gap.size))
+    sin = np.empty_like(cos)
+    scratch = np.empty_like(fine)
+    for a in range(coarse.shape[0]):  # row by row: no (rows x modes) temporary
+        np.multiply(cos_c[a], cos_f, out=cos[a])
+        cos[a] -= np.multiply(sin_c[a], sin_f, out=scratch)
+        np.multiply(sin_c[a], cos_f, out=sin[a])
+        sin[a] += np.multiply(cos_c[a], sin_f, out=scratch)
     shape = (cos.shape[0] * width, gap.size)
     return cos.reshape(shape)[:rows], sin.reshape(shape)[:rows]
 
@@ -321,9 +325,10 @@ class _DirectModes:
             self.rows = max(1, _CHUNK_BYTES // (8 * cols))
         else:
             # about sqrt(T) rows, but at least _PIECE_ELEMENTS elements; the
-            # offset tables and the pieces' buffers hold 2 _CHUNK_BYTES
+            # offset tables and the pieces' buffers hold at most what they
+            # would for every mode, 2 _CHUNK_BYTES
             rows = max(math.isqrt(size), _PIECE_ELEMENTS // cols)
-            self.rows = max(1, min(rows, _CHUNK_BYTES // (16 * cols)))
+            self.rows = max(1, min(rows, _CHUNK_BYTES // (16 * gap.size)))
             self.cos_off, self.sin_off = _offset_phases(step, self.rows, self.gap_f)
 
     def run(self, times, log_le, arg, first: int, stop: int, size: int) -> None:
@@ -440,16 +445,16 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     The work is split into one piece per CPU of the process's affinity
     set, and the pieces run on threads (numpy releases the GIL); a grid
     of one block runs in the calling thread.  A piece takes a contiguous
-    share of the rows of every block (or chunk) of the per-element modes,
-    reading its block's start row and its own rows of the offset table,
-    then the same share of the series contractions.  Every element, row
-    sum and contraction takes the same operations for any split, so the
-    results are the same bits for any number of CPUs.  Each thread
-    computes the start rows of its blocks itself and makes about 20 numpy
-    calls per block, so there is at most one thread per ``_PIECE_ROWS``
-    (8) rows and per ``_PIECE_ELEMENTS`` (2^14) elements of a block of B
-    rows, and a cgroup CPU quota below the affinity set caps the count
-    too (``_worker_count``).  The measured costs of these choices are in
+    run of whole blocks (or chunks) of the per-element modes, computing
+    each block's start row once and its rows a 1/W share of a block at a
+    time for W pieces, and then a contiguous run of the series
+    contractions.  Every element, row sum and contraction takes the same
+    operations for any split, so the results are the same bits for any
+    number of CPUs.  Each share costs about 20 numpy calls, so there is
+    at most one thread per ``_PIECE_ROWS`` (8) rows and per
+    ``_PIECE_ELEMENTS`` (2^14) elements of a block of B rows, and a
+    cgroup CPU quota below the affinity set caps the count too
+    (``_worker_count``).  The measured costs of these choices are in
     docs/formats.md, under ``le``.
     """
     times = np.asarray(times, dtype=float)
@@ -485,23 +490,20 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     if not math.isfinite(t_max * (float(gap_post.max()) + abs(lower_band))):
         raise DomainError(f"times up to {t_max:g} overflow the mode phases gap * t")
 
-    size = gap.size
-    rows = max(1, _CHUNK_BYTES // (8 * size))
+    rows = max(1, _CHUNK_BYTES // (8 * gap.size))
     if step is not None:
-        rows = max(1, min(math.isqrt(times.size), _CHUNK_BYTES // (16 * size)))
+        rows = max(1, min(math.isqrt(times.size), _CHUNK_BYTES // (16 * gap.size)))
     span = min(rows, times.size) or 1
     workers = 1
     if times.size > rows:
         workers = max(1, min(_worker_count(), span // _PIECE_ROWS,
-                             span * size // _PIECE_ELEMENTS))
+                             span * gap.size // _PIECE_ELEMENTS))
     pieces = [(span * i // workers, span * (i + 1) // workers) for i in range(workers)]
     direct = _DirectModes(amplitude, cos2, gap, unit, full, n, step, times.size)
-    # each piece takes whole blocks of the per-element modes, so that every
-    # start row is computed once, in rows of 1/workers of a block
     count = -(-times.size // direct.rows)
-    size = -(-min(direct.rows, times.size) // workers)
+    share = -(-min(direct.rows, times.size) // workers)
     _run_pieces(lambda first, stop: direct.run(times, log_le, arg, count * first // span,
-                                               count * stop // span, size), pieces)
+                                               count * stop // span, share), pieces)
     del direct  # its tables
     blocks = -(-times.size // rows)
     outs = [log_le] if arg is None else [log_le, arg]
@@ -519,8 +521,8 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
             # contractions [first, stop), the same for any split
             for i in range(first * per, min(stop * per, blocks), per):
                 lo, hi = i * rows, min((i + per) * rows, times.size)
-                start = np.multiply.outer(times[lo:hi:rows], group.gap)
-                z = _harmonics(np.cos(start), np.sin(start), group.counts)
+                phase = np.multiply.outer(times[lo:hi:rows], group.gap)  # block starts
+                z = _harmonics(np.cos(phase), np.sin(phase), group.counts)
                 terms = np.multiply(z, coefs[:, None])
                 np.conjugate(terms, out=terms)
                 sums = np.einsum("aik,jk->aij", terms.view(float), table, optimize=False)
@@ -528,6 +530,7 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
                     out[lo:hi] += part.ravel()[: hi - lo]
 
         _run_pieces(run, [(count * first // span, count * stop // span) for first, stop in pieces])
+        del table, run  # before the next group's table
     le = np.exp(log_le)
     rate = np.where(np.isneginf(log_le), np.inf, -log_le / n)
     la = None
