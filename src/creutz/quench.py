@@ -279,13 +279,9 @@ class _SeriesGroup(NamedTuple):
 
 def _series_groups(amplitude, cos2, gap, harmonics, max_terms):
     """The series modes (``harmonics`` >= 1) in groups of at most
-    ``max_terms`` terms, a mode's harmonics never split.
-
-    With c = cos 2 eta, rho = A / (1 + |c|)^2 = tan^2 eta or cot^2 eta
-    and weight 2 (modes k and 2 pi - k), harmonic m of a mode adds
-    4 (-1)^(m+1) rho^m cos(m phi) / m to ln le and
-    -/+ 2 (-1)^(m+1) rho^m sin(m phi) / m to the amplitude's argument
-    (- where c >= 0).  The -phi of the argument where c < 0 is left out.
+    ``max_terms`` terms, a mode's harmonics never split, with the
+    coefficients of the series in ``loschmidt_echo`` for weight 2 (modes
+    k and 2 pi - k); the -phi of the argument where c < 0 is left out.
     """
     order = np.argsort(-harmonics, kind="stable")
     order = order[harmonics[order] > 0]
@@ -325,10 +321,10 @@ class _DirectModes:
             self.rows = max(1, _CHUNK_BYTES // (8 * cols))
         else:
             # about sqrt(T) rows, but at least _PIECE_ELEMENTS elements; the
-            # offset tables and the pieces' buffers hold at most what they
-            # would for every mode, 2 _CHUNK_BYTES
+            # two offset tables and the pieces' two buffers hold at most
+            # 1.5 _CHUNK_BYTES, and a series table 0.5 _CHUNK_BYTES
             rows = max(math.isqrt(size), _PIECE_ELEMENTS // cols)
-            self.rows = max(1, min(rows, _CHUNK_BYTES // (16 * gap.size)))
+            self.rows = max(1, min(rows, 3 * _CHUNK_BYTES // (64 * cols)))
             self.cos_off, self.sin_off = _offset_phases(step, self.rows, self.gap_f)
 
     def run(self, times, log_le, arg, first: int, stop: int, size: int) -> None:
