@@ -313,7 +313,7 @@ class _DirectModes:
     """
 
     def __init__(self, amplitude, cos2, gap, unit, full, n, step, size):
-        self.n = n
+        self.n, self.ends_full = n, full.size > 0 and full[0] == 0
         self.amp_u, self.cos2_u, self.half_gap_u = amplitude[unit], cos2[unit], 0.5 * gap[unit]
         self.q, self.cos2_f, self.gap_f = 0.5 * amplitude[full], cos2[full], gap[full]
         cols = max(1, unit.size + full.size)
@@ -343,9 +343,15 @@ class _DirectModes:
                 for a in range(lo, hi, size):
                     b = min(a + size, hi)
                     arg_rows = None if arg is None else arg[a:b]
-                    self._half_angle(times[a:b, None], log_le[a:b], arg_rows, work_u[:, : b - a])
+                    if self.amp_u.size:
+                        self._half_angle(times[a:b, None], log_le[a:b], arg_rows, work_u[:, : b - a])
                     if self.q.size:
                         self._full_angle(*start, a - lo, b - lo, log_le[a:b], arg_rows, work_f[:, : b - a])
+
+    def _sum(self, x, ends: bool) -> np.ndarray:
+        """Row sums of columns that hold k = 0 and k = pi (``ends``) or only
+        modes counted twice."""
+        return _paired_sum(x, self.n) if ends else 2.0 * np.sum(x, axis=1)
 
     def _half_angle(self, t, log_le, arg, work) -> None:
         s, f = work[0], work[1]
@@ -360,13 +366,13 @@ class _DirectModes:
         np.minimum(s, 1.0, out=s)
         np.multiply(self.amp_u, s, out=f)
         np.subtract(1.0, f, out=f)  # echo factors 1 - A s^2
-        log_le += _paired_sum(np.log(f, out=f), self.n)
+        log_le += self._sum(np.log(f, out=f), not self.ends_full)
         if c is not None:
             np.multiply(-2.0, s, out=f)
             f += 1.0
             f *= 1.0 - self.cos2_u
             f += self.cos2_u  # cos^2(eta) + sin^2(eta) (1 - 2 s^2)
-            arg += _paired_sum(np.arctan2(c, f, out=c), self.n)
+            arg += self._sum(np.arctan2(c, f, out=c), not self.ends_full)
 
     def _full_angle(self, sin_i, cos_i, j0, j1, log_le, arg, work) -> None:
         sin_j, cos_j = self.sin_off[j0:j1], self.cos_off[j0:j1]
@@ -374,7 +380,7 @@ class _DirectModes:
         np.multiply(cos_j, self.q * cos_i, out=f)
         f -= np.multiply(sin_j, self.q * sin_i, out=g)
         f += 1.0 - self.q  # p + q cos(phi_I + tau_j)
-        log_le += 2.0 * np.sum(np.log(f, out=f), axis=1)
+        log_le += self._sum(np.log(f, out=f), self.ends_full)
         if arg is not None:
             x = work[2]
             sin2 = 1.0 - self.cos2_f
@@ -384,7 +390,7 @@ class _DirectModes:
             x += self.cos2_f  # cos^2(eta) + sin^2(eta) cos(phi)
             np.multiply(cos_j, -sin2_s, out=f)
             f -= np.multiply(sin_j, sin2_c, out=g)  # -sin^2(eta) sin(phi)
-            arg += 2.0 * np.sum(np.arctan2(f, x, out=f), axis=1)
+            arg += self._sum(np.arctan2(f, x, out=f), self.ends_full)
 
 
 def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries:
@@ -464,16 +470,20 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     half = slice(0, n // 2 + 1)
     amplitude, cos2, gap = amplitude[half], cos2[half], gap_post[half]
     step = _uniform_step(times)
-    # k = 0 and k = pi count once; interior modes by the split rule
     unit = np.ones(gap.size, dtype=bool)
     harmonics = np.zeros(gap.size, dtype=int)
+    twice = np.zeros(gap.size, dtype=bool)  # the series takes only modes counted twice
     if step is not None:
-        unit[1 : (n + 1) // 2] = amplitude[1 : (n + 1) // 2] > 1.0 - _NEAR_UNIT
+        unit = amplitude > 1.0 - _NEAR_UNIT
+        ends = [0, n // 2] if n % 2 == 0 else [0]  # k = 0 and k = pi, counted once
+        unit[ends] = unit[ends].any()  # share one form
+        twice[1 : (n + 1) // 2] = True
+        twice &= ~unit
         rho = amplitude / (1.0 + np.sqrt(1.0 - amplitude)) ** 2
-        harmonics[~unit] = _SERIES_HARMONICS + 1
+        harmonics[twice] = _SERIES_HARMONICS + 1
         for k in range(_SERIES_HARMONICS, -1, -1):
-            harmonics[~unit & (2.0 * rho ** (k + 1) <= 0.25 * _EPS * (k + 1) * (1.0 - rho))] = k
-    series = ~unit & (harmonics <= _SERIES_HARMONICS)
+            harmonics[twice & (2.0 * rho ** (k + 1) <= 0.25 * _EPS * (k + 1) * (1.0 - rho))] = k
+    series = twice & (harmonics <= _SERIES_HARMONICS)
     full = np.flatnonzero(~unit & ~series)
     unit = np.flatnonzero(unit)
     # ln le starts at the series constants 2 * 2 ln((1 + |c|) / 2)
