@@ -409,9 +409,9 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
       argument atan2(-2 sin^2 eta s c, cos^2 eta + sin^2 eta (1 - 2 s^2)),
       c = cos(phi / 2), from ``sin`` and ``cos`` per element.  Every mode
       on a grid that is not uniform (``_uniform_step``); on a uniform
-      grid the modes k = 0 and k = pi (counted once) and those with
-      1 - A <= ``_NEAR_UNIT``.  A factor is exactly 0 only for A = 1 where
-      s^2 rounds to 1, which gives ``rate = +inf``.
+      grid those with 1 - A <= ``_NEAR_UNIT``, and k = 0 and k = pi
+      (counted once) when either is one.  A factor is exactly 0 only for
+      A = 1 where s^2 rounds to 1, which gives ``rate = +inf``.
     * Full angle: p + q cos phi and argument
       atan2(-sin^2 eta sin phi, cos^2 eta + sin^2 eta cos phi), with
       sin phi and cos phi by angle addition (below).
@@ -420,7 +420,7 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
       2 ln((1 + |c|) / 2) + 2 sum_m (-1)^(m+1) rho^m cos(m phi) / m, and
       the argument is -/+ sum_m (-1)^(m+1) rho^m sin(m phi) / m (- for
       c >= 0), minus phi for c < 0, which joins the lower-band phase.  A
-      mode takes the series when some K <= ``_SERIES_HARMONICS`` has
+      mode 0 < k < pi takes the series when some K <= ``_SERIES_HARMONICS`` has
       2 rho^(K+1) / ((K + 1)(1 - rho)) <= eps / 4, the bound on the
       series tail after K terms; it takes the least such K.
 
