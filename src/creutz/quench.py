@@ -266,22 +266,15 @@ def _harmonics(cos: np.ndarray, sin: np.ndarray, counts) -> np.ndarray:
     return out
 
 
-class _SeriesGroup(NamedTuple):
-    """Modes of the series form, by descending harmonic count: ``counts[m - 1]``
-    modes take harmonic m; ``echo`` and ``phase`` hold one (complex)
-    coefficient per term, in the layout of ``_harmonics``."""
-
-    gap: np.ndarray
-    counts: tuple
-    echo: np.ndarray
-    phase: np.ndarray
-
-
 def _series_groups(amplitude, cos2, gap, harmonics, max_terms):
     """The series modes (``harmonics`` >= 1) in groups of at most
-    ``max_terms`` terms, a mode's harmonics never split, with the
-    coefficients of the series in ``loschmidt_echo`` for weight 2 (modes
-    k and 2 pi - k); the -phi of the argument where c < 0 is left out.
+    ``max_terms`` terms, a mode's harmonics never split.
+
+    A group is (gap, counts, echo, phase): its modes by descending
+    harmonic count, ``counts[m - 1]`` of them taking harmonic m, and one
+    coefficient per term in the layout of ``_harmonics``: those of the
+    series in ``loschmidt_echo`` for weight 2 (modes k and 2 pi - k),
+    with the argument's -phi where c < 0 left out.
     """
     order = np.argsort(-harmonics, kind="stable")
     order = order[harmonics[order] > 0]
@@ -298,7 +291,7 @@ def _series_groups(amplitude, cos2, gap, harmonics, max_terms):
         terms = [(m, cols[:count]) for m, count in enumerate(counts, 1)]
         coef = np.concatenate([(-1.0) ** (m + 1) * rho[c] ** m / m for m, c in terms])
         sign_t = np.concatenate([sign[c] for _, c in terms])
-        groups.append(_SeriesGroup(gap[cols], counts, 4.0 * coef, -1j * sign_t * coef))
+        groups.append((gap[cols], counts, 4.0 * coef, -1j * sign_t * coef))
         lo = hi
     return groups
 
@@ -316,6 +309,7 @@ class _DirectModes:
         self.n, self.ends_full = n, full.size > 0 and full[0] == 0
         self.amp_u, self.cos2_u, self.half_gap_u = amplitude[unit], cos2[unit], 0.5 * gap[unit]
         self.q, self.cos2_f, self.gap_f = 0.5 * amplitude[full], cos2[full], gap[full]
+        self.p, self.sin2_f = 1.0 - self.q, 1.0 - self.cos2_f
         cols = max(1, unit.size + full.size)
         if step is None:
             self.rows = max(1, _CHUNK_BYTES // (8 * cols))
@@ -337,16 +331,19 @@ class _DirectModes:
         with np.errstate(divide="ignore"):
             for lo in range(first * self.rows, min(stop * self.rows, times.size), self.rows):
                 hi = min(lo + self.rows, times.size)
-                if self.q.size:
+                if self.q.size:  # the block's start row, scaled once
                     phase = self.gap_f * times[lo]
-                    start = np.sin(phase), np.cos(phase, out=phase)
+                    sin_i, cos_i = np.sin(phase), np.cos(phase, out=phase)
+                    start = self.q * cos_i, self.q * sin_i
+                    if arg is not None:
+                        start += self.sin2_f * cos_i, np.negative(self.sin2_f * sin_i)
                 for a in range(lo, hi, size):
                     b = min(a + size, hi)
                     arg_rows = None if arg is None else arg[a:b]
                     if self.amp_u.size:
                         self._half_angle(times[a:b, None], log_le[a:b], arg_rows, work_u[:, : b - a])
                     if self.q.size:
-                        self._full_angle(*start, a - lo, b - lo, log_le[a:b], arg_rows, work_f[:, : b - a])
+                        self._full_angle(start, a - lo, b - lo, log_le[a:b], arg_rows, work_f[:, : b - a])
 
     def _sum(self, x, ends: bool) -> np.ndarray:
         """Row sums of columns that hold k = 0 and k = pi (``ends``) or only
@@ -374,22 +371,20 @@ class _DirectModes:
             f += self.cos2_u  # cos^2(eta) + sin^2(eta) (1 - 2 s^2)
             arg += self._sum(np.arctan2(c, f, out=c), not self.ends_full)
 
-    def _full_angle(self, sin_i, cos_i, j0, j1, log_le, arg, work) -> None:
+    def _full_angle(self, start, j0, j1, log_le, arg, work) -> None:
         sin_j, cos_j = self.sin_off[j0:j1], self.cos_off[j0:j1]
         f, g = work[0], work[1]
-        np.multiply(cos_j, self.q * cos_i, out=f)
-        f -= np.multiply(sin_j, self.q * sin_i, out=g)
-        f += 1.0 - self.q  # p + q cos(phi_I + tau_j)
+        np.multiply(cos_j, start[0], out=f)
+        f -= np.multiply(sin_j, start[1], out=g)
+        f += self.p  # p + q cos(phi_I + tau_j)
         log_le += self._sum(np.log(f, out=f), self.ends_full)
         if arg is not None:
             x = work[2]
-            sin2 = 1.0 - self.cos2_f
-            sin2_s, sin2_c = sin2 * sin_i, sin2 * cos_i
-            np.multiply(cos_j, sin2_c, out=x)
-            x -= np.multiply(sin_j, sin2_s, out=g)
+            np.multiply(cos_j, start[2], out=x)
+            x += np.multiply(sin_j, start[3], out=g)
             x += self.cos2_f  # cos^2(eta) + sin^2(eta) cos(phi)
-            np.multiply(cos_j, -sin2_s, out=f)
-            f -= np.multiply(sin_j, sin2_c, out=g)  # -sin^2(eta) sin(phi)
+            np.multiply(cos_j, start[3], out=f)
+            f -= np.multiply(sin_j, start[2], out=g)  # -sin^2(eta) sin(phi)
             arg += self._sum(np.arctan2(f, x, out=f), self.ends_full)
 
 
@@ -506,29 +501,29 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
                              span * gap.size // _PIECE_ELEMENTS))
     pieces = [(span * i // workers, span * (i + 1) // workers) for i in range(workers)]
     direct = _DirectModes(amplitude, cos2, gap, unit, full, n, step, times.size)
-    count = -(-times.size // direct.rows)
+    chunks = -(-times.size // direct.rows)
     share = -(-min(direct.rows, times.size) // workers)
-    _run_pieces(lambda first, stop: direct.run(times, log_le, arg, count * first // span,
-                                               count * stop // span, share), pieces)
+    _run_pieces(lambda first, stop: direct.run(times, log_le, arg, chunks * first // span,
+                                               chunks * stop // span, share), pieces)
     del direct  # its tables
     blocks = -(-times.size // rows)
     outs = [log_le] if arg is None else [log_le, arg]
-    for group in _series_groups(amplitude[series], cos2[series], gap[series], harmonics[series],
-                                max(_SERIES_HARMONICS, _CHUNK_BYTES // (32 * rows))):
+    for gap_s, counts, echo, phase in _series_groups(
+            amplitude[series], cos2[series], gap[series], harmonics[series],
+            max(_SERIES_HARMONICS, _CHUNK_BYTES // (32 * rows))):
         # an offset table of up to _CHUNK_BYTES / 2, and contractions over
         # `per` blocks whose start rows hold up to _CHUNK_BYTES / 16
-        table = _harmonics(*_offset_phases(step, rows, group.gap), group.counts).view(float)
-        per = max(1, _CHUNK_BYTES // (256 * group.echo.size))
+        table = _harmonics(*_offset_phases(step, rows, gap_s), counts).view(float)
+        per = max(1, _CHUNK_BYTES // (256 * echo.size))
         count = -(-blocks // per)
+        coefs = np.array([echo] if arg is None else [echo, phase])
 
-        coefs = np.array([group.echo] if arg is None else [group.echo, group.phase])
-
-        def run(first: int, stop: int, group=group, table=table, per=per, coefs=coefs) -> None:
+        def run(first: int, stop: int) -> None:
             # contractions [first, stop), the same for any split
             for i in range(first * per, min(stop * per, blocks), per):
                 lo, hi = i * rows, min((i + per) * rows, times.size)
-                phase = np.multiply.outer(times[lo:hi:rows], group.gap)  # block starts
-                z = _harmonics(np.cos(phase), np.sin(phase), group.counts)
+                start = np.multiply.outer(times[lo:hi:rows], gap_s)  # block starts
+                z = _harmonics(np.cos(start), np.sin(start), counts)
                 terms = np.multiply(z, coefs[:, None])
                 np.conjugate(terms, out=terms)
                 sums = np.einsum("aik,jk->aij", terms.view(float), table, optimize=False)

@@ -84,6 +84,14 @@ class TestPrediction:
         with pytest.raises(DomainError):
             predict_revival(quench_to_zero(30, jv=2.5))
 
+    def test_vanishing_group_velocity_rejected(self):
+        # j = j_v = 5e-324: 4 j^2 - j_v^2 underflows to 0, so the period
+        # would divide by zero
+        spec = QuenchSpec(LadderParams(j_h=5e-324, j_v=5e-324, j_d=5e-324, theta=0.0, n_rungs=6),
+                          0.0016 * np.pi, 0.0)
+        with pytest.raises(DomainError):
+            predict_revival(spec)
+
     def test_horizon_is_multiple_of_period(self):
         prediction = predict_revival(quench_to_zero(100))
         assert prediction.horizon == pytest.approx(5 * prediction.period)
