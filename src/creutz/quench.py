@@ -81,8 +81,8 @@ class LESeries:
     underflows.  An exact zero of a mode factor shows up as +inf.
     ``la`` is None when the series was computed without the complex
     amplitude; ``le`` and ``rate`` are the same either way, and skipping
-    ``la`` makes the kernel 2.0x faster at N = 9000 x 2001 times and
-    2.0x at N = 1000 x 86604 (2 vCPUs; see docs/formats.md, ``le``).
+    ``la`` cuts the kernel's CPU time 2.3x at N = 9000 x 2001 times and
+    1.9x at N = 1000 x 86604 (one thread; see docs/formats.md, ``le``).
     """
 
     times: np.ndarray
