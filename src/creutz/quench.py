@@ -283,7 +283,7 @@ def _series_groups(amplitude, cos2, gap, harmonics, max_terms):
     ends = np.cumsum(harmonics[order])
     groups = []
     lo = 0
-    while lo < order.size:
+    while lo < order.size:  # the most modes from lo on whose terms fit in max_terms
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - harmonics[order[lo]] + max_terms, "right")))
         cols = order[lo:hi]
         counts = tuple(int(np.count_nonzero(harmonics[cols] >= m))
