@@ -43,10 +43,6 @@ __all__ = [
     "solve_critical_modes",
 ]
 
-# Half-width, in samples, of the neighbourhood an onset cusp must stand out from.
-_LOCAL_WINDOW = 50
-
-
 @dataclass(frozen=True)
 class CriticalMode:
     """A wavenumber with unit oscillation amplitude and its timescale.
@@ -191,14 +187,8 @@ def detect_cusps(series: LESeries, sensitivity: float = 20.0) -> list[float]:
     Flags samples whose absolute second difference exceeds
     ``sensitivity`` times the median absolute second difference, merges
     neighbouring flags, and reports the strongest sample of each group.
-    A group that starts at the first sample that may be flagged (the
-    onset of the rate function) counts only when its strongest sample
-    also exceeds ``sensitivity`` times the median absolute second
-    difference of the ``_LOCAL_WINDOW`` samples around it: a cusp is a
-    kink that stands out from its neighbours, while a smooth onset such
-    as the 0.414 t^2 after a 0.25 pi -> 0 quench bends as fast as the
-    samples after it.  Infinite rate values (exact echo zeros) are always
-    reported.  ``sensitivity`` must be positive and finite.
+    Infinite rate values (exact echo zeros) are always flagged.
+    ``sensitivity`` must be positive and finite.
     """
     if not 0.0 < sensitivity < math.inf:  # also refuses nan
         raise DomainError(f"sensitivity must be positive and finite, got {sensitivity}")
@@ -215,7 +205,10 @@ def detect_cusps(series: LESeries, sensitivity: float = 20.0) -> list[float]:
     finite = d2[np.isfinite(d2)]
     if finite.size == 0:
         return []
-    median = float(np.median(finite))
+    # np.median's value without its first-call import of numpy.ma (17 ms or more)
+    half = finite.size // 2
+    part = np.partition(finite, [half - 1, half] if finite.size % 2 == 0 else half)
+    median = float(part[half] if finite.size % 2 else (part[half - 1] + part[half]) / 2)
     hits = np.flatnonzero(~np.isfinite(d2) | (d2 > sensitivity * median)) + 1
     hits = hits[(hits >= 2) & (hits <= times.size - 3)]
     if hits.size == 0:
@@ -225,12 +218,7 @@ def detect_cusps(series: LESeries, sensitivity: float = 20.0) -> list[float]:
     for group in groups:
         scores = d2[group - 1]
         scores = np.where(np.isfinite(scores), scores, np.inf)
-        peak = group[np.argmax(scores)]
-        if group[0] == 2 and np.isfinite(scores.max()):  # the onset, against its local level
-            local = d2[max(0, peak - 1 - _LOCAL_WINDOW) : peak + _LOCAL_WINDOW]
-            if scores.max() <= sensitivity * float(np.median(local[np.isfinite(local)])):
-                continue
-        cusps.append(float(times[peak]))
+        cusps.append(float(times[group[np.argmax(scores)]]))
     return cusps
 
 

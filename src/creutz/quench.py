@@ -39,16 +39,19 @@ ORACLE_MAX_RUNGS = 512
 # Bytes of one float64 (times x modes) temporary in ``loschmidt_echo``.
 _CHUNK_BYTES = 4 << 20
 # ``loschmidt_echo`` starts at most one thread per this many rows and per
-# this many (rows x modes) elements of a block: each thread pays about 20
-# numpy calls for each share of a block.
+# this many (rows x modes) elements of a block: each thread computes every
+# block's start rows and makes about 10 numpy calls per block.
 _PIECE_ROWS = 8
 _PIECE_ELEMENTS = 1 << 14
+# Most elements of one buffer of the per-element path (512 KiB): large
+# enough that threads seldom wait for each other between numpy calls.
+_SLAB_ELEMENTS = 1 << 16
 _EPS = float(np.finfo(float).eps)
 # Modes whose amplitude A has 1 - A at most this keep the half-angle echo
 # factor: the full-angle factor p + q cos phi can round to <= 0 there.
 _NEAR_UNIT = 8 * _EPS
 # Most harmonics a mode may take in the series form of ``loschmidt_echo``.
-_SERIES_HARMONICS = 8
+_SERIES_HARMONICS = 5
 
 
 @dataclass(frozen=True)
@@ -81,8 +84,8 @@ class LESeries:
     underflows.  An exact zero of a mode factor shows up as +inf.
     ``la`` is None when the series was computed without the complex
     amplitude; ``le`` and ``rate`` are the same either way, and skipping
-    ``la`` cuts the kernel's CPU time 2.3x at N = 9000 x 2001 times and
-    1.9x at N = 1000 x 86604 (one thread; see docs/formats.md, ``le``).
+    ``la`` cuts the kernel's CPU time 2.6x at N = 9000 x 2001 times and
+    2.0x at N = 1000 x 86604 (one thread; see docs/formats.md, ``le``).
     """
 
     times: np.ndarray
@@ -129,12 +132,13 @@ def _paired_sum(x: np.ndarray, n: int) -> np.ndarray:
     (counted once) to, for even ``n``, k = pi (counted once).
 
     Modes j and n - j carry the same factor, so every column in between
-    counts twice: with the columns j = 0..n//2 that is every mode.
+    counts twice: with the columns j = 0..n//2 that is every mode.  The
+    columns are the last axis.
     """
     even = n % 2 == 0
-    total = x[:, 0] + 2.0 * np.sum(x[:, 1 : x.shape[1] - even], axis=1)
+    total = x[..., 0] + 2.0 * np.sum(x[..., 1 : x.shape[-1] - even], axis=-1)
     if even:
-        total += x[:, -1]
+        total += x[..., -1]
     return total
 
 
@@ -224,28 +228,46 @@ def _run_pieces(run, pieces) -> None:
         raise errors[0]
 
 
-def _offset_phases(step: float, rows: int, gap: np.ndarray):
-    """cos and sin of gap (j step) for j < ``rows``, as (``rows`` x modes)
-    arrays.
+def _runs(size: int, rows: int, per: int):
+    """Row ranges [lo, hi) of up to ``per`` whole blocks of ``rows`` rows
+    covering ``size`` rows; a last, partial block is a run of its own, so
+    ``x[lo:hi].reshape(-1, width)`` views every run as blocks."""
+    whole = size // rows
+    for i in range(0, whole, per):
+        yield i * rows, min(i + per, whole) * rows, rows
+    if whole * rows < size:
+        yield whole * rows, size, size - whole * rows
 
-    With j = a s + b and s = isqrt(rows), ``cos`` and ``sin`` run on the
-    2 sqrt(rows) rows of gap (a s step) and gap (b step) only; angle
-    addition fills the table, within a few eps of the direct values.
+
+class _Phases:
+    """cos and sin of gap (j step) for 0 <= j < ``count``.
+
+    With j = a s + b and s = isqrt(count), ``cos`` and ``sin`` run once
+    on the about 2 sqrt(count) rows of gap (a s step) and gap (b step);
+    ``rows`` fills any rows by angle addition, within a few eps of the
+    direct values and the same bits for any split.
     """
-    width = max(1, math.isqrt(rows))
-    coarse = np.multiply.outer(step * width * np.arange(-(-rows // width)), gap)
-    fine = np.multiply.outer(step * np.arange(width), gap)
-    cos_c, sin_c, cos_f, sin_f = np.cos(coarse), np.sin(coarse), np.cos(fine), np.sin(fine)
-    cos = np.empty((coarse.shape[0], width, gap.size))
-    sin = np.empty_like(cos)
-    scratch = np.empty_like(fine)
-    for a in range(coarse.shape[0]):  # row by row: no (rows x modes) temporary
-        np.multiply(cos_c[a], cos_f, out=cos[a])
-        cos[a] -= np.multiply(sin_c[a], sin_f, out=scratch)
-        np.multiply(sin_c[a], cos_f, out=sin[a])
-        sin[a] += np.multiply(cos_c[a], sin_f, out=scratch)
-    shape = (cos.shape[0] * width, gap.size)
-    return cos.reshape(shape)[:rows], sin.reshape(shape)[:rows]
+
+    def __init__(self, step: float, count: int, gap: np.ndarray):
+        self.width = max(1, math.isqrt(count))
+        coarse = np.multiply.outer(step * self.width * np.arange(-(-count // self.width)), gap)
+        fine = np.multiply.outer(step * np.arange(self.width), gap)
+        self.cos_c, self.sin_c = np.cos(coarse), np.sin(coarse)
+        self.cos_f, self.sin_f = np.cos(fine), np.sin(fine)
+
+    def rows(self, j0: int, j1: int):
+        """cos and sin of rows [j0, j1), as ((j1 - j0) x modes) arrays."""
+        cos, sin = np.empty((2, j1 - j0, self.cos_f.shape[1]))
+        scratch = np.empty((min(j1 - j0, self.width), self.cos_f.shape[1]))
+        for a in range(j0 // self.width, -(-j1 // self.width)):  # no (rows x modes) temporary
+            j = a * self.width  # rows j + b, b in [b0, b1)
+            b0, b1 = max(j0 - j, 0), min(j1 - j, self.width)
+            c, s, w = cos[j + b0 - j0 : j + b1 - j0], sin[j + b0 - j0 : j + b1 - j0], scratch[: b1 - b0]
+            np.multiply(self.cos_c[a], self.cos_f[b0:b1], out=c)
+            c -= np.multiply(self.sin_c[a], self.sin_f[b0:b1], out=w)
+            np.multiply(self.sin_c[a], self.cos_f[b0:b1], out=s)
+            s += np.multiply(self.cos_c[a], self.sin_f[b0:b1], out=w)
+        return cos, sin
 
 
 def _harmonics(cos: np.ndarray, sin: np.ndarray, counts) -> np.ndarray:
@@ -266,89 +288,119 @@ def _harmonics(cos: np.ndarray, sin: np.ndarray, counts) -> np.ndarray:
     return out
 
 
-def _series_groups(amplitude, cos2, gap, harmonics, max_terms):
-    """The series modes (``harmonics`` >= 1) in groups of at most
-    ``max_terms`` terms, a mode's harmonics never split.
-
-    A group is (gap, counts, echo, phase): its modes by descending
-    harmonic count, ``counts[m - 1]`` of them taking harmonic m, and one
-    coefficient per term in the layout of ``_harmonics``: those of the
-    series in ``loschmidt_echo`` for weight 2 (modes k and 2 pi - k),
-    with the argument's -phi where c < 0 left out.
-    """
+def _term_groups(harmonics: np.ndarray, max_terms: int) -> list:
+    """Indices of the modes with ``harmonics`` >= 1, by descending harmonic
+    count, in groups of at most ``max_terms`` terms; a mode's harmonics
+    are never split."""
     order = np.argsort(-harmonics, kind="stable")
     order = order[harmonics[order] > 0]
-    rho = amplitude / (1.0 + np.sqrt(1.0 - amplitude)) ** 2
-    sign = np.where(cos2 >= 0.5, -2.0, 2.0)
     ends = np.cumsum(harmonics[order])
-    groups = []
-    lo = 0
+    groups, lo = [], 0
     while lo < order.size:  # the most modes from lo on whose terms fit in max_terms
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - harmonics[order[lo]] + max_terms, "right")))
-        cols = order[lo:hi]
-        counts = tuple(int(np.count_nonzero(harmonics[cols] >= m))
-                       for m in range(1, int(harmonics[cols[0]]) + 1))
-        terms = [(m, cols[:count]) for m, count in enumerate(counts, 1)]
-        coef = np.concatenate([(-1.0) ** (m + 1) * rho[c] ** m / m for m, c in terms])
-        sign_t = np.concatenate([sign[c] for _, c in terms])
-        groups.append((gap[cols], counts, 4.0 * coef, -1j * sign_t * coef))
+        groups.append(order[lo:hi])
         lo = hi
     return groups
+
+
+class _SeriesModes:
+    """A group of the modes whose log factors (and arguments)
+    ``loschmidt_echo`` sums as harmonic series: ``cols``, by descending
+    harmonic count.
+
+    ``counts[m - 1]`` of the modes take harmonic m, with one coefficient
+    per term in the layout of ``_harmonics``: those of the series in
+    ``loschmidt_echo`` for weight 2 (modes k and 2 pi - k), with the
+    argument's -phi where c < 0 left out.
+    """
+
+    def __init__(self, amplitude, cos2, gap, harmonics, cols, step, rows, layers):
+        self.gap, self.rows, self.offsets = gap[cols], rows, _Phases(step, rows, gap[cols])
+        self.counts = tuple(int(np.count_nonzero(harmonics[cols] >= m))
+                            for m in range(1, int(harmonics[cols[0]]) + 1))
+        rho = amplitude[cols] / (1.0 + np.sqrt(1.0 - amplitude[cols])) ** 2
+        sign = np.where(cos2[cols] >= 0.5, -2.0, 2.0)
+        coef = np.concatenate([(-1.0) ** (m + 1) * rho[:count] ** m / m
+                               for m, count in enumerate(self.counts, 1)])
+        sign = np.concatenate([sign[:count] for count in self.counts])
+        self.coefs = np.array([4.0 * coef, -1j * sign * coef][:layers])
+        # runs of `per` blocks: their start terms and sums within _CHUNK_BYTES / 8
+        self.per = max(1, _CHUNK_BYTES // (128 * (4 * coef.size + rows)))
+
+    def run(self, times, outs, j0: int, j1: int) -> None:
+        """Add the sums of rows [j0, j1) of every block to ``outs`` (ln le,
+        and the argument when the coefficients hold its row); each sum is
+        one dot product, the same for any split."""
+        # exp(i m gap tau_j) of the rows, as (cos, sin) pairs
+        table = _harmonics(*self.offsets.rows(j0, j1), self.counts).view(float)
+        for lo, hi, width in _runs(times.size, self.rows, self.per):
+            if j0 >= min(j1, width):
+                continue
+            start = np.multiply.outer(times[lo:hi:width], self.gap)  # block starts
+            terms = np.multiply(_harmonics(np.cos(start), np.sin(start), self.counts), self.coefs[:, None])
+            np.conjugate(terms, out=terms)
+            sums = np.einsum("aik,jk->aij", terms.view(float), table[: min(j1, width) - j0], optimize=False)
+            for out, part in zip(outs, sums):
+                out[lo:hi].reshape(-1, width)[:, j0 : j0 + part.shape[1]] += part
 
 
 class _DirectModes:
     """The modes whose factors ``loschmidt_echo`` takes per element.
 
     ``unit`` columns take the half-angle factor and ``full`` columns the
-    full-angle one.  On a uniform grid time runs in blocks of ``rows``
-    rows with one (``rows`` x modes) offset table; otherwise in chunks
-    of ``rows`` rows.
+    full-angle one.  Time runs in blocks of ``rows`` rows, on a uniform
+    grid with one (``rows`` x modes) offset table of the full-angle
+    modes.  Each numpy call takes a slab of up to ``_SLAB_ELEMENTS``
+    elements per buffer: some of a piece's rows of one block, or its rows
+    of several blocks when a whole block holds fewer elements.
     """
 
-    def __init__(self, amplitude, cos2, gap, unit, full, n, step, size):
-        self.n, self.ends_full = n, full.size > 0 and full[0] == 0
+    def __init__(self, amplitude, cos2, gap, unit, full, n, step, rows):
+        self.n, self.rows, self.ends_full = n, rows, full.size > 0 and full[0] == 0
         self.amp_u, self.cos2_u, self.half_gap_u = amplitude[unit], cos2[unit], 0.5 * gap[unit]
         self.q, self.cos2_f, self.gap_f = 0.5 * amplitude[full], cos2[full], gap[full]
         self.p, self.sin2_f = 1.0 - self.q, 1.0 - self.cos2_f
         cols = max(1, unit.size + full.size)
-        if step is None:
-            self.rows = max(1, _CHUNK_BYTES // (8 * cols))
-        else:
-            # about sqrt(T) rows, but at least _PIECE_ELEMENTS elements; the
-            # two offset tables and the pieces' two buffers hold at most
-            # 1.5 _CHUNK_BYTES, and a series table 0.5 _CHUNK_BYTES
-            rows = max(math.isqrt(size), _PIECE_ELEMENTS // cols)
-            self.rows = max(1, min(rows, 3 * _CHUNK_BYTES // (64 * cols)))
-            self.cos_off, self.sin_off = _offset_phases(step, self.rows, self.gap_f)
+        self.strip = max(1, _SLAB_ELEMENTS // cols)  # rows of one block in a slab
+        self.per = max(1, _SLAB_ELEMENTS // (rows * cols))  # blocks in a slab
+        if full.size:  # only on a uniform grid
+            self.cos_off, self.sin_off = _Phases(step, rows, self.gap_f).rows(0, rows)
 
-    def run(self, times, log_le, arg, first: int, stop: int, size: int) -> None:
-        """Add the sums of blocks (or chunks) [first, stop) to ``log_le``
-        and, unless it is None, ``arg``, ``size`` rows at a time; each
-        element and row sum takes the same operations for any split."""
-        layers = 3 if arg is not None else 2
-        work_u = np.empty((layers, size, self.amp_u.size))
-        work_f = np.empty((layers, size, self.q.size))
+    def run(self, times, log_le, arg, j0: int, j1: int) -> None:
+        """Add the sums of rows [j0, j1) of every block to ``log_le`` and,
+        unless it is None, ``arg``; each element and row sum takes the
+        same operations for any split."""
+        strip, layers = min(self.strip, j1 - j0), 3 if arg is not None else 2
+        work_u = np.empty((layers, self.per * strip * self.amp_u.size))
+        work_f = np.empty((layers, self.per * strip * self.q.size))
         with np.errstate(divide="ignore"):
-            for lo in range(first * self.rows, min(stop * self.rows, times.size), self.rows):
-                hi = min(lo + self.rows, times.size)
-                if self.q.size:  # the block's start row, scaled once
-                    phase = self.gap_f * times[lo]
+            for lo, hi, width in _runs(times.size, self.rows, self.per):
+                blocks = -(-(hi - lo) // width)
+                if self.q.size:  # the blocks' start rows, scaled once
+                    phase = np.multiply.outer(times[lo:hi:width], self.gap_f)
                     sin_i, cos_i = np.sin(phase), np.cos(phase, out=phase)
                     start = self.q * cos_i, self.q * sin_i
                     if arg is not None:
                         start += self.sin2_f * cos_i, np.negative(self.sin2_f * sin_i)
-                for a in range(lo, hi, size):
-                    b = min(a + size, hi)
-                    arg_rows = None if arg is None else arg[a:b]
+                    start = [row[:, None] for row in start]
+                t = times[lo:hi].reshape(blocks, width)
+                out = log_le[lo:hi].reshape(blocks, width)
+                out_arg = None if arg is None else arg[lo:hi].reshape(blocks, width)
+                for a in range(j0, min(j1, width), strip):
+                    b = min(a + strip, j1, width)
+                    shape = (layers, blocks, b - a)
+                    arg_rows = None if arg is None else out_arg[:, a:b]
                     if self.amp_u.size:
-                        self._half_angle(times[a:b, None], log_le[a:b], arg_rows, work_u[:, : b - a])
+                        work = work_u[:, : blocks * (b - a) * self.amp_u.size].reshape(shape + (-1,))
+                        self._half_angle(t[:, a:b, None], out[:, a:b], arg_rows, work)
                     if self.q.size:
-                        self._full_angle(start, a - lo, b - lo, log_le[a:b], arg_rows, work_f[:, : b - a])
+                        work = work_f[:, : blocks * (b - a) * self.q.size].reshape(shape + (-1,))
+                        self._full_angle(start, a, b, out[:, a:b], arg_rows, work)
 
     def _sum(self, x, ends: bool) -> np.ndarray:
         """Row sums of columns that hold k = 0 and k = pi (``ends``) or only
         modes counted twice."""
-        return _paired_sum(x, self.n) if ends else 2.0 * np.sum(x, axis=1)
+        return _paired_sum(x, self.n) if ends else 2.0 * np.sum(x, axis=-1)
 
     def _half_angle(self, t, log_le, arg, work) -> None:
         s, f = work[0], work[1]
@@ -372,7 +424,7 @@ class _DirectModes:
             arg += self._sum(np.arctan2(c, f, out=c), not self.ends_full)
 
     def _full_angle(self, start, j0, j1, log_le, arg, work) -> None:
-        sin_j, cos_j = self.sin_off[j0:j1], self.cos_off[j0:j1]
+        cos_j, sin_j = self.cos_off[j0:j1], self.sin_off[j0:j1]
         f, g = work[0], work[1]
         np.multiply(cos_j, start[0], out=f)
         f -= np.multiply(sin_j, start[1], out=g)
@@ -419,38 +471,32 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
       2 rho^(K+1) / ((K + 1)(1 - rho)) <= eps / 4, the bound on the
       series tail after K terms; it takes the least such K.
 
-    On a uniform grid time runs in blocks, t = t_I + tau_j with t_I the
-    block's first time and tau_j = j * step, and nothing is carried from
-    block to block, so the rounding does not grow along the grid.  The
-    full-angle factor is (q cos phi_I) cos tau_j - (q sin phi_I) sin tau_j
-    + p, from one ``sin``/``cos`` row per block and one table of the
-    offsets; its blocks hold about sqrt(T) rows, at least
-    ``_PIECE_ELEMENTS`` elements, and the tables and buffers of the
-    per-element modes stay within 2 ``_CHUNK_BYTES``.  The series sums
-    over all (mode, harmonic) terms are real contractions,
-    Re sum conj(coef exp(i m gap t_I)) exp(i m gap tau_j) over blocks of
-    B = min(floor(sqrt(T)), ``_CHUNK_BYTES`` / (16 M)) rows for M modes,
-    with the harmonics of the block starts and of the offsets built from
-    their first harmonic (``_harmonics``).  The terms run in groups whose
-    offset table holds at most ``_CHUNK_BYTES`` / 2, each group in
-    contractions over fixed runs of blocks.  They run as ``np.einsum``
-    with ``optimize=False``, never through BLAS, whose results can
-    depend on its thread count.  Other grids run in chunks of
-    ``_CHUNK_BYTES`` per (times x modes) temporary.  ``le`` and ``rate``
-    are the same bits with or without ``include_la``.
+    Time runs in blocks of B rows, B = min(floor(sqrt(T)),
+    ``_CHUNK_BYTES`` / (16 M)) for M modes on a uniform grid and
+    ``_CHUNK_BYTES`` / (8 M) otherwise.  On a uniform grid t = t_I + tau_j
+    with t_I a block's first time and tau_j = j * step.  The full-angle
+    factor is (q cos phi_I) cos tau_j - (q sin phi_I) sin tau_j + p, and
+    the series sums over all (mode, harmonic) terms are the real
+    contractions Re sum conj(coef exp(i m gap t_I)) exp(i m gap tau_j),
+    in groups of terms whose offset table holds at most ``_CHUNK_BYTES``
+    / 2.  Each piece below takes ``cos`` and ``sin`` of gap t_I once per
+    block; those of gap tau_j come from about 2 sqrt(B) rows of ``cos``
+    and ``sin`` by angle addition (``_Phases``), and the harmonics from
+    the first one (``_harmonics``).  Nothing is carried from block to
+    block, so the rounding does not grow along the grid.  The contractions run as ``np.einsum`` with
+    ``optimize=False``, never through BLAS, whose results can depend on
+    its thread count.  ``le`` and ``rate`` are the same bits with or
+    without ``include_la``.
 
-    The work is split into one piece per CPU of the process's affinity
-    set, and the pieces run on threads (numpy releases the GIL); a grid
-    of one block runs in the calling thread.  A piece takes a contiguous
-    run of whole blocks (or chunks) of the per-element modes, computing
-    each block's start row once and its rows a 1/W share of a block at a
-    time for W pieces, and then a contiguous run of the series
-    contractions.  Every element, row sum and contraction takes the same
-    operations for any split, so the results are the same bits for any
-    number of CPUs.  Each share costs about 20 numpy calls, so there is
-    at most one thread per ``_PIECE_ROWS`` (8) rows and per
-    ``_PIECE_ELEMENTS`` (2^14) elements of a block of B rows, and a
-    cgroup CPU quota below the affinity set caps the count too
+    The rows of every block are split into one contiguous piece per CPU
+    of the process's affinity set, and the pieces run on threads (numpy
+    releases the GIL); a grid of one block runs in the calling thread.
+    Every element, row sum and dot product takes the same operations for
+    any split, so the results are the same bits for any number of CPUs.
+    Each piece computes every block's start rows and makes about 10 numpy
+    calls per block, so there is at most one thread per ``_PIECE_ROWS``
+    (8) rows and per ``_PIECE_ELEMENTS`` (2^14) elements of a block, and
+    a cgroup CPU quota below the affinity set caps the count too
     (``_worker_count``).  The measured costs of these choices are in
     docs/formats.md, under ``le``.
     """
@@ -481,6 +527,9 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     series = twice & (harmonics <= _SERIES_HARMONICS)
     full = np.flatnonzero(~unit & ~series)
     unit = np.flatnonzero(unit)
+    rows = max(1, _CHUNK_BYTES // (8 * gap.size))
+    if step is not None:
+        rows = max(1, min(math.isqrt(times.size), _CHUNK_BYTES // (16 * gap.size)))
     # ln le starts at the series constants 2 * 2 ln((1 + |c|) / 2)
     amp_s = amplitude[series]
     log_le = np.full(times.size, float(np.sum(4.0 * np.log1p(-amp_s / (2.0 + 2.0 * np.sqrt(1.0 - amp_s))))))
@@ -491,47 +540,24 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     if not math.isfinite(t_max * (float(gap_post.max()) + abs(lower_band))):
         raise DomainError(f"times up to {t_max:g} overflow the mode phases gap * t")
 
-    rows = max(1, _CHUNK_BYTES // (8 * gap.size))
-    if step is not None:
-        rows = max(1, min(math.isqrt(times.size), _CHUNK_BYTES // (16 * gap.size)))
     span = min(rows, times.size) or 1
     workers = 1
     if times.size > rows:
-        workers = max(1, min(_worker_count(), span // _PIECE_ROWS,
-                             span * gap.size // _PIECE_ELEMENTS))
+        workers = max(1, min(_worker_count(), span // _PIECE_ROWS, span * gap.size // _PIECE_ELEMENTS))
     pieces = [(span * i // workers, span * (i + 1) // workers) for i in range(workers)]
-    direct = _DirectModes(amplitude, cos2, gap, unit, full, n, step, times.size)
-    chunks = -(-times.size // direct.rows)
-    share = -(-min(direct.rows, times.size) // workers)
-    _run_pieces(lambda first, stop: direct.run(times, log_le, arg, chunks * first // span,
-                                               chunks * stop // span, share), pieces)
-    del direct  # its tables
-    blocks = -(-times.size // rows)
+    direct = _DirectModes(amplitude, cos2, gap, unit, full, n, step, rows)
     outs = [log_le] if arg is None else [log_le, arg]
-    for gap_s, counts, echo, phase in _series_groups(
-            amplitude[series], cos2[series], gap[series], harmonics[series],
-            max(_SERIES_HARMONICS, _CHUNK_BYTES // (32 * rows))):
-        # an offset table of up to _CHUNK_BYTES / 2, and contractions over
-        # `per` blocks whose start rows hold up to _CHUNK_BYTES / 16
-        table = _harmonics(*_offset_phases(step, rows, gap_s), counts).view(float)
-        per = max(1, _CHUNK_BYTES // (256 * echo.size))
-        count = -(-blocks // per)
-        coefs = np.array([echo] if arg is None else [echo, phase])
+    # the offset tables of each group's terms hold at most _CHUNK_BYTES / 2
+    groups = [_SeriesModes(amplitude[series], cos2[series], gap[series], harmonics[series], cols,
+                           step, rows, len(outs))
+              for cols in _term_groups(harmonics[series], max(_SERIES_HARMONICS, _CHUNK_BYTES // (32 * rows)))]
 
-        def run(first: int, stop: int) -> None:
-            # contractions [first, stop), the same for any split
-            for i in range(first * per, min(stop * per, blocks), per):
-                lo, hi = i * rows, min((i + per) * rows, times.size)
-                start = np.multiply.outer(times[lo:hi:rows], gap_s)  # block starts
-                z = _harmonics(np.cos(start), np.sin(start), counts)
-                terms = np.multiply(z, coefs[:, None])
-                np.conjugate(terms, out=terms)
-                sums = np.einsum("aik,jk->aij", terms.view(float), table, optimize=False)
-                for out, part in zip(outs, sums):
-                    out[lo:hi] += part.ravel()[: hi - lo]
+    def run(j0: int, j1: int) -> None:
+        direct.run(times, log_le, arg, j0, j1)
+        for group in groups:
+            group.run(times, outs, j0, j1)
 
-        _run_pieces(run, [(count * first // span, count * stop // span) for first, stop in pieces])
-        del table, run  # before the next group's table
+    _run_pieces(run, pieces)
     le = np.exp(log_le)
     rate = np.where(np.isneginf(log_le), np.inf, -log_le / n)
     la = None

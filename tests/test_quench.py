@@ -305,7 +305,7 @@ class TestLoschmidtEcho:
     )
     def test_within_longdouble_bound(self, n, theta1, theta2, t_max, size, stride):
         # ln le within 2 eps * sum_k (|ln f_k| + 1 / f_k) of the long-double
-        # referee on every stride-th time (measured: at most 0.33 eps * scale,
+        # referee on every stride-th time (measured: at most 0.27 eps * scale,
         # and 0.47 for the kernel without the series and full-angle forms)
         spec = make_spec(theta1 * np.pi, theta2 * np.pi, n=n)
         times = np.linspace(0.0, t_max, size)
@@ -387,6 +387,29 @@ class TestLoschmidtEcho:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_kernel_buffers_stay_chunked_on_a_long_grid(self, monkeypatch):
+        # 3 modes take the series (13 terms) in blocks of 1000 rows; beyond
+        # its T-sized arrays the kernel's buffers stay within 2 chunks.
+        # Contraction outputs sized by the term count alone would hold
+        # every block at once here: 16 MB with the amplitude.
+        spec = make_spec(0.05, 0.0, n=9)
+        times = np.linspace(0.0, 1e5, 10**6)
+        run_pieces, growth = quench._run_pieces, []
+
+        def traced(run, pieces):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_pieces(run, pieces)
+            growth.append(tracemalloc.get_traced_memory()[1] - before)
+
+        monkeypatch.setattr(quench, "_run_pieces", traced)
+        tracemalloc.start()
+        try:
+            loschmidt_echo(spec, times)
+        finally:
+            tracemalloc.stop()
+        assert growth and max(growth) < 2 * quench._CHUNK_BYTES
 
     def test_rejects_overflowing_phases(self):
         with pytest.raises(DomainError):
@@ -504,7 +527,7 @@ class TestLoschmidtEcho:
 
     def test_echo_peak_memory_with_many_cpus(self, monkeypatch):
         # the per-thread start rows stay a small share of the chunk budget
-        # however many CPUs there are: 9.3 MiB with 7 threads, where one
+        # however many CPUs there are: 9.7 MiB with 7 threads, where one
         # thread per row of the 58-row blocks would peak at 14.5 MiB; the
         # limit is that of test_echo_peak_memory_is_chunked
         monkeypatch.setattr(quench, "_worker_count", lambda: 58)
