@@ -84,8 +84,8 @@ class LESeries:
     underflows.  An exact zero of a mode factor shows up as +inf.
     ``la`` is None when the series was computed without the complex
     amplitude; ``le`` and ``rate`` are the same either way, and skipping
-    ``la`` cuts the kernel's CPU time 2.6x at N = 9000 x 2001 times and
-    2.0x at N = 1000 x 86604 (one thread; see docs/formats.md, ``le``).
+    ``la`` cuts the kernel's CPU time 2.2x at N = 9000 x 2001 times and
+    1.9x at N = 1000 x 86604 (one thread; see docs/formats.md, ``le``).
     """
 
     times: np.ndarray
@@ -240,47 +240,36 @@ def _runs(size: int, rows: int, per: int):
 
 
 class _Phases:
-    """cos and sin of gap (j step) for 0 <= j < ``count``.
+    """exp(i gap j step) for 0 <= j < ``count``.
 
-    With j = a s + b and s = isqrt(count), ``cos`` and ``sin`` run once
-    on the about 2 sqrt(count) rows of gap (a s step) and gap (b step);
-    ``rows`` fills any rows by angle addition, within a few eps of the
-    direct values and the same bits for any split.
+    With j = a s + b and s = isqrt(count), ``exp`` runs once on the about
+    2 sqrt(count) rows of gap (a s step) and gap (b step); ``rows``
+    multiplies them out, within a few eps of the direct values and the
+    same bits for any split.
     """
 
     def __init__(self, step: float, count: int, gap: np.ndarray):
         self.width = max(1, math.isqrt(count))
-        coarse = np.multiply.outer(step * self.width * np.arange(-(-count // self.width)), gap)
-        fine = np.multiply.outer(step * np.arange(self.width), gap)
-        self.cos_c, self.sin_c = np.cos(coarse), np.sin(coarse)
-        self.cos_f, self.sin_f = np.cos(fine), np.sin(fine)
+        self.coarse = np.exp(1j * np.multiply.outer(step * self.width * np.arange(-(-count // self.width)), gap))
+        self.fine = np.exp(1j * np.multiply.outer(step * np.arange(self.width), gap))
 
-    def rows(self, j0: int, j1: int):
-        """cos and sin of rows [j0, j1), as ((j1 - j0) x modes) arrays."""
-        cos, sin = np.empty((2, j1 - j0, self.cos_f.shape[1]))
-        scratch = np.empty((min(j1 - j0, self.width), self.cos_f.shape[1]))
-        for a in range(j0 // self.width, -(-j1 // self.width)):  # no (rows x modes) temporary
+    def rows(self, j0: int, j1: int) -> np.ndarray:
+        """Rows [j0, j1), as a ((j1 - j0) x modes) array."""
+        out = np.empty((j1 - j0, self.fine.shape[1]), dtype=complex)
+        for a in range(j0 // self.width, -(-j1 // self.width)):
             j = a * self.width  # rows j + b, b in [b0, b1)
             b0, b1 = max(j0 - j, 0), min(j1 - j, self.width)
-            c, s, w = cos[j + b0 - j0 : j + b1 - j0], sin[j + b0 - j0 : j + b1 - j0], scratch[: b1 - b0]
-            np.multiply(self.cos_c[a], self.cos_f[b0:b1], out=c)
-            c -= np.multiply(self.sin_c[a], self.sin_f[b0:b1], out=w)
-            np.multiply(self.sin_c[a], self.cos_f[b0:b1], out=s)
-            s += np.multiply(self.cos_c[a], self.sin_f[b0:b1], out=w)
-        return cos, sin
+            np.multiply(self.coarse[a], self.fine[b0:b1], out=out[j + b0 - j0 : j + b1 - j0])
+        return out
 
 
-def _harmonics(cos: np.ndarray, sin: np.ndarray, counts) -> np.ndarray:
-    """exp(i m x) from the cos and sin of the columns x: harmonic m = 1, 2,
-    ... for the first ``counts[m - 1]`` columns, concatenated along the last
-    axis.
-
-    Harmonic m >= 2 is harmonic m - 1 times harmonic 1, the angle addition
-    of the first harmonic's cos and sin.
+def _harmonics(first: np.ndarray, counts) -> np.ndarray:
+    """exp(i m x) from exp(i x) of the columns x: harmonic m = 1, 2, ...
+    for the first ``counts[m - 1]`` columns, concatenated along the last
+    axis.  Harmonic m >= 2 is harmonic m - 1 times harmonic 1.
     """
-    out = np.empty(cos.shape[:-1] + (sum(counts),), dtype=complex)
-    out[..., : counts[0]].real = cos
-    out[..., : counts[0]].imag = sin
+    out = np.empty(first.shape[:-1] + (sum(counts),), dtype=complex)
+    out[..., : counts[0]] = first
     lo = 0
     for prev, count in zip(counts, counts[1:]):
         np.multiply(out[..., lo : lo + count], out[..., :count], out=out[..., lo + prev : lo + prev + count])
@@ -332,12 +321,12 @@ class _SeriesModes:
         and the argument when the coefficients hold its row); each sum is
         one dot product, the same for any split."""
         # exp(i m gap tau_j) of the rows, as (cos, sin) pairs
-        table = _harmonics(*self.offsets.rows(j0, j1), self.counts).view(float)
+        table = _harmonics(self.offsets.rows(j0, j1), self.counts).view(float)
         for lo, hi, width in _runs(times.size, self.rows, self.per):
             if j0 >= min(j1, width):
                 continue
             start = np.multiply.outer(times[lo:hi:width], self.gap)  # block starts
-            terms = np.multiply(_harmonics(np.cos(start), np.sin(start), self.counts), self.coefs[:, None])
+            terms = np.multiply(_harmonics(np.exp(1j * start), self.counts), self.coefs[:, None])
             np.conjugate(terms, out=terms)
             sums = np.einsum("aik,jk->aij", terms.view(float), table[: min(j1, width) - j0], optimize=False)
             for out, part in zip(outs, sums):
@@ -358,31 +347,30 @@ class _DirectModes:
     def __init__(self, amplitude, cos2, gap, unit, full, n, step, rows):
         self.n, self.rows, self.ends_full = n, rows, full.size > 0 and full[0] == 0
         self.amp_u, self.cos2_u, self.half_gap_u = amplitude[unit], cos2[unit], 0.5 * gap[unit]
-        self.q, self.cos2_f, self.gap_f = 0.5 * amplitude[full], cos2[full], gap[full]
-        self.p, self.sin2_f = 1.0 - self.q, 1.0 - self.cos2_f
+        self.q, self.gap_f = 0.5 * amplitude[full], gap[full]
+        self.p, self.r = 1.0 - self.q, 2.0 * cos2[full] ** 2
         cols = max(1, unit.size + full.size)
         self.strip = max(1, _SLAB_ELEMENTS // cols)  # rows of one block in a slab
         self.per = max(1, _SLAB_ELEMENTS // (rows * cols))  # blocks in a slab
-        if full.size:  # only on a uniform grid
-            self.cos_off, self.sin_off = _Phases(step, rows, self.gap_f).rows(0, rows)
+        if full.size:  # only on a uniform grid: exp(-i gap tau_j)
+            self.offsets = _Phases(step, rows, self.gap_f).rows(0, rows)
+            np.conjugate(self.offsets, out=self.offsets)
 
     def run(self, times, log_le, arg, j0: int, j1: int) -> None:
         """Add the sums of rows [j0, j1) of every block to ``log_le`` and,
         unless it is None, ``arg``; each element and row sum takes the
         same operations for any split."""
-        strip, layers = min(self.strip, j1 - j0), 3 if arg is not None else 2
+        # at most half of the piece's rows per call: the buffers of all
+        # pieces hold at most half a block however many there are
+        strip, layers = min(self.strip, max(1, (j1 - j0) // 2)), 3 if arg is not None else 2
         work_u = np.empty((layers, self.per * strip * self.amp_u.size))
-        work_f = np.empty((layers, self.per * strip * self.q.size))
+        work_f = np.empty(3 * self.per * strip * self.q.size)  # a complex and a float buffer
         with np.errstate(divide="ignore"):
             for lo, hi, width in _runs(times.size, self.rows, self.per):
                 blocks = -(-(hi - lo) // width)
-                if self.q.size:  # the blocks' start rows, scaled once
-                    phase = np.multiply.outer(times[lo:hi:width], self.gap_f)
-                    sin_i, cos_i = np.sin(phase), np.cos(phase, out=phase)
-                    start = self.q * cos_i, self.q * sin_i
-                    if arg is not None:
-                        start += self.sin2_f * cos_i, np.negative(self.sin2_f * sin_i)
-                    start = [row[:, None] for row in start]
+                if self.q.size:  # the blocks' start rows q exp(-i phi_I)
+                    start = np.exp(-1j * np.multiply.outer(times[lo:hi:width], self.gap_f))
+                    start = np.multiply(start, self.q, out=start)[:, None]
                 t = times[lo:hi].reshape(blocks, width)
                 out = log_le[lo:hi].reshape(blocks, width)
                 out_arg = None if arg is None else arg[lo:hi].reshape(blocks, width)
@@ -394,8 +382,10 @@ class _DirectModes:
                         work = work_u[:, : blocks * (b - a) * self.amp_u.size].reshape(shape + (-1,))
                         self._half_angle(t[:, a:b, None], out[:, a:b], arg_rows, work)
                     if self.q.size:
-                        work = work_f[:, : blocks * (b - a) * self.q.size].reshape(shape + (-1,))
-                        self._full_angle(start, a, b, out[:, a:b], arg_rows, work)
+                        size = blocks * (b - a) * self.q.size
+                        z = work_f[: 2 * size].view(complex).reshape(shape[1:] + (-1,))
+                        f = work_f[2 * size : 3 * size].reshape(z.shape)
+                        self._full_angle(start, a, b, out[:, a:b], arg_rows, z, f)
 
     def _sum(self, x, ends: bool) -> np.ndarray:
         """Row sums of columns that hold k = 0 and k = pi (``ends``) or only
@@ -423,21 +413,15 @@ class _DirectModes:
             f += self.cos2_u  # cos^2(eta) + sin^2(eta) (1 - 2 s^2)
             arg += self._sum(np.arctan2(c, f, out=c), not self.ends_full)
 
-    def _full_angle(self, start, j0, j1, log_le, arg, work) -> None:
-        cos_j, sin_j = self.cos_off[j0:j1], self.sin_off[j0:j1]
-        f, g = work[0], work[1]
-        np.multiply(cos_j, start[0], out=f)
-        f -= np.multiply(sin_j, start[1], out=g)
-        f += self.p  # p + q cos(phi_I + tau_j)
+    def _full_angle(self, start, j0, j1, log_le, arg, z, f) -> None:
+        np.multiply(self.offsets[j0:j1], start, out=z)  # q exp(-i phi), phi = phi_I + tau_j
+        np.add(z.real, self.p, out=f)  # p + q cos(phi)
         log_le += self._sum(np.log(f, out=f), self.ends_full)
         if arg is not None:
-            x = work[2]
-            np.multiply(cos_j, start[2], out=x)
-            x += np.multiply(sin_j, start[3], out=g)
-            x += self.cos2_f  # cos^2(eta) + sin^2(eta) cos(phi)
-            np.multiply(cos_j, start[3], out=f)
-            f -= np.multiply(sin_j, start[2], out=g)  # -sin^2(eta) sin(phi)
-            arg += self._sum(np.arctan2(f, x, out=f), self.ends_full)
+            # the argument of cos^2(eta) + sin^2(eta) exp(-i phi), both parts
+            # times 2 cos^2(eta) > 0 (q = 2 sin^2(eta) cos^2(eta))
+            np.add(z.real, self.r, out=f)
+            arg += self._sum(np.arctan2(z.imag, f, out=f), self.ends_full)
 
 
 def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries:
@@ -459,9 +443,10 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
       grid those with 1 - A <= ``_NEAR_UNIT``, and k = 0 and k = pi
       (counted once) when either is one.  A factor is exactly 0 only for
       A = 1 where s^2 rounds to 1, which gives ``rate = +inf``.
-    * Full angle: p + q cos phi and argument
-      atan2(-sin^2 eta sin phi, cos^2 eta + sin^2 eta cos phi), with
-      sin phi and cos phi by angle addition (below).
+    * Full angle: p + Re z with z = q exp(-i phi), and argument
+      atan2(Im z, 2 cos^4 eta + Re z), the parts of
+      cos^2 eta + sin^2 eta exp(-i phi) times 2 cos^2 eta = q / sin^2 eta;
+      z is one complex product per element (below).
     * Series: with c = cos 2 eta and rho = A / (1 + |c|)^2 (tan^2 eta or
       cot^2 eta, below 1), ln(p + q cos phi) =
       2 ln((1 + |c|) / 2) + 2 sum_m (-1)^(m+1) rho^m cos(m phi) / m, and
@@ -475,17 +460,16 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     ``_CHUNK_BYTES`` / (16 M)) for M modes on a uniform grid and
     ``_CHUNK_BYTES`` / (8 M) otherwise.  On a uniform grid t = t_I + tau_j
     with t_I a block's first time and tau_j = j * step.  The full-angle
-    factor is (q cos phi_I) cos tau_j - (q sin phi_I) sin tau_j + p, and
-    the series sums over all (mode, harmonic) terms are the real
-    contractions Re sum conj(coef exp(i m gap t_I)) exp(i m gap tau_j),
-    in groups of terms whose offset table holds at most ``_CHUNK_BYTES``
-    / 2.  Each piece below takes ``cos`` and ``sin`` of gap t_I once per
-    block; those of gap tau_j come from about 2 sqrt(B) rows of ``cos``
-    and ``sin`` by angle addition (``_Phases``), and the harmonics from
-    the first one (``_harmonics``).  Nothing is carried from block to
-    block, so the rounding does not grow along the grid.  The contractions run as ``np.einsum`` with
-    ``optimize=False``, never through BLAS, whose results can depend on
-    its thread count.  ``le`` and ``rate`` are the same bits with or
+    z is (q exp(-i gap t_I)) exp(-i gap tau_j), and the series sums over
+    all (mode, harmonic) terms are the real contractions
+    Re sum conj(coef exp(i m gap t_I)) exp(i m gap tau_j), in groups of
+    terms whose offset table holds at most ``_CHUNK_BYTES`` / 2.  Each
+    piece below takes ``exp`` of i gap t_I once per block; exp(i gap tau_j)
+    comes from about 2 sqrt(B) rows of ``exp`` (``_Phases``), and the
+    harmonics from the first one (``_harmonics``).  Nothing is carried
+    from block to block, so the rounding does not grow along the grid.
+    The contractions run as ``np.einsum`` with ``optimize=False``, never
+    through BLAS, whose results can depend on its thread count.  ``le`` and ``rate`` are the same bits with or
     without ``include_la``.
 
     The rows of every block are split into one contiguous piece per CPU

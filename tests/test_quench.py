@@ -305,7 +305,7 @@ class TestLoschmidtEcho:
     )
     def test_within_longdouble_bound(self, n, theta1, theta2, t_max, size, stride):
         # ln le within 2 eps * sum_k (|ln f_k| + 1 / f_k) of the long-double
-        # referee on every stride-th time (measured: at most 0.27 eps * scale,
+        # referee on every stride-th time (measured: at most 0.23 eps * scale,
         # and 0.47 for the kernel without the series and full-angle forms)
         spec = make_spec(theta1 * np.pi, theta2 * np.pi, n=n)
         times = np.linspace(0.0, t_max, size)
@@ -527,7 +527,7 @@ class TestLoschmidtEcho:
 
     def test_echo_peak_memory_with_many_cpus(self, monkeypatch):
         # the per-thread start rows stay a small share of the chunk budget
-        # however many CPUs there are: 9.7 MiB with 7 threads, where one
+        # however many CPUs there are: 8.6 MiB with 7 threads, where one
         # thread per row of the 58-row blocks would peak at 14.5 MiB; the
         # limit is that of test_echo_peak_memory_is_chunked
         monkeypatch.setattr(quench, "_worker_count", lambda: 58)
@@ -652,7 +652,7 @@ class TestDeterminantOracle:
         # a small quench: every interior mode takes the harmonic series
         spec = make_spec(0.3, 0.25, n=256)
         _, amplitude, _, _, _, _ = mode_arrays(spec)
-        assert amplitude.max() < 1e-2  # rho < 0.003: at most 6 harmonics
+        assert amplitude.max() < 1e-2  # rho < 0.002: at most 5 harmonics
         times = np.linspace(0.0, 40.0, 401)
         series = loschmidt_echo(spec, times)
         pick = np.array([7, 123, 250, 399])
