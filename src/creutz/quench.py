@@ -445,8 +445,8 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
       A = 1 where s^2 rounds to 1, which gives ``rate = +inf``.
     * Full angle: p + Re z with z = q exp(-i phi), and argument
       atan2(Im z, 2 cos^4 eta + Re z), the parts of
-      cos^2 eta + sin^2 eta exp(-i phi) times 2 cos^2 eta = q / sin^2 eta;
-      z is one complex product per element (below).
+      cos^2 eta + sin^2 eta exp(-i phi) times 2 cos^2 eta > 0; z is one
+      complex product per element (below).
     * Series: with c = cos 2 eta and rho = A / (1 + |c|)^2 (tan^2 eta or
       cot^2 eta, below 1), ln(p + q cos phi) =
       2 ln((1 + |c|) / 2) + 2 sum_m (-1)^(m+1) rho^m cos(m phi) / m, and
