@@ -32,8 +32,8 @@ from .serialize import write_table
 # the echo series triples them.
 MAX_TIME_POINTS = 10**8
 # Most rows a mode or theta2 table may have (n_rungs, and n_theta2 for
-# scan): a spectrum of 10^6 rungs peaks at about 340 MB, a scan of 10^6
-# angles at about 460 MB, and both grow linearly.
+# scan): a spectrum of 10^6 rungs peaks at about 100 MB, a scan of 10^6
+# angles at about 160 MB, and both grow linearly.
 MAX_TABLE_ROWS = 10**7
 
 # key -> (parser, default).  ``j`` is not a key of its own: it parses as a
@@ -179,12 +179,19 @@ def _base_metadata(cfg: RunConfig, angle_keys: tuple[str, ...]) -> dict[str, Any
     return meta
 
 
+_SPECTRUM_COLUMNS = ["k", "eps_q", "eps_p", "eps_qp", "gamma", "e_alpha", "e_beta", "gap"]
+_SPECTRUM_BLOCK_MODES = 8192  # modes per mode_data call, which peaks at 80 bytes a mode
+
+
 def _cmd_spectrum(cfg: RunConfig):
     params = cfg.params
-    m = mode_data(params, allowed_modes(params.n_rungs))
-    columns = ["k", "eps_q", "eps_p", "eps_qp", "gamma", "e_alpha", "e_beta", "gap"]
-    rows = np.column_stack([getattr(m, name) for name in columns])
-    return _base_metadata(cfg, ("theta",)), columns, rows
+    k = allowed_modes(params.n_rungs)
+    rows = np.empty((k.size, len(_SPECTRUM_COLUMNS)))
+    for lo in range(0, k.size, _SPECTRUM_BLOCK_MODES):
+        m = mode_data(params, k[lo : lo + _SPECTRUM_BLOCK_MODES])
+        for j, name in enumerate(_SPECTRUM_COLUMNS):
+            rows[lo : lo + _SPECTRUM_BLOCK_MODES, j] = getattr(m, name)
+    return _base_metadata(cfg, ("theta",)), _SPECTRUM_COLUMNS, rows
 
 
 def _cmd_le(cfg: RunConfig):
@@ -284,8 +291,7 @@ def _cmd_work(cfg: RunConfig):
     else:
         theta2 = np.array([cfg["theta2"]])
         meta = _base_metadata(cfg, ("theta1", "theta2"))
-    stats = thermo.scan_theta2(cfg.params, cfg["theta1"] * pi, theta2 * pi)
-    sums = np.array([[s.average_work, s.delta_f, s.irreversible_work] for s in stats])
+    sums = thermo._scan_sums(cfg.params, cfg["theta1"] * pi, theta2 * pi).T
     theta1 = np.full(theta2.size, cfg["theta1"])
     rows = np.column_stack([theta1, theta2, sums, sums / cfg.params.n_rungs])
     return meta, _WORK_COLUMNS, rows

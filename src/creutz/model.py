@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -196,6 +195,7 @@ def commensurate_base(params: LadderParams, q_max: int = 64, tol: float = 1e-9) 
             f"q_max = {q_max} is too large for tol = {tol}: q_max^2 * tol must be at most "
             "1e-3, or ever more irrational angles count as rational"
         )
+    from fractions import Fraction  # here, not at import: it and decimal cost every run 2 ms
     x = math.acos(params.j_v / (2.0 * params.j_h)) / math.pi
     # 0 < x < 1/2 since j_v > 0, so the fraction is at most 1/2
     frac = Fraction(x).limit_denominator(int(q_max))

@@ -14,14 +14,14 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from . import __version__
 
 ARTIFACT = "creutz"
-# ``render_csv`` formats a table a block of rows at a time: its
+# A CSV table is formatted and written a block of rows at a time: the
 # temporaries take about 230 bytes a value, so a block of
 # ``_CSV_BLOCK_ROWS // columns`` rows holds under 1 MiB of them.
 _CSV_BLOCK_ROWS = 4096
@@ -171,41 +171,34 @@ def _format_values(values: np.ndarray) -> np.ndarray:
     return text
 
 
-def render_csv(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarray) -> str:
-    """CSV text; each value as ``format_float`` writes it.
-
-    A block of rows at a time, numpy formats zero and the values printed
-    in fixed notation; non-finite values and those printed in exponent
-    form (|x| below 1e-4 or from 1e15 after rounding) take the ``%``
-    operator.  The block's texts and separators fill one NUL-padded byte
-    array, whose NULs are dropped at once.  The text grows in one numpy
-    buffer, resized in place and cut to its length before it is decoded:
-    a ``StringIO`` write or a list entry per block left the heap
-    fragmented, up to 11 MB more peak RSS for the N = 10**5 spectrum,
-    and a ``bytearray`` keeps up to 1/8 of its length spare.
-    """
+def _csv_blocks(metadata: dict, columns: Sequence[str], rows: np.ndarray) -> Iterator[bytes]:
+    """The CSV text as bytes: the metadata and header lines, then each block of rows."""
     lines = [f"# {ARTIFACT} v{__version__}"]
     lines += [f"# {key} = {_meta_str(value)}" for key, value in metadata.items()]
-    header = "\n".join([*lines, ",".join(columns), ""]).encode()
+    yield "\n".join([*lines, ",".join(columns), ""]).encode()
     rows = _as_rows(rows)
     n_rows, n_columns = rows.shape
     if not n_columns:  # rows without values
-        return (header + b"\n" * n_rows).decode()
-    text = np.frombuffer(header, np.uint8).copy()
-    used = text.size
+        yield b"\n" * n_rows
+        return
     step = max(1, _CSV_BLOCK_ROWS // n_columns)
     for lo in range(0, n_rows, step):
         block = rows[lo : lo + step]
         slots = _format_values(block.ravel()).reshape(block.shape[0], n_columns, _SLOT)
         slots[:, :, -1] = ord(",")
         slots[:, -1, -1] = ord("\n")
-        piece = slots[slots != 0]
-        if used + piece.size > text.size:  # no view of text is alive here
-            text.resize(max(used + piece.size, text.size + text.size // 8), refcheck=False)
-        text[used : used + piece.size] = piece
-        used += piece.size
-    text.resize(used, refcheck=False)
-    return str(text.data, "utf-8")
+        yield slots[slots != 0].tobytes()
+
+
+def render_csv(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarray) -> str:
+    """CSV text; each value as ``format_float`` writes it.
+
+    The join of the blocks that ``write_table`` streams as each is formatted.
+    In a block, numpy formats zero and the values printed in fixed notation,
+    the ``%`` operator the rest (non-finite, or |x| below 1e-4 or from 1e15
+    after rounding); the texts and separators fill one NUL-padded byte array.
+    """
+    return b"".join(_csv_blocks(metadata, columns, rows)).decode()
 
 
 def render_json(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarray) -> str:
@@ -226,18 +219,18 @@ def write_table(
     rows: np.ndarray,
     fmt: str = "csv",
 ) -> None:
-    """Write one result table to ``path`` (or stdout when path is '-')."""
+    """Write one result table to ``path`` (or stdout when path is '-'), CSV a block at a time."""
     if fmt == "csv":
-        text = render_csv(metadata, columns, rows)
+        blocks = _csv_blocks(metadata, columns, rows)
     elif fmt == "json":
-        text = render_json(metadata, columns, rows)
+        blocks = [render_json(metadata, columns, rows).encode()]
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(block.decode() for block in blocks)
     else:
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
+        with open(path, "wb") as handle:
+            handle.writelines(blocks)  # each block as soon as it is formatted
 
 
 def _parse_meta(value: str) -> Any:

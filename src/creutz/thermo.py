@@ -29,7 +29,7 @@ __all__ = [
 
 DISTRIBUTION_MAX_RUNGS = 16
 MERGE_TOL = 1e-9
-# Bytes of one float64 (theta2 x modes) temporary in ``scan_theta2``.
+# Bytes of one float64 (theta2 x modes) temporary in ``_scan_sums``.
 _CHUNK_BYTES = 256 << 10
 
 
@@ -68,7 +68,7 @@ def work_stats(spec: QuenchSpec) -> WorkStats:
     average_work = sum_k [ea_post cos^2(eta) + eb_post sin^2(eta) - ea_pre],
     delta_f = sum_k (ea_post - ea_pre) is the ground-state energy
     difference, and irreversible_work = sum_k sin^2(eta) gap_post, each
-    summand non-negative.  The one-angle case of ``scan_theta2``, which
+    summand non-negative.  The one-angle case of ``_scan_sums``, which
     evaluates these sums without angles (see there).
     """
     return scan_theta2(spec.params, spec.theta_pre, [spec.theta_post])[0]
@@ -118,10 +118,14 @@ def _merge(works: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return merged_w, merged_p
 
 
-def scan_theta2(
-    params: LadderParams, theta1: float, theta2_grid
-) -> list[WorkStats]:
-    """Work statistics for a sweep of post-quench angles at fixed theta1.
+def scan_theta2(params: LadderParams, theta1: float, theta2_grid) -> list[WorkStats]:
+    """Work statistics for a sweep of post-quench angles at fixed theta1 (see ``_scan_sums``)."""
+    sums = _scan_sums(params, theta1, theta2_grid)
+    return [WorkStats(a, f, w, params.n_rungs) for a, f, w in sums.T.tolist()]
+
+
+def _scan_sums(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
+    """average_work, delta_f and irreversible_work, a (3, len(theta2_grid)) array.
 
     One (theta2 x k) evaluation on the modes j = 0..N//2, paired modes
     k and 2 pi - k counting twice (``_paired_sum``).  With
@@ -170,7 +174,4 @@ def scan_theta2(
         irreversible = np.maximum(dh - lin, 0.0)
         np.divide(q2 * d * d, h1 * (h1 * h2 + cross), out=irreversible, where=cross > 0.0)
         chunk[2] = _paired_sum(irreversible, n)
-    return [
-        WorkStats(average_work=a, delta_f=f, irreversible_work=w, n_rungs=n)
-        for a, f, w in sums.T.tolist()
-    ]
+    return sums

@@ -7,6 +7,7 @@ import math
 import os
 import string
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from creutz import (
     loschmidt_echo,
     mode_data,
 )
-from creutz import __version__, cli, quench
+from creutz import __version__, cli, quench, thermo
 from creutz.cli import MAX_TABLE_ROWS, MAX_TIME_POINTS, main
 from creutz.serialize import format_float, read_table
 
@@ -61,6 +62,32 @@ class TestSpectrum:
                                  m.e_alpha, m.e_beta, m.gap])
         expected = [",".join(format_float(v) for v in row) for row in table]
         assert lines[header + 1:] == expected
+
+    def test_blocks_of_modes_give_one_call_bits(self, tmp_path):
+        # mode_data is elementwise: a table built a block of modes at a time
+        # holds the bits of one call over every mode
+        n = 2 * cli._SPECTRUM_BLOCK_MODES + 3
+        out = tmp_path / "spectrum.json"
+        assert run_cli("spectrum", "--set", f"n_rungs={n}", "--set", "theta=0.3",
+                       "--out", str(out), "--format", "json") == 0
+        m = mode_data(LadderParams(1.0, 1.0, 1.0, 0.3 * math.pi, n), allowed_modes(n))
+        table = np.column_stack([getattr(m, name) for name in cli._SPECTRUM_COLUMNS])
+        rows = np.array(json.loads(out.read_text())["rows"])
+        assert rows.tobytes() == table.tobytes()
+
+    def test_memory_is_the_rows_and_a_block(self, tmp_path):
+        # the table's float rows plus one block of modes and one of text; a
+        # run holding all mode_data columns and the whole text peaks at 59.7 MiB
+        n = 200_000
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run_cli("spectrum", "--set", f"n_rungs={n}",
+                           "--out", str(tmp_path / "s.csv")) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < n * len(cli._SPECTRUM_COLUMNS) * 8 + 4 * 2**20
 
     def test_headers_carry_package_version(self, tmp_path):
         csv_path, json_path = tmp_path / "o.csv", tmp_path / "o.json"
@@ -277,9 +304,31 @@ class TestConfigHandling:
         assert "configuration error" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_io_error_exit_code(self, tmp_path):
+    def test_io_error_exit_code(self, tmp_path, capsys):
         missing_dir = tmp_path / "no" / "such" / "dir" / "o.csv"
-        assert run_cli("spectrum", "--set", "n_rungs=4", "--out", str(missing_dir)) == 3
+        for fmt in ("csv", "json"):
+            assert run_cli("spectrum", "--set", "n_rungs=4", "--out", str(missing_dir),
+                           "--format", fmt) == 3
+            err = capsys.readouterr().err
+            assert "I/O error" in err and "Traceback" not in err
+        assert not missing_dir.parent.exists()
+
+    @pytest.mark.parametrize(
+        "code, argv",
+        [(1, ["spectrum", "--set", "n_rungs=1"]), (1, ["le", "--set", "n_points=1"]),
+         (1, ["scan", "--set", "bogus=1"]),
+         (2, ["scan", "--set", "theta2_min=1e308"]), (2, ["work", "--set", "j_v=-1"]),
+         (2, ["dqpt", "--set", "sensitivity=0"]),
+         # refused after the echo series is computed, before anything is written
+         (2, ["revival", "--set", "n_rungs=100", "--set", "margin=10",
+              "--set", "n_points=200"])],
+    )
+    def test_failed_run_leaves_no_output_file(self, tmp_path, capsys, code, argv):
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"out.{fmt}"
+            assert run_cli(*argv, "--out", str(out), "--format", fmt) == code
+            assert "Traceback" not in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestLeRevivalRoundTrip:
@@ -433,6 +482,20 @@ class TestWorkCommands:
         avg, delta_f, w_irr = rows[0, 2:5]
         assert w_irr == pytest.approx(avg - delta_f, abs=1e-10)
         assert w_irr >= 0.0
+
+    def test_scan_table_comes_from_one_array(self, tmp_path, monkeypatch):
+        # one WorkStats object per angle took 1.4 s of a 10^6-angle scan
+        def refuse(*args, **kwargs):
+            raise AssertionError("a WorkStats object was built")
+
+        monkeypatch.setattr(thermo, "WorkStats", refuse)
+        out = tmp_path / "scan.csv"
+        assert run_cli("scan", "--set", "n_rungs=10", "--set", "n_theta2=5",
+                       "--out", str(out)) == 0
+        _, _, rows = read_table(str(out))
+        sums = thermo._scan_sums(LadderParams(1.0, 1.0, 1.0, 0.0, 10), 0.0016 * math.pi,
+                                 np.linspace(-1.0, 1.0, 5) * math.pi)
+        np.testing.assert_allclose(rows[:, 2:5], sums.T, rtol=1e-14, atol=1e-300)
 
     def test_scan_grid_and_alias(self, tmp_path):
         direct, alias = tmp_path / "scan.csv", tmp_path / "alias.csv"

@@ -1,12 +1,19 @@
 """Table writers: the block CSV formatter and the JSON rows, against per-value forms."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from creutz import LadderParams, __version__, allowed_modes, mode_data
-from creutz.serialize import _CSV_BLOCK_ROWS, format_float, render_csv, render_json
+from creutz.serialize import (
+    _CSV_BLOCK_ROWS,
+    format_float,
+    render_csv,
+    render_json,
+    write_table,
+)
 
 # signed zero, non-finite values, the subnormal and overflow ends, and the
 # switch to exponent notation between 1e15 and 1e16
@@ -115,6 +122,37 @@ class TestRenderCsv:
     def test_single_row_from_flat_array(self):
         rows = np.array([1.5, -0.0, 1e16])
         assert_same_text(render_csv({}, list("xyz"), rows), reference_csv(list("xyz"), [rows]))
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize(
+        "columns, rows",
+        [(list("abc"), table(0)), (list("abc"), table(_CSV_BLOCK_ROWS - 1)),
+         (list("abc"), table(_CSV_BLOCK_ROWS + 1)), ([], np.empty((5, 0))),
+         (list("abcd"), np.array(SPECIAL).reshape(-1, 4))],
+        ids=["no rows", "block-1", "block+1", "no columns", "special"],
+    )
+    def test_file_and_stdout_are_render_csv(self, tmp_path, capsys, columns, rows):
+        meta = {"command": "test", "flag": True, "x": 0.1}
+        expected = render_csv(meta, columns, rows)
+        path = tmp_path / "t.csv"
+        write_table(str(path), meta, columns, rows)
+        assert_same_text(path.read_bytes().decode(), expected)
+        write_table("-", meta, columns, rows)
+        assert_same_text(capsys.readouterr().out, expected)
+
+    def test_memory_is_a_block_not_the_text(self, tmp_path):
+        # the 200000 x 8 table's text is 29 MB; holding it as a whole, and
+        # decoding and encoding it, peaks at 55.7 MiB
+        rows = np.random.default_rng(0).standard_normal((200_000, 8))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_table(str(tmp_path / "t.csv"), {}, list("abcdefgh"), rows)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestRenderJson:
