@@ -22,11 +22,9 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from . import dqpt, revival, thermo
 from .errors import ConfigError, CreutzError, DomainError
 from .model import LadderParams, allowed_modes, is_critical_flux, mode_data
-from .quench import QuenchSpec, loschmidt_echo
-from .serialize import write_table
+from .serialize import write_table  # the runners import quench, dqpt, revival and thermo
 
 # Most points a time grid may have: 10^8 float64 times are 800 MB before
 # the echo series triples them.
@@ -82,7 +80,9 @@ class RunConfig:
         )
 
     @property
-    def quench(self) -> QuenchSpec:
+    def quench(self):
+        from .quench import QuenchSpec
+
         return QuenchSpec(
             params=self.params,
             theta_pre=self.values["theta1"] * pi,
@@ -195,6 +195,8 @@ def _cmd_spectrum(cfg: RunConfig):
 
 
 def _cmd_le(cfg: RunConfig):
+    from .quench import loschmidt_echo
+
     times = _time_grid(cfg, default_t_max=100.0, default_dt=0.02)
     series = loschmidt_echo(cfg.quench, times, include_la=False)
     meta = _base_metadata(cfg, ("theta1", "theta2"))
@@ -204,6 +206,9 @@ def _cmd_le(cfg: RunConfig):
 
 
 def _cmd_revival(cfg: RunConfig):
+    from . import revival
+    from .quench import loschmidt_echo
+
     spec = cfg.quench
     prediction = revival.predict_revival(spec, q_max=cfg["q_max"], tol=cfg["tol"])
     times = _time_grid(cfg, default_t_max=2.0 * prediction.period, default_dt=0.02)
@@ -237,6 +242,9 @@ def _cmd_revival(cfg: RunConfig):
 
 
 def _cmd_dqpt(cfg: RunConfig):
+    from . import dqpt
+    from .quench import loschmidt_echo
+
     spec = cfg.quench
     times = _time_grid(cfg, default_t_max=10.0, default_dt=1e-3)
     gate = None  # decided before the kernel runs, so a bad q_max or tol fails fast
@@ -280,6 +288,8 @@ _WORK_COLUMNS = [
 
 def _cmd_work(cfg: RunConfig):
     """``work`` and ``scan``: one row per theta2, ``work`` having the one angle."""
+    from . import thermo
+
     if cfg.command == "scan":
         theta2 = np.linspace(cfg["theta2_min"], cfg["theta2_max"], cfg["n_theta2"])
         meta = _base_metadata(cfg, ("theta1",))

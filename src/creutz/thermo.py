@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quench
 from .errors import DomainError
 from .model import LadderParams, allowed_modes, canonical_angle, mode_data
 from .quench import QuenchSpec, _paired_sum, mode_arrays
@@ -29,7 +30,7 @@ __all__ = [
 
 DISTRIBUTION_MAX_RUNGS = 16
 MERGE_TOL = 1e-9
-# Bytes of one float64 (theta2 x modes) temporary in ``_scan_sums``.
+# Bytes of one float64 (theta2 x modes) buffer in ``_scan_sums``.
 _CHUNK_BYTES = 256 << 10
 
 
@@ -135,13 +136,18 @@ def _scan_sums(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
     dh = h2 - h1 and lin = cos gamma1 (a2 - a1) give
     average_work = sum (dc - lin), delta_f = sum (dc - dh) and
     irreversible_work = sum (dh - lin): no arctan2 or cosine of an
-    angle difference, one sqrt per element, in chunks of about
-    ``_CHUNK_BYTES`` per float64 temporary.  cos gamma1 comes from
+    angle difference, one sqrt per element.  cos gamma1 comes from
     ``mode_data`` (1 where h1 = 0).  Where q^2 + a1 a2 > 0 an irreversible
     term is q^2 (a2 - a1)^2 / (h1 (h1 h2 + q^2 + a1 a2)), which is
     non-negative and exactly 0 at a2 = a1, so theta2 = pi - theta1 costs no
     irreversible work; elsewhere it is max(dh - lin, 0).  At
     theta2 = theta1, every sum is exactly 0.
+
+    Chunks of theta2 rows go through six float64 buffers of about
+    ``_CHUNK_BYTES``, in one contiguous run of chunks per CPU on threads
+    (``quench._worker_count``, ``quench._run_pieces``); a grid of one chunk
+    runs in the calling thread.  Each row is an elementwise pass and its
+    own ``_paired_sum``, so the bits are the same for any number of CPUs.
     """
     n = params.n_rungs
     k = allowed_modes(n)[: n // 2 + 1]
@@ -158,20 +164,36 @@ def _scan_sums(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
     dcos = np.array([math.cos(t) - math.cos(theta1) for t in theta2])[:, None]
     sums = np.empty((3, len(theta2)))
     rows = max(1, _CHUNK_BYTES // (8 * k.size))
-    for lo in range(0, len(theta2), rows):
-        a2 = u * sin_theta2[lo : lo + rows]
-        h2 = np.sqrt(q2 + a2 * a2)
-        dh = h2 - h1
-        d = a2 - a1
-        lin = c1 * d
-        dc = v * dcos[lo : lo + rows]
-        chunk = sums[:, lo : lo + rows]
-        chunk[0] = _paired_sum(dc - lin, n)
-        chunk[1] = _paired_sum(dc - dh, n)
-        # max(dh - lin, 0), and where q^2 + a1 a2 > 0 (so h1 > 0) the same
-        # term without its cancellation
-        cross = q2 + a1 * a2
-        irreversible = np.maximum(dh - lin, 0.0)
-        np.divide(q2 * d * d, h1 * (h1 * h2 + cross), out=irreversible, where=cross > 0.0)
-        chunk[2] = _paired_sum(irreversible, n)
+
+    def run(lo: int, hi: int) -> None:
+        buffers = np.empty((6, rows, k.size))
+        mask = np.empty((rows, k.size), dtype=bool)
+        for r0 in range(lo, hi, rows):
+            r1 = min(r0 + rows, hi)
+            # a buffer is reused once its value is spent: a2 takes dh, h2 the
+            # denominator and then dc, cross the numerator q^2 d^2
+            a2, h2, d, cross, lin, x = buffers[:, : r1 - r0]
+            np.multiply(u, sin_theta2[r0:r1], out=a2)
+            np.sqrt(np.add(q2, np.multiply(a2, a2, out=h2), out=h2), out=h2)
+            np.subtract(a2, a1, out=d)
+            np.add(q2, np.multiply(a1, a2, out=cross), out=cross)
+            dh = np.subtract(h2, h1, out=a2)
+            np.multiply(c1, d, out=lin)
+            # max(dh - lin, 0), and where q^2 + a1 a2 > 0 (so h1 > 0) the same
+            # term without its cancellation
+            np.maximum(np.subtract(dh, lin, out=x), 0.0, out=x)
+            np.multiply(h1, np.add(np.multiply(h1, h2, out=h2), cross, out=h2), out=h2)
+            positive = np.greater(cross, 0.0, out=mask[: r1 - r0])
+            np.multiply(np.multiply(q2, d, out=cross), d, out=cross)
+            np.divide(cross, h2, out=x, where=positive)
+            sums[2, r0:r1] = _paired_sum(x, n)
+            dc = np.multiply(v, dcos[r0:r1], out=h2)
+            sums[0, r0:r1] = _paired_sum(np.subtract(dc, lin, out=x), n)
+            sums[1, r0:r1] = _paired_sum(np.subtract(dc, dh, out=x), n)
+
+    size = len(theta2)
+    chunks = -(-size // rows)
+    workers = max(1, min(quench._worker_count(), chunks))
+    ends = [min(size, chunks * i // workers * rows) for i in range(workers + 1)]
+    quench._run_pieces(run, list(zip(ends, ends[1:])))
     return sums

@@ -26,7 +26,8 @@ from creutz import (
 )
 from creutz import __version__, cli, quench, thermo
 from creutz.cli import MAX_TABLE_ROWS, MAX_TIME_POINTS, main
-from creutz.serialize import format_float, read_table
+from creutz.serialize import format_float
+from tables import read_table
 
 
 def run_cli(*args):

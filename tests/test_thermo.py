@@ -1,6 +1,8 @@
 """Work statistics: mode sums, the enumerated distribution, and sweeps."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,7 @@ from creutz import (
     work_distribution,
     work_stats,
 )
+from creutz import quench, thermo
 from creutz.quench import mode_arrays
 
 
@@ -339,3 +342,60 @@ class TestScan:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_scan_peak_memory_with_many_cpus(self, monkeypatch, workers):
+        # each worker holds its own buffers; 8 of them peak at 12.4 MiB
+        monkeypatch.setattr(quench, "_worker_count", lambda: workers)
+        self.test_scan_peak_memory_is_chunked()
+
+    def test_same_bits_for_any_worker_count(self, monkeypatch):
+        # each worker takes a contiguous run of whole chunks; with more
+        # workers than cores and a short switch interval, a row written
+        # twice or not at all would show
+        params = LadderParams(1.0, 1.0, 1.0, 0.0, 20000)
+        theta1 = 0.25 * math.pi
+        grids = [np.linspace(-1.0, 1.0, 401) * math.pi,  # 134 chunks of 3 rows
+                 np.array([-0.5, 0.1]) * math.pi,  # less than one chunk
+                 np.array([theta1])]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for grid in grids:
+                monkeypatch.setattr(quench, "_worker_count", lambda: 1)
+                ref = thermo._scan_sums(params, theta1, grid)
+                for workers in (2, 3, 5):
+                    monkeypatch.setattr(quench, "_worker_count", lambda: workers)
+                    assert np.array_equal(thermo._scan_sums(params, theta1, grid), ref)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.all(ref == 0.0)  # theta2 = theta1
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        # every work call is a grid of one angle
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(quench, "_worker_count", lambda: 4)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        params = LadderParams(1.0, 1.0, 1.0, 0.0, 20000)
+        assert np.all(np.isfinite(thermo._scan_sums(params, 0.25 * math.pi, [0.1, -0.5])))
+        assert work_stats(make_spec(0.25 * math.pi, 0.1, n=20000)).irreversible_work > 0.0
+
+    @pytest.mark.parametrize("in_main", [True, False])
+    def test_piece_failure_is_raised(self, monkeypatch, in_main):
+        # an error in any piece reaches the caller after every thread stopped
+        monkeypatch.setattr(quench, "_worker_count", lambda: 2)
+        paired_sum = thermo._paired_sum
+
+        def failing(x, n):
+            if (threading.current_thread() is threading.main_thread()) == in_main:
+                raise RuntimeError("injected")
+            return paired_sum(x, n)
+
+        monkeypatch.setattr(thermo, "_paired_sum", failing)
+        params = LadderParams(1.0, 1.0, 1.0, 0.0, 20000)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected"):
+            thermo._scan_sums(params, 0.25 * math.pi, np.linspace(-1.0, 1.0, 401) * math.pi)
+        assert threading.active_count() == before
