@@ -38,11 +38,6 @@ __all__ = [
 ORACLE_MAX_RUNGS = 512
 # Bytes of one float64 (times x modes) temporary in ``loschmidt_echo``.
 _CHUNK_BYTES = 4 << 20
-# ``loschmidt_echo`` starts at most one thread per this many rows and per
-# this many (rows x modes) elements of a block: each thread computes every
-# block's start rows and makes about 10 numpy calls per block.
-_PIECE_ROWS = 8
-_PIECE_ELEMENTS = 1 << 14
 # Most elements of one buffer of the per-element path (512 KiB): large
 # enough that threads seldom wait for each other between numpy calls.
 _SLAB_ELEMENTS = 1 << 16
@@ -84,8 +79,8 @@ class LESeries:
     underflows.  An exact zero of a mode factor shows up as +inf.
     ``la`` is None when the series was computed without the complex
     amplitude; ``le`` and ``rate`` are the same either way, and skipping
-    ``la`` cuts the kernel's CPU time 2.2x at N = 9000 x 2001 times and
-    1.9x at N = 1000 x 86604 (one thread; see docs/formats.md, ``le``).
+    ``la`` cuts the kernel's CPU time 2.3x at N = 9000 x 2001 times and
+    1.9x at N = 1000 x 86604 (one thread; docs/formats.md, ``le``).
     """
 
     times: np.ndarray
@@ -228,6 +223,15 @@ def _run_pieces(run, pieces) -> None:
         raise errors[0]
 
 
+def _pieces(size: int, unit: int, workers: int) -> list:
+    """Contiguous runs [lo, hi) of whole ``unit``-item parts of [0, size) (the
+    last may be short), one per worker and at most one per part."""
+    parts = -(-size // unit)
+    workers = max(1, min(workers, parts))
+    ends = [min(size, parts * i // workers * unit) for i in range(workers + 1)]
+    return list(zip(ends, ends[1:]))
+
+
 def _runs(size: int, rows: int, per: int):
     """Row ranges [lo, hi) of up to ``per`` whole blocks of ``rows`` rows
     covering ``size`` rows; a last, partial block is a run of its own, so
@@ -239,28 +243,20 @@ def _runs(size: int, rows: int, per: int):
         yield whole * rows, size, size - whole * rows
 
 
-class _Phases:
-    """exp(i gap j step) for 0 <= j < ``count``.
+def _phases(step: float, count: int, gap: np.ndarray) -> np.ndarray:
+    """exp(i gap j step) for 0 <= j < ``count``, a (count x modes) array.
 
     With j = a s + b and s = isqrt(count), ``exp`` runs once on the about
-    2 sqrt(count) rows of gap (a s step) and gap (b step); ``rows``
-    multiplies them out, within a few eps of the direct values and the
-    same bits for any split.
+    2 sqrt(count) rows of gap (a s step) and gap (b step), and each row
+    is one product of the two, within a few eps of the direct value.
     """
-
-    def __init__(self, step: float, count: int, gap: np.ndarray):
-        self.width = max(1, math.isqrt(count))
-        self.coarse = np.exp(1j * np.multiply.outer(step * self.width * np.arange(-(-count // self.width)), gap))
-        self.fine = np.exp(1j * np.multiply.outer(step * np.arange(self.width), gap))
-
-    def rows(self, j0: int, j1: int) -> np.ndarray:
-        """Rows [j0, j1), as a ((j1 - j0) x modes) array."""
-        out = np.empty((j1 - j0, self.fine.shape[1]), dtype=complex)
-        for a in range(j0 // self.width, -(-j1 // self.width)):
-            j = a * self.width  # rows j + b, b in [b0, b1)
-            b0, b1 = max(j0 - j, 0), min(j1 - j, self.width)
-            np.multiply(self.coarse[a], self.fine[b0:b1], out=out[j + b0 - j0 : j + b1 - j0])
-        return out
+    width = max(1, math.isqrt(count))
+    coarse = np.exp(1j * np.multiply.outer(step * width * np.arange(-(-count // width)), gap))
+    fine = np.exp(1j * np.multiply.outer(step * np.arange(width), gap))
+    out = np.empty((count, gap.size), dtype=complex)
+    for j, row in zip(range(0, count, width), coarse):
+        np.multiply(row, fine[: count - j], out=out[j : j + width])
+    return out
 
 
 def _harmonics(first: np.ndarray, counts) -> np.ndarray:
@@ -303,8 +299,8 @@ class _SeriesModes:
     argument's -phi where c < 0 left out.
     """
 
-    def __init__(self, amplitude, cos2, gap, harmonics, cols, step, rows, layers):
-        self.gap, self.rows, self.offsets = gap[cols], rows, _Phases(step, rows, gap[cols])
+    def __init__(self, amplitude, cos2, gap, harmonics, cols, step, rows, workers):
+        self.gap, self.rows = gap[cols], rows
         self.counts = tuple(int(np.count_nonzero(harmonics[cols] >= m))
                             for m in range(1, int(harmonics[cols[0]]) + 1))
         rho = amplitude[cols] / (1.0 + np.sqrt(1.0 - amplitude[cols])) ** 2
@@ -312,25 +308,22 @@ class _SeriesModes:
         coef = np.concatenate([(-1.0) ** (m + 1) * rho[:count] ** m / m
                                for m, count in enumerate(self.counts, 1)])
         sign = np.concatenate([sign[:count] for count in self.counts])
-        self.coefs = np.array([4.0 * coef, -1j * sign * coef][:layers])
-        # runs of `per` blocks: their start terms and sums within _CHUNK_BYTES / 8
-        self.per = max(1, _CHUNK_BYTES // (128 * (4 * coef.size + rows)))
+        self.coefs = np.array([4.0 * coef, -1j * sign * coef])
+        # exp(i m gap tau_j) of a block's rows, as (cos, sin) pairs
+        self.table = _harmonics(_phases(step, rows, self.gap), self.counts).view(float)
+        # runs of `per` blocks: the start terms and sums of all threads within _CHUNK_BYTES / 8
+        self.per = max(1, _CHUNK_BYTES // (128 * workers * (4 * coef.size + rows)))
 
-    def run(self, times, outs, j0: int, j1: int) -> None:
-        """Add the sums of rows [j0, j1) of every block to ``outs`` (ln le,
-        and the argument when the coefficients hold its row); each sum is
-        one dot product, the same for any split."""
-        # exp(i m gap tau_j) of the rows, as (cos, sin) pairs
-        table = _harmonics(self.offsets.rows(j0, j1), self.counts).view(float)
+    def run(self, times, *outs) -> None:
+        """Add the sums of the blocks of ``times`` to ``outs`` (ln le, then
+        the argument); each sum is one dot product, the same for any split."""
         for lo, hi, width in _runs(times.size, self.rows, self.per):
-            if j0 >= min(j1, width):
-                continue
             start = np.multiply.outer(times[lo:hi:width], self.gap)  # block starts
-            terms = np.multiply(_harmonics(np.exp(1j * start), self.counts), self.coefs[:, None])
+            terms = np.multiply(_harmonics(np.exp(1j * start), self.counts), self.coefs[: len(outs), None])
             np.conjugate(terms, out=terms)
-            sums = np.einsum("aik,jk->aij", terms.view(float), table[: min(j1, width) - j0], optimize=False)
+            sums = np.einsum("aik,jk->aij", terms.view(float), self.table[:width], optimize=False)
             for out, part in zip(outs, sums):
-                out[lo:hi].reshape(-1, width)[:, j0 : j0 + part.shape[1]] += part
+                out[lo:hi] += part.reshape(-1)
 
 
 class _DirectModes:
@@ -340,29 +333,28 @@ class _DirectModes:
     full-angle one.  Time runs in blocks of ``rows`` rows, on a uniform
     grid with one (``rows`` x modes) offset table of the full-angle
     modes.  Each numpy call takes a slab of up to ``_SLAB_ELEMENTS``
-    elements per buffer: some of a piece's rows of one block, or its rows
-    of several blocks when a whole block holds fewer elements.
+    elements per buffer: some rows of one block, or those rows of several
+    blocks when a whole block holds fewer elements.
     """
 
-    def __init__(self, amplitude, cos2, gap, unit, full, n, step, rows):
+    def __init__(self, amplitude, cos2, gap, unit, full, n, step, rows, workers):
         self.n, self.rows, self.ends_full = n, rows, full.size > 0 and full[0] == 0
         self.amp_u, self.cos2_u, self.half_gap_u = amplitude[unit], cos2[unit], 0.5 * gap[unit]
         self.q, self.gap_f = 0.5 * amplitude[full], gap[full]
         self.p, self.r = 1.0 - self.q, 2.0 * cos2[full] ** 2
         cols = max(1, unit.size + full.size)
-        self.strip = max(1, _SLAB_ELEMENTS // cols)  # rows of one block in a slab
+        # rows of one block in a slab: with its start row, at most half of a
+        # thread's share of a block, so all threads' buffers hold half a block
+        self.strip = max(1, min(_SLAB_ELEMENTS // cols, rows // workers // 2 - 1))
         self.per = max(1, _SLAB_ELEMENTS // (rows * cols))  # blocks in a slab
         if full.size:  # only on a uniform grid: exp(-i gap tau_j)
-            self.offsets = _Phases(step, rows, self.gap_f).rows(0, rows)
+            self.offsets = _phases(step, rows, self.gap_f)
             np.conjugate(self.offsets, out=self.offsets)
 
-    def run(self, times, log_le, arg, j0: int, j1: int) -> None:
-        """Add the sums of rows [j0, j1) of every block to ``log_le`` and,
-        unless it is None, ``arg``; each element and row sum takes the
-        same operations for any split."""
-        # at most half of the piece's rows per call: the buffers of all
-        # pieces hold at most half a block however many there are
-        strip, layers = min(self.strip, max(1, (j1 - j0) // 2)), 3 if arg is not None else 2
+    def run(self, times, log_le, arg=None) -> None:
+        """Add the sums of the blocks of ``times`` to ``log_le`` and ``arg``;
+        each element and row sum takes the same operations for any split."""
+        strip, layers = self.strip, 3 if arg is not None else 2
         work_u = np.empty((layers, self.per * strip * self.amp_u.size))
         work_f = np.empty(3 * self.per * strip * self.q.size)  # a complex and a float buffer
         with np.errstate(divide="ignore"):
@@ -374,8 +366,8 @@ class _DirectModes:
                 t = times[lo:hi].reshape(blocks, width)
                 out = log_le[lo:hi].reshape(blocks, width)
                 out_arg = None if arg is None else arg[lo:hi].reshape(blocks, width)
-                for a in range(j0, min(j1, width), strip):
-                    b = min(a + strip, j1, width)
+                for a in range(0, width, strip):
+                    b = min(a + strip, width)
                     shape = (layers, blocks, b - a)
                     arg_rows = None if arg is None else out_arg[:, a:b]
                     if self.amp_u.size:
@@ -413,8 +405,8 @@ class _DirectModes:
             f += self.cos2_u  # cos^2(eta) + sin^2(eta) (1 - 2 s^2)
             arg += self._sum(np.arctan2(c, f, out=c), not self.ends_full)
 
-    def _full_angle(self, start, j0, j1, log_le, arg, z, f) -> None:
-        np.multiply(self.offsets[j0:j1], start, out=z)  # q exp(-i phi), phi = phi_I + tau_j
+    def _full_angle(self, start, a, b, log_le, arg, z, f) -> None:
+        np.multiply(self.offsets[a:b], start, out=z)  # q exp(-i phi), phi = phi_I + tau_j
         np.add(z.real, self.p, out=f)  # p + q cos(phi)
         log_le += self._sum(np.log(f, out=f), self.ends_full)
         if arg is not None:
@@ -457,32 +449,31 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
       series tail after K terms; it takes the least such K.
 
     Time runs in blocks of B rows, B = min(floor(sqrt(T)),
-    ``_CHUNK_BYTES`` / (16 M)) for M modes on a uniform grid and
-    ``_CHUNK_BYTES`` / (8 M) otherwise.  On a uniform grid t = t_I + tau_j
-    with t_I a block's first time and tau_j = j * step.  The full-angle
-    z is (q exp(-i gap t_I)) exp(-i gap tau_j), and the series sums over
-    all (mode, harmonic) terms are the real contractions
+    ``_CHUNK_BYTES`` / (16 M)) for M modes.  On a uniform grid
+    t = t_I + tau_j with t_I a block's first time and tau_j = j * step.
+    The full-angle z is (q exp(-i gap t_I)) exp(-i gap tau_j), and the
+    series sums over all (mode, harmonic) terms are the real contractions
     Re sum conj(coef exp(i m gap t_I)) exp(i m gap tau_j), in groups of
-    terms whose offset table holds at most ``_CHUNK_BYTES`` / 2.  Each
-    piece below takes ``exp`` of i gap t_I once per block; exp(i gap tau_j)
-    comes from about 2 sqrt(B) rows of ``exp`` (``_Phases``), and the
-    harmonics from the first one (``_harmonics``).  Nothing is carried
-    from block to block, so the rounding does not grow along the grid.
-    The contractions run as ``np.einsum`` with ``optimize=False``, never
-    through BLAS, whose results can depend on its thread count.  ``le`` and ``rate`` are the same bits with or
+    terms whose offset table holds at most ``_CHUNK_BYTES`` / 2.  The
+    exp(i gap tau_j) tables come from about 2 sqrt(B) rows of ``exp``
+    (``_phases``) and the harmonics from the first one (``_harmonics``),
+    each once per call; ``exp`` of i gap t_I runs once per block.  Nothing
+    is carried from block to block, so the rounding does not grow along
+    the grid.  The contractions run as ``np.einsum`` with
+    ``optimize=False``, never through BLAS, whose results can depend on
+    its thread count.  ``le`` and ``rate`` are the same bits with or
     without ``include_la``.
 
-    The rows of every block are split into one contiguous piece per CPU
-    of the process's affinity set, and the pieces run on threads (numpy
-    releases the GIL); a grid of one block runs in the calling thread.
+    The blocks are split into one contiguous run of whole blocks per CPU
+    of the process's affinity set, and the runs go on threads (numpy
+    releases the GIL): first the per-element modes, then each series
+    group.  There is at most one thread per 4 rows of a block, and a
+    cgroup CPU quota below the affinity set caps the count too
+    (``_worker_count``); a grid of one block runs in the calling thread.
     Every element, row sum and dot product takes the same operations for
     any split, so the results are the same bits for any number of CPUs.
-    Each piece computes every block's start rows and makes about 10 numpy
-    calls per block, so there is at most one thread per ``_PIECE_ROWS``
-    (8) rows and per ``_PIECE_ELEMENTS`` (2^14) elements of a block, and
-    a cgroup CPU quota below the affinity set caps the count too
-    (``_worker_count``).  The measured costs of these choices are in
-    docs/formats.md, under ``le``.
+    The measured costs of these choices are in docs/formats.md, under
+    ``le``.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -511,42 +502,34 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     series = twice & (harmonics <= _SERIES_HARMONICS)
     full = np.flatnonzero(~unit & ~series)
     unit = np.flatnonzero(unit)
-    rows = max(1, _CHUNK_BYTES // (8 * gap.size))
-    if step is not None:
-        rows = max(1, min(math.isqrt(times.size), _CHUNK_BYTES // (16 * gap.size)))
+    rows = max(1, min(math.isqrt(times.size), _CHUNK_BYTES // (16 * gap.size)))
     # ln le starts at the series constants 2 * 2 ln((1 + |c|) / 2)
     amp_s = amplitude[series]
     log_le = np.full(times.size, float(np.sum(4.0 * np.log1p(-amp_s / (2.0 + 2.0 * np.sqrt(1.0 - amp_s))))))
-    arg = np.zeros(times.size) if include_la else None
+    outs = [log_le, np.zeros(times.size)] if include_la else [log_le]  # ln le and the argument
     # the -phi of the series modes with c < 0 joins the lower-band phase
     lower_band = float(np.sum(ea_post)) + 2.0 * float(np.sum(gap[series][cos2[series] < 0.5]))
     t_max = float(times.max()) if times.size else 0.0
     if not math.isfinite(t_max * (float(gap_post.max()) + abs(lower_band))):
         raise DomainError(f"times up to {t_max:g} overflow the mode phases gap * t")
 
-    span = min(rows, times.size) or 1
-    workers = 1
-    if times.size > rows:
-        workers = max(1, min(_worker_count(), span // _PIECE_ROWS, span * gap.size // _PIECE_ELEMENTS))
-    pieces = [(span * i // workers, span * (i + 1) // workers) for i in range(workers)]
-    direct = _DirectModes(amplitude, cos2, gap, unit, full, n, step, rows)
-    outs = [log_le] if arg is None else [log_le, arg]
-    # the offset tables of each group's terms hold at most _CHUNK_BYTES / 2
-    groups = [_SeriesModes(amplitude[series], cos2[series], gap[series], harmonics[series], cols,
-                           step, rows, len(outs))
-              for cols in _term_groups(harmonics[series], max(_SERIES_HARMONICS, _CHUNK_BYTES // (32 * rows)))]
+    # runs of whole blocks, one per thread, and at most one thread per 4 rows
+    # of a block, so that every thread's strip (``_DirectModes``) has a row
+    pieces = _pieces(times.size, rows, min(_worker_count(), rows // 4))
 
-    def run(j0: int, j1: int) -> None:
-        direct.run(times, log_le, arg, j0, j1)
-        for group in groups:
-            group.run(times, outs, j0, j1)
+    def each_piece(modes) -> None:
+        _run_pieces(lambda lo, hi: modes.run(times[lo:hi], *(out[lo:hi] for out in outs)), pieces)
 
-    _run_pieces(run, pieces)
+    each_piece(_DirectModes(amplitude, cos2, gap, unit, full, n, step, rows, len(pieces)))
+    # one group at a time, each group's offset table within _CHUNK_BYTES / 2
+    for cols in _term_groups(harmonics[series], max(_SERIES_HARMONICS, _CHUNK_BYTES // (32 * rows))):
+        each_piece(_SeriesModes(amplitude[series], cos2[series], gap[series], harmonics[series], cols,
+                                step, rows, len(pieces)))
     le = np.exp(log_le)
     rate = np.where(np.isneginf(log_le), np.inf, -log_le / n)
     la = None
-    if arg is not None:
-        la = np.exp(0.5 * log_le + 1j * (arg - times * lower_band))
+    if include_la:
+        la = np.exp(0.5 * log_le + 1j * (outs[1] - times * lower_band))
     return LESeries(times=times, le=le, la=la, rate=rate, n_rungs=n)
 
 

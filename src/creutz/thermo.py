@@ -145,7 +145,7 @@ def _scan_sums(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
 
     Chunks of theta2 rows go through six float64 buffers of about
     ``_CHUNK_BYTES``, in one contiguous run of chunks per CPU on threads
-    (``quench._worker_count``, ``quench._run_pieces``); a grid of one chunk
+    (``quench._pieces``, ``quench._run_pieces``); a grid of one chunk
     runs in the calling thread.  Each row is an elementwise pass and its
     own ``_paired_sum``, so the bits are the same for any number of CPUs.
     """
@@ -191,9 +191,5 @@ def _scan_sums(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
             sums[0, r0:r1] = _paired_sum(np.subtract(dc, lin, out=x), n)
             sums[1, r0:r1] = _paired_sum(np.subtract(dc, dh, out=x), n)
 
-    size = len(theta2)
-    chunks = -(-size // rows)
-    workers = max(1, min(quench._worker_count(), chunks))
-    ends = [min(size, chunks * i // workers * rows) for i in range(workers + 1)]
-    quench._run_pieces(run, list(zip(ends, ends[1:])))
+    quench._run_pieces(run, quench._pieces(len(theta2), rows, quench._worker_count()))
     return sums

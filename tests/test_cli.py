@@ -28,6 +28,7 @@ from creutz import __version__, cli, quench, thermo
 from creutz.cli import MAX_TABLE_ROWS, MAX_TIME_POINTS, main
 from creutz.serialize import format_float
 from tables import read_table
+from test_quench import record_splits
 
 
 def run_cli(*args):
@@ -463,12 +464,13 @@ class TestDqptCommand:
     ["revival", "--set", "n_rungs=100"],
 ])
 def test_output_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, argv):
-    outputs = []
-    monkeypatch.setattr(quench, "_PIECE_ELEMENTS", 1)  # split N = 100 too
+    outputs, splits = [], record_splits(monkeypatch)
     for workers in (1, 2):
         monkeypatch.setattr(quench, "_worker_count", lambda: workers)
+        splits.clear()
         out = tmp_path / f"{workers}.csv"
         assert run_cli(*argv, "--out", str(out)) == 0
+        assert splits and set(splits) == {workers}  # N = 100 is split too
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
 

@@ -29,6 +29,18 @@ from creutz.quench import _uniform_step
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def record_splits(monkeypatch) -> list:
+    """The piece count of every later ``quench._run_pieces`` call."""
+    counts, run_pieces = [], quench._run_pieces
+
+    def recorded(run, pieces):
+        counts.append(len(pieces))
+        run_pieces(run, pieces)
+
+    monkeypatch.setattr(quench, "_run_pieces", recorded)
+    return counts
+
+
 def make_spec(th1, th2, n=8, j=1.0, jv=1.0):
     return QuenchSpec(
         params=LadderParams(j_h=j, j_v=jv, j_d=j, theta=0.0, n_rungs=n),
@@ -417,12 +429,11 @@ class TestLoschmidtEcho:
 
     @pytest.mark.parametrize("include_la", [False, True])
     def test_same_bits_for_any_worker_count(self, monkeypatch, include_la):
-        # each worker takes one contiguous piece of every block's rows; with
-        # more workers than cores and a short switch interval, a piece
-        # written twice or not at all would show.  Pieces of one row are
-        # allowed so that every case below is split.
-        monkeypatch.setattr(quench, "_PIECE_ROWS", 1)
-        monkeypatch.setattr(quench, "_PIECE_ELEMENTS", 1)
+        # each worker takes one contiguous run of whole blocks; with more
+        # workers than cores and a short switch interval, a block written
+        # twice or not at all would show.  Every case of 4 or more times is
+        # split into one run per worker; blocks of one row are not split.
+        splits = record_splits(monkeypatch)
         critical = make_spec(np.pi / 6, -np.pi / 6, n=48)
         gap_star = mode_data(critical.post, np.pi / 2).gap
         moved = np.linspace(0.0, 30.0, 3001)
@@ -430,7 +441,7 @@ class TestLoschmidtEcho:
         rng = np.random.default_rng(23)
         cases = [(make_spec(0.25 * np.pi, -0.25 * np.pi, n=300), np.linspace(0.0, 10.0, 4001)),
                  (make_spec(0.3, -1.1, n=37), moved),
-                 # non-uniform and several chunks of 262 rows
+                 # non-uniform, 40 blocks of 38 rows
                  (make_spec(0.3, -1.1, n=4001), np.sort(rng.uniform(0.0, 40.0, 1500))),
                  (critical, (np.pi / gap_star) * np.linspace(0.0, 8.0, 8001))]
         cases += [(make_spec(0.3, -1.1, n=20), np.linspace(0.0, 30.0, size)) for size in range(4)]
@@ -442,7 +453,9 @@ class TestLoschmidtEcho:
                 ref = loschmidt_echo(spec, times, include_la=include_la)
                 for workers in (2, 3, 5):
                     monkeypatch.setattr(quench, "_worker_count", lambda: workers)
+                    splits.clear()
                     got = loschmidt_echo(spec, times, include_la=include_la)
+                    assert set(splits) == {workers if times.size >= 4 else 1}
                     np.testing.assert_array_equal(got.le, ref.le)
                     np.testing.assert_array_equal(got.rate, ref.rate)
                     if include_la:
@@ -483,7 +496,7 @@ class TestLoschmidtEcho:
     def test_piece_failure_is_raised(self, monkeypatch, in_main):
         # an error in any piece reaches the caller after every thread stopped
         monkeypatch.setattr(quench, "_worker_count", lambda: 2)
-        monkeypatch.setattr(quench, "_PIECE_ELEMENTS", 1)
+        splits = record_splits(monkeypatch)
         paired_sum = quench._paired_sum
 
         def failing(x, n):
@@ -495,12 +508,13 @@ class TestLoschmidtEcho:
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="injected"):
             loschmidt_echo(make_spec(0.25 * np.pi, -0.25 * np.pi, n=300), np.linspace(0.0, 10.0, 401))
+        assert splits == [2]
         assert threading.active_count() == before
 
     def test_threads_are_capped_by_block_size(self, monkeypatch):
-        # every thread computes each block's start row and makes ~20 numpy
-        # calls per block, so a thread needs 8 rows and 2^14 elements of a
-        # block; pieces differ by at most one row
+        # runs of whole blocks of B = min(isqrt(T), 2^18 / M) rows for M
+        # modes, at most one thread per 4 rows of a block: contiguous, they
+        # cover [0, T) and differ by at most one block
         class Split(Exception):
             pass
 
@@ -510,20 +524,20 @@ class TestLoschmidtEcho:
         monkeypatch.setattr(quench, "_worker_count", lambda: 64)
         monkeypatch.setattr(quench, "_run_pieces", record)
         rng = np.random.default_rng(4)
-        cases = [(9000, np.linspace(0.0, 10.0, 10001), 7),  # blocks of 58 rows
-                 (9000, np.linspace(0.0, 10.0, 2001), 5),  # 44 rows
-                 (1000, np.linspace(0.0, 8660.3, 86604), 8),  # 294 rows x 501 modes
-                 (100, np.linspace(0.0, 8660.3, 86604), 1),  # 294 rows x 51 modes
-                 (9000, np.sort(rng.uniform(0.0, 10.0, 300)), 14)]  # chunks of 116 rows
-        for n, times, expected in cases:
+        cases = [(9000, np.linspace(0.0, 10.0, 10001), 58, 14),  # 173 blocks
+                 (9000, np.linspace(0.0, 10.0, 2001), 44, 11),  # 46 blocks
+                 (1000, np.linspace(0.0, 8660.3, 86604), 294, 64),  # 295 blocks x 501 modes
+                 (100, np.linspace(0.0, 8660.3, 86604), 294, 64),  # 295 blocks x 51 modes
+                 (9000, np.sort(rng.uniform(0.0, 10.0, 300)), 17, 4)]  # 18 blocks, not uniform
+        for n, times, rows, expected in cases:
             with pytest.raises(Split) as caught:
                 loschmidt_echo(make_spec(0.3, -1.1, n=n), times, include_la=False)
             pieces = caught.value.args[0]
             assert len(pieces) == expected
-            sizes = [stop - first for first, stop in pieces]
-            assert pieces[0][0] == 0 and all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
-            assert max(sizes) - min(sizes) <= 1
-            assert expected == 1 or min(sizes) >= 8
+            assert pieces[0][0] == 0 and pieces[-1][1] == times.size
+            assert all(p[1] == q[0] and p[1] % rows == 0 for p, q in zip(pieces, pieces[1:]))
+            blocks = [-(-(stop - first) // rows) for first, stop in pieces]
+            assert max(blocks) - min(blocks) <= 1
 
     def test_echo_peak_memory_with_many_cpus(self, monkeypatch):
         # the per-thread start rows stay a small share of the chunk budget
@@ -540,6 +554,24 @@ class TestLoschmidtEcho:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+    @pytest.mark.parametrize("workers", [2, 58])
+    def test_series_groups_peak_one_table_at_a_time(self, monkeypatch, workers):
+        # the revival command's N 1000 grid has three series term groups,
+        # each with its own offset table: one table at a time peaks at
+        # 3.9 MiB for any thread count, two at a time at 6.0 MiB
+        monkeypatch.setattr(quench, "_worker_count", lambda: workers)
+        splits = record_splits(monkeypatch)
+        spec = make_spec(0.0016 * np.pi, 0.0, n=1000)
+        times = np.linspace(0.0, 1732.0508075688774, 86604)
+        tracemalloc.start()
+        try:
+            loschmidt_echo(spec, times, include_la=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert splits == [workers] * 4  # the per-element modes, then three groups
+        assert peak < 5 * 2**20
 
     def test_small_grids_start_no_thread(self, monkeypatch):
         # one chunk, or blocks of one row: nothing to split
