@@ -301,7 +301,7 @@ def _cmd_work(cfg: RunConfig):
     else:
         theta2 = np.array([cfg["theta2"]])
         meta = _base_metadata(cfg, ("theta1", "theta2"))
-    sums = thermo._scan_sums(cfg.params, cfg["theta1"] * pi, theta2 * pi).T
+    sums = thermo.scan_theta2(cfg.params, cfg["theta1"] * pi, theta2 * pi).T
     theta1 = np.full(theta2.size, cfg["theta1"])
     rows = np.column_stack([theta1, theta2, sums, sums / cfg.params.n_rungs])
     return meta, _WORK_COLUMNS, rows

@@ -122,21 +122,6 @@ def mode_arrays(spec: QuenchSpec, ks=None) -> ModeArrays:
     )
 
 
-def _paired_sum(x: np.ndarray, n: int) -> np.ndarray:
-    """Row sums over all ``n`` modes from columns of ``x`` that run from k = 0
-    (counted once) to, for even ``n``, k = pi (counted once).
-
-    Modes j and n - j carry the same factor, so every column in between
-    counts twice: with the columns j = 0..n//2 that is every mode.  The
-    columns are the last axis.
-    """
-    even = n % 2 == 0
-    total = x[..., 0] + 2.0 * np.sum(x[..., 1 : x.shape[-1] - even], axis=-1)
-    if even:
-        total += x[..., -1]
-    return total
-
-
 def _uniform_step(times: np.ndarray) -> Optional[float]:
     """Step of ``times`` when it is a uniform grid, else None.
 
@@ -330,15 +315,15 @@ class _DirectModes:
     """The modes whose factors ``loschmidt_echo`` takes per element.
 
     ``unit`` columns take the half-angle factor and ``full`` columns the
-    full-angle one.  Time runs in blocks of ``rows`` rows, on a uniform
-    grid with one (``rows`` x modes) offset table of the full-angle
-    modes.  Each numpy call takes a slab of up to ``_SLAB_ELEMENTS``
+    full-angle one, each mode counted twice.  Time runs in blocks of
+    ``rows`` rows, on a uniform grid with one (``rows`` x modes) offset
+    table of the full-angle modes.  Each numpy call takes a slab of up to ``_SLAB_ELEMENTS``
     elements per buffer: some rows of one block, or those rows of several
     blocks when a whole block holds fewer elements.
     """
 
-    def __init__(self, amplitude, cos2, gap, unit, full, n, step, rows, workers):
-        self.n, self.rows, self.ends_full = n, rows, full.size > 0 and full[0] == 0
+    def __init__(self, amplitude, cos2, gap, unit, full, step, rows, workers):
+        self.rows = rows
         self.amp_u, self.cos2_u, self.half_gap_u = amplitude[unit], cos2[unit], 0.5 * gap[unit]
         self.q, self.gap_f = 0.5 * amplitude[full], gap[full]
         self.p, self.r = 1.0 - self.q, 2.0 * cos2[full] ** 2
@@ -379,11 +364,6 @@ class _DirectModes:
                         f = work_f[2 * size : 3 * size].reshape(z.shape)
                         self._full_angle(start, a, b, out[:, a:b], arg_rows, z, f)
 
-    def _sum(self, x, ends: bool) -> np.ndarray:
-        """Row sums of columns that hold k = 0 and k = pi (``ends``) or only
-        modes counted twice."""
-        return _paired_sum(x, self.n) if ends else 2.0 * np.sum(x, axis=-1)
-
     def _half_angle(self, t, log_le, arg, work) -> None:
         s, f = work[0], work[1]
         c = work[2] if arg is not None else None
@@ -397,23 +377,23 @@ class _DirectModes:
         np.minimum(s, 1.0, out=s)
         np.multiply(self.amp_u, s, out=f)
         np.subtract(1.0, f, out=f)  # echo factors 1 - A s^2
-        log_le += self._sum(np.log(f, out=f), not self.ends_full)
+        log_le += 2.0 * np.sum(np.log(f, out=f), axis=-1)
         if c is not None:
             np.multiply(-2.0, s, out=f)
             f += 1.0
             f *= 1.0 - self.cos2_u
             f += self.cos2_u  # cos^2(eta) + sin^2(eta) (1 - 2 s^2)
-            arg += self._sum(np.arctan2(c, f, out=c), not self.ends_full)
+            arg += 2.0 * np.sum(np.arctan2(c, f, out=c), axis=-1)
 
     def _full_angle(self, start, a, b, log_le, arg, z, f) -> None:
         np.multiply(self.offsets[a:b], start, out=z)  # q exp(-i phi), phi = phi_I + tau_j
         np.add(z.real, self.p, out=f)  # p + q cos(phi)
-        log_le += self._sum(np.log(f, out=f), self.ends_full)
+        log_le += 2.0 * np.sum(np.log(f, out=f), axis=-1)
         if arg is not None:
             # the argument of cos^2(eta) + sin^2(eta) exp(-i phi), both parts
             # times 2 cos^2(eta) > 0 (q = 2 sin^2(eta) cos^2(eta))
             np.add(z.real, self.r, out=f)
-            arg += self._sum(np.arctan2(z.imag, f, out=f), self.ends_full)
+            arg += 2.0 * np.sum(np.arctan2(z.imag, f, out=f), axis=-1)
 
 
 def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries:
@@ -421,20 +401,21 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
 
     Modes k and 2 pi - k share amplitude, mixing angle and gap (eps_q -
     eps_p is odd in k, every other term even), so only the modes with
-    0 <= k <= pi are evaluated and paired modes are counted twice.  Each
-    mode's amplitude factor is cos^2 eta + sin^2 eta e^{-i phi}, phi =
-    gap t; its squared modulus is the echo factor 1 - A sin^2(phi / 2)
+    0 < k < pi are evaluated, each counted twice.  At k = 0 and k = pi
+    sin k = 0, so the flux only shifts both bands: A is 0 (at k = pi up
+    to a rounding far below eps) and the factor is 1.  Each mode's
+    amplitude factor is cos^2 eta + sin^2 eta e^{-i phi}, phi = gap t;
+    its squared modulus is the echo factor 1 - A sin^2(phi / 2)
     = p + q cos phi with p = 1 - A/2 and q = A/2, and the lower-band
-    phase sum_k ea_post t is t * sum(ea_post), one number per time.  Each
-    mode takes one of three forms:
+    phase sum_k ea_post t, over all N modes, is t * sum(ea_post), one
+    number per time.  Each mode takes one of three forms:
 
     * Half angle: 1 - A s^2 with s = sin(phi / 2), s^2 clamped at 1, and
       argument atan2(-2 sin^2 eta s c, cos^2 eta + sin^2 eta (1 - 2 s^2)),
       c = cos(phi / 2), from ``sin`` and ``cos`` per element.  Every mode
       on a grid that is not uniform (``_uniform_step``); on a uniform
-      grid those with 1 - A <= ``_NEAR_UNIT``, and k = 0 and k = pi
-      (counted once) when either is one.  A factor is exactly 0 only for
-      A = 1 where s^2 rounds to 1, which gives ``rate = +inf``.
+      grid those with 1 - A <= ``_NEAR_UNIT``.  A factor is exactly 0
+      only for A = 1 where s^2 rounds to 1, which gives ``rate = +inf``.
     * Full angle: p + Re z with z = q exp(-i phi), and argument
       atan2(Im z, 2 cos^4 eta + Re z), the parts of
       cos^2 eta + sin^2 eta exp(-i phi) times 2 cos^2 eta > 0; z is one
@@ -444,7 +425,7 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
       2 ln((1 + |c|) / 2) + 2 sum_m (-1)^(m+1) rho^m cos(m phi) / m, and
       the argument is -/+ sum_m (-1)^(m+1) rho^m sin(m phi) / m (- for
       c >= 0), minus phi for c < 0, which joins the lower-band phase.  A
-      mode 0 < k < pi takes the series when some K <= ``_SERIES_HARMONICS`` has
+      mode takes the series when some K <= ``_SERIES_HARMONICS`` has
       2 rho^(K+1) / ((K + 1)(1 - rho)) <= eps / 4, the bound on the
       series tail after K terms; it takes the least such K.
 
@@ -483,26 +464,18 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
 
     _, amplitude, cos2, gap_post, _, ea_post = mode_arrays(spec)
     n = spec.params.n_rungs
-    half = slice(0, n // 2 + 1)
-    amplitude, cos2, gap = amplitude[half], cos2[half], gap_post[half]
+    inner = slice(1, (n + 1) // 2)  # 0 < k < pi
+    amplitude, cos2, gap = amplitude[inner], cos2[inner], gap_post[inner]
     step = _uniform_step(times)
-    unit = np.ones(gap.size, dtype=bool)
-    harmonics = np.zeros(gap.size, dtype=int)
-    twice = np.zeros(gap.size, dtype=bool)  # the series takes only modes counted twice
-    if step is not None:
-        unit = amplitude > 1.0 - _NEAR_UNIT
-        ends = [0, n // 2] if n % 2 == 0 else [0]  # k = 0 and k = pi, counted once
-        unit[ends] = unit[ends].any()  # share one form
-        twice[1 : (n + 1) // 2] = True
-        twice &= ~unit
-        rho = amplitude / (1.0 + np.sqrt(1.0 - amplitude)) ** 2
-        harmonics[twice] = _SERIES_HARMONICS + 1
-        for k in range(_SERIES_HARMONICS, -1, -1):
-            harmonics[twice & (2.0 * rho ** (k + 1) <= 0.25 * _EPS * (k + 1) * (1.0 - rho))] = k
-    series = twice & (harmonics <= _SERIES_HARMONICS)
+    unit = amplitude > 1.0 - _NEAR_UNIT if step is not None else np.ones(gap.size, dtype=bool)
+    rho = amplitude / (1.0 + np.sqrt(1.0 - amplitude)) ** 2
+    harmonics = np.full(gap.size, _SERIES_HARMONICS + 1)
+    for k in range(_SERIES_HARMONICS, -1, -1):
+        harmonics[2.0 * rho ** (k + 1) <= 0.25 * _EPS * (k + 1) * (1.0 - rho)] = k
+    series = ~unit & (harmonics <= _SERIES_HARMONICS)
     full = np.flatnonzero(~unit & ~series)
     unit = np.flatnonzero(unit)
-    rows = max(1, min(math.isqrt(times.size), _CHUNK_BYTES // (16 * gap.size)))
+    rows = max(1, min(math.isqrt(times.size), _CHUNK_BYTES // (16 * max(1, gap.size))))
     # ln le starts at the series constants 2 * 2 ln((1 + |c|) / 2)
     amp_s = amplitude[series]
     log_le = np.full(times.size, float(np.sum(4.0 * np.log1p(-amp_s / (2.0 + 2.0 * np.sqrt(1.0 - amp_s))))))
@@ -520,7 +493,7 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     def each_piece(modes) -> None:
         _run_pieces(lambda lo, hi: modes.run(times[lo:hi], *(out[lo:hi] for out in outs)), pieces)
 
-    each_piece(_DirectModes(amplitude, cos2, gap, unit, full, n, step, rows, len(pieces)))
+    each_piece(_DirectModes(amplitude, cos2, gap, unit, full, step, rows, len(pieces)))
     # one group at a time, each group's offset table within _CHUNK_BYTES / 2
     for cols in _term_groups(harmonics[series], max(_SERIES_HARMONICS, _CHUNK_BYTES // (32 * rows))):
         each_piece(_SeriesModes(amplitude[series], cos2[series], gap[series], harmonics[series], cols,

@@ -18,7 +18,7 @@ import numpy as np
 from . import quench
 from .errors import DomainError
 from .model import LadderParams, allowed_modes, canonical_angle, mode_data
-from .quench import QuenchSpec, _paired_sum, mode_arrays
+from .quench import QuenchSpec, mode_arrays
 
 __all__ = [
     "WorkDistribution",
@@ -30,7 +30,7 @@ __all__ = [
 
 DISTRIBUTION_MAX_RUNGS = 16
 MERGE_TOL = 1e-9
-# Bytes of one float64 (theta2 x modes) buffer in ``_scan_sums``.
+# Bytes of one float64 (theta2 x modes) buffer in ``scan_theta2``.
 _CHUNK_BYTES = 256 << 10
 
 
@@ -69,10 +69,11 @@ def work_stats(spec: QuenchSpec) -> WorkStats:
     average_work = sum_k [ea_post cos^2(eta) + eb_post sin^2(eta) - ea_pre],
     delta_f = sum_k (ea_post - ea_pre) is the ground-state energy
     difference, and irreversible_work = sum_k sin^2(eta) gap_post, each
-    summand non-negative.  The one-angle case of ``_scan_sums``, which
+    summand non-negative.  The one-angle case of ``scan_theta2``, which
     evaluates these sums without angles (see there).
     """
-    return scan_theta2(spec.params, spec.theta_pre, [spec.theta_post])[0]
+    sums = scan_theta2(spec.params, spec.theta_pre, [spec.theta_post])[:, 0]
+    return WorkStats(*sums.tolist(), spec.params.n_rungs)
 
 
 def work_distribution(spec: QuenchSpec) -> WorkDistribution:
@@ -119,14 +120,24 @@ def _merge(works: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return merged_w, merged_p
 
 
-def scan_theta2(params: LadderParams, theta1: float, theta2_grid) -> list[WorkStats]:
-    """Work statistics for a sweep of post-quench angles at fixed theta1 (see ``_scan_sums``)."""
-    sums = _scan_sums(params, theta1, theta2_grid)
-    return [WorkStats(a, f, w, params.n_rungs) for a, f, w in sums.T.tolist()]
+def _paired_sum(x: np.ndarray, n: int) -> np.ndarray:
+    """Row sums over all ``n`` modes from columns of ``x`` that run from k = 0
+    (counted once) to, for even ``n``, k = pi (counted once).
+
+    Modes j and n - j carry the same factor, so every column in between
+    counts twice: with the columns j = 0..n//2 that is every mode.  The
+    columns are the last axis.
+    """
+    even = n % 2 == 0
+    total = x[..., 0] + 2.0 * np.sum(x[..., 1 : x.shape[-1] - even], axis=-1)
+    if even:
+        total += x[..., -1]
+    return total
 
 
-def _scan_sums(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
-    """average_work, delta_f and irreversible_work, a (3, len(theta2_grid)) array.
+def scan_theta2(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
+    """Work statistics for a sweep of post-quench angles at fixed theta1:
+    average_work, delta_f and irreversible_work, a (3, len(theta2_grid)) array.
 
     One (theta2 x k) evaluation on the modes j = 0..N//2, paired modes
     k and 2 pi - k counting twice (``_paired_sum``).  With

@@ -496,8 +496,8 @@ class TestWorkCommands:
         assert run_cli("scan", "--set", "n_rungs=10", "--set", "n_theta2=5",
                        "--out", str(out)) == 0
         _, _, rows = read_table(str(out))
-        sums = thermo._scan_sums(LadderParams(1.0, 1.0, 1.0, 0.0, 10), 0.0016 * math.pi,
-                                 np.linspace(-1.0, 1.0, 5) * math.pi)
+        sums = thermo.scan_theta2(LadderParams(1.0, 1.0, 1.0, 0.0, 10), 0.0016 * math.pi,
+                                  np.linspace(-1.0, 1.0, 5) * math.pi)
         np.testing.assert_allclose(rows[:, 2:5], sums.T, rtol=1e-14, atol=1e-300)
 
     def test_scan_grid_and_alias(self, tmp_path):

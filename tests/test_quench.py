@@ -164,6 +164,24 @@ class TestQuenchMode:
         np.testing.assert_allclose(mode_arrays(spec, ks[5:9]).cos2_eta, cos2[5:9], rtol=0, atol=1e-15)
         np.testing.assert_allclose(amplitude, 4.0 * cos2 * (1.0 - cos2), rtol=0, atol=1e-12)
 
+    def test_high_symmetry_modes_are_not_excited(self):
+        # sin k = 0 at k = 0 and k = pi, so the flux only shifts both bands
+        # there: the echo kernel takes only the modes 0 < k < pi
+        rng = np.random.default_rng(14)
+        angles = [0.0, np.pi, -np.pi]
+        for _ in range(1000):
+            j_h = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0)
+            j_d = rng.uniform(0.3, 2.0)
+            j_v = 2.0 * j_d if rng.random() < 0.5 else rng.uniform(0.05, 4.0)
+            theta1, theta2 = (rng.choice(angles) if rng.random() < 0.3 else rng.uniform(-np.pi, np.pi)
+                              for _ in range(2))
+            n = int(rng.integers(2, 40))
+            spec = QuenchSpec(LadderParams(j_h=j_h, j_v=j_v, j_d=j_d, theta=0.0, n_rungs=n), theta1, theta2)
+            amplitude = mode_arrays(spec).amplitude
+            assert amplitude[0] == 0.0
+            if n % 2 == 0:
+                assert 1.0 - amplitude[n // 2] == 1.0
+
     def test_per_mode_amplitude_echo_identity(self):
         # |cos^2 e^{-i ea t} + sin^2 e^{-i eb t}|^2 == 1 - A sin^2(gap t / 2)
         rng = np.random.default_rng(12)
@@ -335,7 +353,7 @@ class TestLoschmidtEcho:
         ks = allowed_modes(n)
         j = np.arange(n) % 40 + 1
         amplitude = 1.0 - j * 2.0**-53
-        amplitude[0] = amplitude[n // 2] = 0.5
+        amplitude[0] = amplitude[n // 2] = 0.0
         cos2 = 0.5 * (1.0 + np.sqrt(1.0 - amplitude))
         gap = np.pi / (0.01 * (np.arange(n) % 7 + 1))
         table = quench.ModeArrays(ks, amplitude, cos2, gap, -np.ones(n), -np.ones(n) - gap)
@@ -497,14 +515,14 @@ class TestLoschmidtEcho:
         # an error in any piece reaches the caller after every thread stopped
         monkeypatch.setattr(quench, "_worker_count", lambda: 2)
         splits = record_splits(monkeypatch)
-        paired_sum = quench._paired_sum
+        full_angle = quench._DirectModes._full_angle
 
-        def failing(x, n):
+        def failing(self, *args):
             if (threading.current_thread() is threading.main_thread()) == in_main:
                 raise RuntimeError("injected")
-            return paired_sum(x, n)
+            return full_angle(self, *args)
 
-        monkeypatch.setattr(quench, "_paired_sum", failing)
+        monkeypatch.setattr(quench._DirectModes, "_full_angle", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="injected"):
             loschmidt_echo(make_spec(0.25 * np.pi, -0.25 * np.pi, n=300), np.linspace(0.0, 10.0, 401))

@@ -205,8 +205,7 @@ class TestScan:
     def test_delta_f_symmetric_in_target_flux(self):
         params = LadderParams(1.0, 1.0, 1.0, 0.0, 64)
         grid = np.linspace(-0.9, 0.9, 101) * math.pi
-        stats = scan_theta2(params, 0.25 * math.pi, grid)
-        delta_f = np.array([s.delta_f for s in stats])
+        delta_f = scan_theta2(params, 0.25 * math.pi, grid)[1]
         np.testing.assert_allclose(delta_f, delta_f[::-1], atol=1e-12)
 
     def test_extremum_at_critical_flux(self):
@@ -214,7 +213,7 @@ class TestScan:
         # the critical flux; the filled band is highest there
         params = LadderParams(1.0, 1.0, 1.0, 0.0, 64)
         grid = np.linspace(-0.5, 0.5, 101) * math.pi
-        delta_f = [s.delta_f for s in scan_theta2(params, 0.25 * math.pi, grid)]
+        delta_f = scan_theta2(params, 0.25 * math.pi, grid)[1]
         assert delta_f[50] == pytest.approx(max(delta_f), abs=1e-12)
         assert delta_f[50] > delta_f[40] > delta_f[25] > delta_f[0]
 
@@ -259,11 +258,11 @@ class TestScan:
         for params, theta1 in cases:
             # 0 and +-pi are the critical fluxes; theta2 = theta1 is no quench
             grid = np.concatenate([[0.0, math.pi, -math.pi, theta1], rng.uniform(-4.0, 4.0, 12)])
-            for theta2, stats in zip(grid, scan_theta2(params, theta1, grid)):
+            for theta2, sums in zip(grid, scan_theta2(params, theta1, grid).T):
                 spec = QuenchSpec(params=params, theta_pre=theta1, theta_post=theta2)
                 expected = reference_work_stats(spec)
-                for got in (stats, work_stats(spec)):
-                    actual = (got.average_work, got.delta_f, got.irreversible_work)
+                got = work_stats(spec)
+                for actual in (tuple(sums), (got.average_work, got.delta_f, got.irreversible_work)):
                     for a, e in zip(actual, expected):
                         assert abs(a - e) <= 1e-12 * max(1.0, abs(e)), (theta1, theta2)
                     average, delta_f, irreversible = actual
@@ -282,8 +281,7 @@ class TestScan:
             params = LadderParams(j, 2.0 * j, j, 0.0, n)
             assert mode_data(params, allowed_modes(n)).gap[n // 2] == 0.0
             grid = np.concatenate([[0.0, math.pi, -math.pi, 0.5 * math.pi], rng.uniform(-4, 4, 8)])
-            for theta2, stats in zip(grid, scan_theta2(params, 0.0, grid)):
-                actual = (stats.average_work, stats.delta_f, stats.irreversible_work)
+            for theta2, actual in zip(grid, scan_theta2(params, 0.0, grid).T):
                 assert all(math.isfinite(a) for a in actual)
                 expected = reference_work_stats(QuenchSpec(params, 0.0, theta2))
                 for a, e in zip(actual, expected):
@@ -295,16 +293,14 @@ class TestScan:
             spec = random_spec(rng, n_max=200)
             theta1 = spec.theta_pre
             grid = theta1 + np.array([1e-9, -1e-9, 1e-6])
-            for stats in scan_theta2(spec.params, theta1, grid):
-                assert stats.irreversible_work >= 0.0
+            assert np.all(scan_theta2(spec.params, theta1, grid)[2] >= 0.0)
 
     def test_large_ladder_matches_per_point_reference(self):
         params = LadderParams(1.0, 1.0, 1.0, 0.0, 20000)
         theta1 = 0.25 * math.pi
         grid = np.array([-1.0, -0.5, -0.25, 0.0, 0.2549722, 0.5, 1.0]) * math.pi
-        for theta2, stats in zip(grid, scan_theta2(params, theta1, grid)):
+        for theta2, actual in zip(grid, scan_theta2(params, theta1, grid).T):
             expected = reference_work_stats(QuenchSpec(params, theta1, theta2))
-            actual = (stats.average_work, stats.delta_f, stats.irreversible_work)
             for a, e in zip(actual, expected):
                 assert abs(a - e) <= 1e-12 * max(1.0, abs(e)), theta2
 
@@ -319,8 +315,7 @@ class TestScan:
         eps = np.finfo(float).eps
         stats = scan_theta2(params, theta1 * math.pi, grid)
         reference = longdouble_work_sums(params, theta1 * math.pi, grid)
-        for theta2, got, (sums, scales) in zip(grid, stats, reference):
-            actual = (got.average_work, got.delta_f, got.irreversible_work)
+        for theta2, actual, (sums, scales) in zip(grid, stats.T, reference):
             for a, e, scale in zip(actual, sums, scales):
                 assert abs(np.longdouble(a) - e) <= 2 * eps * scale, theta2
 
@@ -329,8 +324,8 @@ class TestScan:
         # theta2 = pi - theta1 has the same sin theta up to rounding, so no
         # mode is excited; clamped dh - lin terms would sum 7e-13 of noise
         params = LadderParams(1.0, 1.0, 1.0, 0.0, 20000)
-        (stats,) = scan_theta2(params, theta1 * math.pi, [(1.0 - theta1) * math.pi])
-        assert 0.0 <= stats.irreversible_work <= 1e-20
+        (irreversible,) = scan_theta2(params, theta1 * math.pi, [(1.0 - theta1) * math.pi])[2]
+        assert 0.0 <= irreversible <= 1e-20
 
     def test_scan_peak_memory_is_chunked(self):
         params = LadderParams(1.0, 1.0, 1.0, 0.0, 20000)
@@ -363,10 +358,10 @@ class TestScan:
         try:
             for grid in grids:
                 monkeypatch.setattr(quench, "_worker_count", lambda: 1)
-                ref = thermo._scan_sums(params, theta1, grid)
+                ref = thermo.scan_theta2(params, theta1, grid)
                 for workers in (2, 3, 5):
                     monkeypatch.setattr(quench, "_worker_count", lambda: workers)
-                    assert np.array_equal(thermo._scan_sums(params, theta1, grid), ref)
+                    assert np.array_equal(thermo.scan_theta2(params, theta1, grid), ref)
         finally:
             sys.setswitchinterval(interval)
         assert np.all(ref == 0.0)  # theta2 = theta1
@@ -379,7 +374,7 @@ class TestScan:
         monkeypatch.setattr(quench, "_worker_count", lambda: 4)
         monkeypatch.setattr(threading, "Thread", no_thread)
         params = LadderParams(1.0, 1.0, 1.0, 0.0, 20000)
-        assert np.all(np.isfinite(thermo._scan_sums(params, 0.25 * math.pi, [0.1, -0.5])))
+        assert np.all(np.isfinite(thermo.scan_theta2(params, 0.25 * math.pi, [0.1, -0.5])))
         assert work_stats(make_spec(0.25 * math.pi, 0.1, n=20000)).irreversible_work > 0.0
 
     @pytest.mark.parametrize("in_main", [True, False])
@@ -397,5 +392,5 @@ class TestScan:
         params = LadderParams(1.0, 1.0, 1.0, 0.0, 20000)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="injected"):
-            thermo._scan_sums(params, 0.25 * math.pi, np.linspace(-1.0, 1.0, 401) * math.pi)
+            thermo.scan_theta2(params, 0.25 * math.pi, np.linspace(-1.0, 1.0, 401) * math.pi)
         assert threading.active_count() == before
