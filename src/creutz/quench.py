@@ -275,8 +275,8 @@ def _term_groups(harmonics: np.ndarray, max_terms: int) -> list:
 
 class _SeriesModes:
     """A group of the modes whose log factors (and arguments)
-    ``loschmidt_echo`` sums as harmonic series: ``cols``, by descending
-    harmonic count.
+    ``loschmidt_echo`` sums as harmonic series, by descending harmonic
+    count.
 
     ``counts[m - 1]`` of the modes take harmonic m, with one coefficient
     per term in the layout of ``_harmonics``: those of the series in
@@ -284,12 +284,11 @@ class _SeriesModes:
     argument's -phi where c < 0 left out.
     """
 
-    def __init__(self, amplitude, cos2, gap, harmonics, cols, step, rows, workers):
-        self.gap, self.rows = gap[cols], rows
-        self.counts = tuple(int(np.count_nonzero(harmonics[cols] >= m))
-                            for m in range(1, int(harmonics[cols[0]]) + 1))
-        rho = amplitude[cols] / (1.0 + np.sqrt(1.0 - amplitude[cols])) ** 2
-        sign = np.where(cos2[cols] >= 0.5, -2.0, 2.0)
+    def __init__(self, amplitude, cos2, gap, harmonics, step, rows, workers):
+        self.gap, self.rows = gap, rows
+        self.counts = tuple(int(np.count_nonzero(harmonics >= m)) for m in range(1, int(harmonics[0]) + 1))
+        rho = amplitude / (1.0 + np.sqrt(1.0 - amplitude)) ** 2
+        sign = np.where(cos2 >= 0.5, -2.0, 2.0)
         coef = np.concatenate([(-1.0) ** (m + 1) * rho[:count] ** m / m
                                for m, count in enumerate(self.counts, 1)])
         sign = np.concatenate([sign[:count] for count in self.counts])
@@ -312,80 +311,73 @@ class _SeriesModes:
 
 
 class _DirectModes:
-    """The modes whose factors ``loschmidt_echo`` takes per element.
-
-    ``unit`` columns take the half-angle factor and ``full`` columns the
-    full-angle one, each mode counted twice.  Time runs in blocks of
-    ``rows`` rows, on a uniform grid with one (``rows`` x modes) offset
-    table of the full-angle modes.  Each numpy call takes a slab of up to ``_SLAB_ELEMENTS``
-    elements per buffer: some rows of one block, or those rows of several
-    blocks when a whole block holds fewer elements.
+    """A group of the modes whose factors ``loschmidt_echo`` takes per
+    element, each mode counted twice: the half-angle factor when ``step``
+    is None, else the full-angle one with one (``rows`` x modes) offset
+    table of the uniform grid of that step.  Time runs in blocks of
+    ``rows`` rows.  Each numpy call takes a slab of up to
+    ``_SLAB_ELEMENTS`` elements per buffer: some rows of one block, or
+    those rows of several blocks when a whole block holds fewer elements.
     """
 
-    def __init__(self, amplitude, cos2, gap, unit, full, step, rows, workers):
-        self.rows = rows
-        self.amp_u, self.cos2_u, self.half_gap_u = amplitude[unit], cos2[unit], 0.5 * gap[unit]
-        self.q, self.gap_f = 0.5 * amplitude[full], gap[full]
-        self.p, self.r = 1.0 - self.q, 2.0 * cos2[full] ** 2
-        cols = max(1, unit.size + full.size)
+    def __init__(self, amplitude, cos2, gap, step, rows, workers):
+        self.rows, self.gap = rows, gap
         # rows of one block in a slab: with its start row, at most half of a
         # thread's share of a block, so all threads' buffers hold half a block
-        self.strip = max(1, min(_SLAB_ELEMENTS // cols, rows // workers // 2 - 1))
-        self.per = max(1, _SLAB_ELEMENTS // (rows * cols))  # blocks in a slab
-        if full.size:  # only on a uniform grid: exp(-i gap tau_j)
-            self.offsets = _phases(step, rows, self.gap_f)
+        self.strip = max(1, min(_SLAB_ELEMENTS // gap.size, rows // workers // 2 - 1))
+        self.per = max(1, _SLAB_ELEMENTS // (rows * gap.size))  # blocks in a slab
+        self.full = step is not None
+        if self.full:  # exp(-i gap tau_j)
+            self.q = 0.5 * amplitude
+            self.p, self.r = 1.0 - self.q, 2.0 * cos2 ** 2
+            self.offsets = _phases(step, rows, gap)
             np.conjugate(self.offsets, out=self.offsets)
+        else:
+            self.amp, self.cos2, self.half_gap = amplitude, cos2, 0.5 * gap
 
-    def run(self, times, log_le, arg=None) -> None:
-        """Add the sums of the blocks of ``times`` to ``log_le`` and ``arg``;
-        each element and row sum takes the same operations for any split."""
-        strip, layers = self.strip, 3 if arg is not None else 2
-        work_u = np.empty((layers, self.per * strip * self.amp_u.size))
-        work_f = np.empty(3 * self.per * strip * self.q.size)  # a complex and a float buffer
+    def run(self, times, *outs) -> None:
+        """Add the sums of the blocks of ``times`` to ``outs`` (ln le, then
+        the argument); every element and row sum is the same for any split."""
+        form = self._full_angle if self.full else self._half_angle
+        layers = 3 if self.full or len(outs) > 1 else 2  # a complex and a float, or s, f (and c)
+        work = np.empty(layers * self.per * self.strip * self.gap.size)
         with np.errstate(divide="ignore"):
             for lo, hi, width in _runs(times.size, self.rows, self.per):
                 blocks = -(-(hi - lo) // width)
-                if self.q.size:  # the blocks' start rows q exp(-i phi_I)
-                    start = np.exp(-1j * np.multiply.outer(times[lo:hi:width], self.gap_f))
-                    start = np.multiply(start, self.q, out=start)[:, None]
-                t = times[lo:hi].reshape(blocks, width)
-                out = log_le[lo:hi].reshape(blocks, width)
-                out_arg = None if arg is None else arg[lo:hi].reshape(blocks, width)
-                for a in range(0, width, strip):
-                    b = min(a + strip, width)
-                    shape = (layers, blocks, b - a)
-                    arg_rows = None if arg is None else out_arg[:, a:b]
-                    if self.amp_u.size:
-                        work = work_u[:, : blocks * (b - a) * self.amp_u.size].reshape(shape + (-1,))
-                        self._half_angle(t[:, a:b, None], out[:, a:b], arg_rows, work)
-                    if self.q.size:
-                        size = blocks * (b - a) * self.q.size
-                        z = work_f[: 2 * size].view(complex).reshape(shape[1:] + (-1,))
-                        f = work_f[2 * size : 3 * size].reshape(z.shape)
-                        self._full_angle(start, a, b, out[:, a:b], arg_rows, z, f)
+                base = times[lo:hi].reshape(blocks, width, 1)
+                if self.full:  # the blocks' start rows q exp(-i phi_I)
+                    start = np.exp(-1j * np.multiply.outer(times[lo:hi:width], self.gap))
+                    base = np.multiply(start, self.q, out=start)[:, None]
+                views = [out[lo:hi].reshape(blocks, width) for out in outs]
+                for a in range(0, width, self.strip):
+                    b = min(a + self.strip, width)
+                    form(base, a, b, work[: layers * blocks * (b - a) * self.gap.size], *(x[:, a:b] for x in views))
 
-    def _half_angle(self, t, log_le, arg, work) -> None:
-        s, f = work[0], work[1]
-        c = work[2] if arg is not None else None
-        np.multiply(self.half_gap_u, t, out=f)
+    def _half_angle(self, t, a, b, work, log_le, arg=None) -> None:
+        layer = work.reshape((-1,) + log_le.shape + self.gap.shape)
+        s, f, c = layer[0], layer[1], layer[-1]  # c, a third layer, only with arg
+        np.multiply(self.half_gap, t[:, a:b], out=f)
         np.sin(f, out=s)
-        if c is not None:
+        if arg is not None:
             np.cos(f, out=c)
             c *= s
-            c *= -2.0 * (1.0 - self.cos2_u)  # -2 sin^2(eta) s c
+            c *= -2.0 * (1.0 - self.cos2)  # -2 sin^2(eta) s c
         np.square(s, out=s)
         np.minimum(s, 1.0, out=s)
-        np.multiply(self.amp_u, s, out=f)
+        np.multiply(self.amp, s, out=f)
         np.subtract(1.0, f, out=f)  # echo factors 1 - A s^2
         log_le += 2.0 * np.sum(np.log(f, out=f), axis=-1)
-        if c is not None:
+        if arg is not None:
             np.multiply(-2.0, s, out=f)
             f += 1.0
-            f *= 1.0 - self.cos2_u
-            f += self.cos2_u  # cos^2(eta) + sin^2(eta) (1 - 2 s^2)
+            f *= 1.0 - self.cos2
+            f += self.cos2  # cos^2(eta) + sin^2(eta) (1 - 2 s^2)
             arg += 2.0 * np.sum(np.arctan2(c, f, out=c), axis=-1)
 
-    def _full_angle(self, start, a, b, log_le, arg, z, f) -> None:
+    def _full_angle(self, start, a, b, work, log_le, arg=None) -> None:
+        size = work.size // 3
+        z = work[: 2 * size].view(complex).reshape(log_le.shape + (-1,))
+        f = work[2 * size :].reshape(z.shape)
         np.multiply(self.offsets[a:b], start, out=z)  # q exp(-i phi), phi = phi_I + tau_j
         np.add(z.real, self.p, out=f)  # p + q cos(phi)
         log_le += 2.0 * np.sum(np.log(f, out=f), axis=-1)
@@ -447,10 +439,12 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
 
     The blocks are split into one contiguous run of whole blocks per CPU
     of the process's affinity set, and the runs go on threads (numpy
-    releases the GIL): first the per-element modes, then each series
-    group.  There is at most one thread per 4 rows of a block, and a
-    cgroup CPU quota below the affinity set caps the count too
-    (``_worker_count``); a grid of one block runs in the calling thread.
+    releases the GIL) for one group of one form at a time: the half-angle
+    modes, the full-angle modes (``_DirectModes``), then each series term
+    group (``_SeriesModes``).  There is at most one thread per 4 rows of a
+    block, and a cgroup CPU quota below the affinity set caps the count
+    too (``_worker_count``); a grid of one block runs in the calling
+    thread.
     Every element, row sum and dot product takes the same operations for
     any split, so the results are the same bits for any number of CPUs.
     The measured costs of these choices are in docs/formats.md, under
@@ -473,8 +467,6 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     for k in range(_SERIES_HARMONICS, -1, -1):
         harmonics[2.0 * rho ** (k + 1) <= 0.25 * _EPS * (k + 1) * (1.0 - rho)] = k
     series = ~unit & (harmonics <= _SERIES_HARMONICS)
-    full = np.flatnonzero(~unit & ~series)
-    unit = np.flatnonzero(unit)
     rows = max(1, min(math.isqrt(times.size), _CHUNK_BYTES // (16 * max(1, gap.size))))
     # ln le starts at the series constants 2 * 2 ln((1 + |c|) / 2)
     amp_s = amplitude[series]
@@ -493,13 +485,14 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     def each_piece(modes) -> None:
         _run_pieces(lambda lo, hi: modes.run(times[lo:hi], *(out[lo:hi] for out in outs)), pieces)
 
-    each_piece(_DirectModes(amplitude, cos2, gap, unit, full, step, rows, len(pieces)))
+    for group, group_step in ((unit, None), (~unit & ~series, step)):
+        if group.any():
+            each_piece(_DirectModes(amplitude[group], cos2[group], gap[group], group_step, rows, len(pieces)))
     # one group at a time, each group's offset table within _CHUNK_BYTES / 2
-    for cols in _term_groups(harmonics[series], max(_SERIES_HARMONICS, _CHUNK_BYTES // (32 * rows))):
-        each_piece(_SeriesModes(amplitude[series], cos2[series], gap[series], harmonics[series], cols,
-                                step, rows, len(pieces)))
+    for cols in _term_groups(np.where(series, harmonics, 0), max(_SERIES_HARMONICS, _CHUNK_BYTES // (32 * rows))):
+        each_piece(_SeriesModes(amplitude[cols], cos2[cols], gap[cols], harmonics[cols], step, rows, len(pieces)))
     le = np.exp(log_le)
-    rate = np.where(np.isneginf(log_le), np.inf, -log_le / n)
+    rate = -log_le / n
     la = None
     if include_la:
         la = np.exp(0.5 * log_le + 1j * (outs[1] - times * lower_band))

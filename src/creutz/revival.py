@@ -106,7 +106,8 @@ def detect_revivals(
     rephasings that fall well below the full revivals.  Above-threshold
     runs separated by at most ``window`` samples are merged and each
     revival time is the weighted center of its run.  An explicit
-    ``margin`` must be positive and finite.
+    ``margin`` must be positive and finite.  A threshold that does not rise
+    above the mean (a flat echo, or a margin below one ulp of it) finds none.
     """
     times = np.asarray(series.times, dtype=float)
     le = np.asarray(series.le, dtype=float)
@@ -129,6 +130,8 @@ def detect_revivals(
             raise DomainError(f"peak_fraction must lie in (0, 1), got {peak_fraction}")
         margin = peak_fraction * (peak - mean_level)
     threshold = mean_level + margin
+    if not threshold > mean_level:  # a flat echo, or a margin below one ulp of the mean
+        raise NoRevivalError(f"threshold {threshold:.6g} does not rise above mean_level={mean_level:.6g}")
 
     above = le >= threshold
     above[:lo] = False

@@ -120,34 +120,22 @@ def _merge(works: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return merged_w, merged_p
 
 
-def _paired_sum(x: np.ndarray, n: int) -> np.ndarray:
-    """Row sums over all ``n`` modes from columns of ``x`` that run from k = 0
-    (counted once) to, for even ``n``, k = pi (counted once).
-
-    Modes j and n - j carry the same factor, so every column in between
-    counts twice: with the columns j = 0..n//2 that is every mode.  The
-    columns are the last axis.
-    """
-    even = n % 2 == 0
-    total = x[..., 0] + 2.0 * np.sum(x[..., 1 : x.shape[-1] - even], axis=-1)
-    if even:
-        total += x[..., -1]
-    return total
-
-
 def scan_theta2(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
     """Work statistics for a sweep of post-quench angles at fixed theta1:
     average_work, delta_f and irreversible_work, a (3, len(theta2_grid)) array.
 
-    One (theta2 x k) evaluation on the modes j = 0..N//2, paired modes
-    k and 2 pi - k counting twice (``_paired_sum``).  With
-    u = 2 j_h sin k, v = -2 j_h cos k and q = eps_qp (free of theta), a
-    flux theta has a = u sin theta, half gap h = sqrt(q^2 + a^2) and
-    cos gamma = a / h.  Per mode, dc = v (cos theta2 - cos theta1),
-    dh = h2 - h1 and lin = cos gamma1 (a2 - a1) give
-    average_work = sum (dc - lin), delta_f = sum (dc - dh) and
-    irreversible_work = sum (dh - lin): no arctan2 or cosine of an
-    angle difference, one sqrt per element.  cos gamma1 comes from
+    One (theta2 x k) evaluation on the modes 0 < k < pi, each counted
+    twice for k and 2 pi - k.  With u = 2 j_h sin k, v = -2 j_h cos k and
+    q = eps_qp (free of theta), a flux theta has a = u sin theta, half
+    gap h = sqrt(q^2 + a^2) and cos gamma = a / h.  Per mode,
+    dc = v (cos theta2 - cos theta1), dh = h2 - h1 and
+    lin = cos gamma1 (a2 - a1) give average_work = sum (dc - lin),
+    delta_f = sum (dc - dh) and irreversible_work = sum (dh - lin): no
+    arctan2 or cosine of an angle difference, one sqrt per element.  At
+    k = 0 and k = pi, sin k = 0, so a = 0 and only dc survives: the two
+    ends add -2 j_h (cos theta2 - cos theta1) to average_work and
+    delta_f for odd N (k = 0 alone) and nothing for even N, where the
+    dc of k = 0 and k = pi cancel.  cos gamma1 comes from
     ``mode_data`` (1 where h1 = 0).  Where q^2 + a1 a2 > 0 an irreversible
     term is q^2 (a2 - a1)^2 / (h1 (h1 h2 + q^2 + a1 a2)), which is
     non-negative and exactly 0 at a2 = a1, so theta2 = pi - theta1 costs no
@@ -158,10 +146,10 @@ def scan_theta2(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
     ``_CHUNK_BYTES``, in one contiguous run of chunks per CPU on threads
     (``quench._pieces``, ``quench._run_pieces``); a grid of one chunk
     runs in the calling thread.  Each row is an elementwise pass and its
-    own ``_paired_sum``, so the bits are the same for any number of CPUs.
+    own row sums, so the bits are the same for any number of CPUs.
     """
     n = params.n_rungs
-    k = allowed_modes(n)[: n // 2 + 1]
+    k = allowed_modes(n)[1 : (n + 1) // 2]  # 0 < k < pi
     theta1 = canonical_angle(theta1)
     pre = mode_data(params.with_theta(theta1), k)
     u = 2.0 * params.j_h * np.sin(k)
@@ -173,8 +161,9 @@ def scan_theta2(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
     theta2 = [canonical_angle(t) for t in np.asarray(theta2_grid, dtype=float)]
     sin_theta2 = np.array([math.sin(t) for t in theta2])[:, None]
     dcos = np.array([math.cos(t) - math.cos(theta1) for t in theta2])[:, None]
+    ends = -2.0 * params.j_h * (n % 2) * dcos[:, 0]  # the dc of k = 0 and k = pi
     sums = np.empty((3, len(theta2)))
-    rows = max(1, _CHUNK_BYTES // (8 * k.size))
+    rows = max(1, _CHUNK_BYTES // (8 * max(1, k.size)))
 
     def run(lo: int, hi: int) -> None:
         buffers = np.empty((6, rows, k.size))
@@ -197,10 +186,10 @@ def scan_theta2(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
             positive = np.greater(cross, 0.0, out=mask[: r1 - r0])
             np.multiply(np.multiply(q2, d, out=cross), d, out=cross)
             np.divide(cross, h2, out=x, where=positive)
-            sums[2, r0:r1] = _paired_sum(x, n)
+            sums[2, r0:r1] = 2.0 * np.sum(x, axis=-1)
             dc = np.multiply(v, dcos[r0:r1], out=h2)
-            sums[0, r0:r1] = _paired_sum(np.subtract(dc, lin, out=x), n)
-            sums[1, r0:r1] = _paired_sum(np.subtract(dc, dh, out=x), n)
+            sums[0, r0:r1] = 2.0 * np.sum(np.subtract(dc, lin, out=x), axis=-1) + ends[r0:r1]
+            sums[1, r0:r1] = 2.0 * np.sum(np.subtract(dc, dh, out=x), axis=-1) + ends[r0:r1]
 
     quench._run_pieces(run, quench._pieces(len(theta2), rows, quench._worker_count()))
     return sums

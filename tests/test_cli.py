@@ -363,6 +363,16 @@ class TestRevivalCommand:
         assert meta["effective_n"] == 300
         assert rows[0, 1] == pytest.approx(meta["first_revival"], rel=1e-12)
 
+    @pytest.mark.parametrize("theta1", ["0", "1"])
+    def test_quench_that_excites_nothing_has_no_revival(self, tmp_path, capsys, theta1):
+        # 0 -> 0 is no quench and pi -> 0 a gauge change: the echo is flat,
+        # and the derived threshold, the mean itself, reported a "revival"
+        out = tmp_path / "revival.csv"
+        assert run_cli("revival", "--set", "n_rungs=30", "--set", f"theta1={theta1}",
+                       "--set", "theta2=0", "--out", str(out)) == 2
+        assert "does not rise above mean_level" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDqptCommand:
     def test_across_quench_cusps(self, tmp_path):

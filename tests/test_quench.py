@@ -544,8 +544,8 @@ class TestLoschmidtEcho:
         rng = np.random.default_rng(4)
         cases = [(9000, np.linspace(0.0, 10.0, 10001), 58, 14),  # 173 blocks
                  (9000, np.linspace(0.0, 10.0, 2001), 44, 11),  # 46 blocks
-                 (1000, np.linspace(0.0, 8660.3, 86604), 294, 64),  # 295 blocks x 501 modes
-                 (100, np.linspace(0.0, 8660.3, 86604), 294, 64),  # 295 blocks x 51 modes
+                 (1000, np.linspace(0.0, 8660.3, 86604), 294, 64),  # 295 blocks x 499 modes
+                 (100, np.linspace(0.0, 8660.3, 86604), 294, 64),  # 295 blocks x 49 modes
                  (9000, np.sort(rng.uniform(0.0, 10.0, 300)), 17, 4)]  # 18 blocks, not uniform
         for n, times, rows, expected in cases:
             with pytest.raises(Split) as caught:

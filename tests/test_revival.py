@@ -136,6 +136,15 @@ class TestDetection:
         with pytest.raises(NoRevivalError):
             detect_revivals(simulate(spec, prediction.period), margin=1.0)
 
+    @pytest.mark.parametrize("margin", [None, 1e-17])
+    def test_flat_series_has_no_revival(self, margin):
+        # the derived threshold of a flat echo is its mean, and a margin
+        # below one ulp of the mean rounds away: neither rises above it
+        series = LESeries(times=np.linspace(0.0, 10.0, 101), le=np.full(101, 0.5), la=None,
+                          rate=np.full(101, math.log(2.0) / 10), n_rungs=10)
+        with pytest.raises(NoRevivalError, match="does not rise above mean_level"):
+            detect_revivals(series, margin=margin)
+
     @pytest.mark.parametrize("margin", [-1.0, 0.0, math.nan, math.inf])
     def test_rejects_margin_outside_positive_finite(self, margin):
         # a negative margin put the threshold below every echo value and

@@ -319,6 +319,19 @@ class TestScan:
             for a, e, scale in zip(actual, sums, scales):
                 assert abs(np.longdouble(a) - e) <= 2 * eps * scale, theta2
 
+    def test_two_rungs_excite_nothing(self):
+        # N = 2 has only k = 0 and k = pi, where sin k = 0: the flux shifts
+        # both bands there, by opposite amounts, so every sum is exactly 0
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            j_d = rng.uniform(0.2, 2.0)
+            j_v = 2.0 * j_d if rng.random() < 0.5 else rng.uniform(0.2, 3.0)
+            params = LadderParams(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0), j_v, j_d, 0.0, 2)
+            theta1, *grid = rng.uniform(-math.pi, math.pi, 9)
+            assert not np.any(scan_theta2(params, theta1, grid))
+            stats = work_stats(QuenchSpec(params, theta1, grid[0]))
+            assert (stats.average_work, stats.delta_f, stats.irreversible_work) == (0.0, 0.0, 0.0)
+
     @pytest.mark.parametrize("theta1", [0.24, 0.25, 0.26])
     def test_mirror_flux_excites_nothing(self, theta1):
         # theta2 = pi - theta1 has the same sin theta up to rounding, so no
@@ -381,14 +394,17 @@ class TestScan:
     def test_piece_failure_is_raised(self, monkeypatch, in_main):
         # an error in any piece reaches the caller after every thread stopped
         monkeypatch.setattr(quench, "_worker_count", lambda: 2)
-        paired_sum = thermo._paired_sum
+        run_pieces = quench._run_pieces
 
-        def failing(x, n):
-            if (threading.current_thread() is threading.main_thread()) == in_main:
-                raise RuntimeError("injected")
-            return paired_sum(x, n)
+        def failing_pieces(run, pieces):
+            def failing(*piece):
+                if (threading.current_thread() is threading.main_thread()) == in_main:
+                    raise RuntimeError("injected")
+                return run(*piece)
 
-        monkeypatch.setattr(thermo, "_paired_sum", failing)
+            run_pieces(failing, pieces)
+
+        monkeypatch.setattr(quench, "_run_pieces", failing_pieces)
         params = LadderParams(1.0, 1.0, 1.0, 0.0, 20000)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="injected"):
