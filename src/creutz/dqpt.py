@@ -34,7 +34,6 @@ from .quench import LESeries, QuenchSpec, mode_arrays
 __all__ = [
     "CriticalMode",
     "FisherZeroLine",
-    "critical_mode_residual",
     "detect_cusps",
     "dqpt_possible",
     "finite_size_dqpt_gate",
@@ -90,13 +89,6 @@ def _sine_product(spec: QuenchSpec) -> float:
 def dqpt_possible(spec: QuenchSpec) -> bool:
     """True when the amplitude-one condition can have a solution."""
     return _sine_product(spec) <= 0.0
-
-
-def critical_mode_residual(spec: QuenchSpec, k: float) -> float:
-    """Residual of the amplitude-one condition at wavenumber ``k``."""
-    j = _require_equal_hoppings(spec.params)
-    s = _sine_product(spec)
-    return (2.0 * j * math.cos(k) + spec.params.j_v) ** 2 + (2.0 * j * math.sin(k)) ** 2 * s
 
 
 def solve_critical_modes(spec: QuenchSpec) -> list[CriticalMode]:

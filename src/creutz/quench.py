@@ -47,6 +47,15 @@ _EPS = float(np.finfo(float).eps)
 _NEAR_UNIT = 8 * _EPS
 # Most harmonics a mode may take in the series form of ``loschmidt_echo``.
 _SERIES_HARMONICS = 5
+# The series transform (``_harmonic_sums``): times per segment, the
+# Gaussian's half-width in grid points and its exponent exp(-_GAUSS k^2),
+# e^-37.7 at the half-width (Greengard & Lee's choice for oversampling 2),
+# and the terms spread at a time, their tables (56 bytes a term and grid
+# point) within _CHUNK_BYTES.
+_SEGMENT = 1 << 13
+_SPREAD = 16
+_GAUSS = 0.75 * math.pi / _SPREAD
+_TERMS = _CHUNK_BYTES // (64 * (2 * _SPREAD + 1))
 
 
 @dataclass(frozen=True)
@@ -80,7 +89,7 @@ class LESeries:
     ``la`` is None when the series was computed without the complex
     amplitude; ``le`` and ``rate`` are the same either way, and skipping
     ``la`` cuts the kernel's CPU time 2.3x at N = 9000 x 2001 times and
-    1.9x at N = 1000 x 86604 (one thread; docs/formats.md, ``le``).
+    2.1x at N = 1000 x 86604 (one thread; docs/formats.md, ``le``).
     """
 
     times: np.ndarray
@@ -244,70 +253,57 @@ def _phases(step: float, count: int, gap: np.ndarray) -> np.ndarray:
     return out
 
 
-def _harmonics(first: np.ndarray, counts) -> np.ndarray:
-    """exp(i m x) from exp(i x) of the columns x: harmonic m = 1, 2, ...
-    for the first ``counts[m - 1]`` columns, concatenated along the last
-    axis.  Harmonic m >= 2 is harmonic m - 1 times harmonic 1.
+def _harmonic_sums(times: np.ndarray, step: float, omega: np.ndarray, coefs, outs) -> None:
+    """Add Re sum_j coefs[a][j] exp(i omega_j t) to ``outs[a]`` on the
+    uniform grid ``times`` of the given step, as type-1 non-uniform FFTs.
+
+    Term j turns by x_j = 2 pi y_j / G per grid step, y_j = omega_j step
+    G / (2 pi) reduced mod G, with G the FFT size: a power of two, at
+    least twice the times of a segment (``_SEGMENT``, the last may be
+    short) and wider than the Gaussian.  A segment's centre index c,
+    with t_0 the grid's first time, is folded into the coefficients,
+    d_j = coef_j exp(i (omega_j t_0 + x_j c)), so its sums are
+    sum_j d_j exp(i x_j u) for u = l - c.  Each term is spread over the
+    ``2 _SPREAD + 1`` nearest of G points with a Gaussian, one FFT sums
+    the grid for every u, and dividing by the Gaussian's transform undoes
+    the spreading (Greengard & Lee, SIAM Review 46(3), 2004).  x_j c is
+    taken mod 2 pi from an exact product, so the fold and the transform
+    turn each term alike: the phase at time t is off by about eps omega t
+    at most, however long the segment.  Terms are spread ``_TERMS`` at a
+    time, one transform each.
     """
-    out = np.empty(first.shape[:-1] + (sum(counts),), dtype=complex)
-    out[..., : counts[0]] = first
-    lo = 0
-    for prev, count in zip(counts, counts[1:]):
-        np.multiply(out[..., lo : lo + count], out[..., :count], out=out[..., lo + prev : lo + prev + count])
-        lo += prev
-    return out
-
-
-def _term_groups(harmonics: np.ndarray, max_terms: int) -> list:
-    """Indices of the modes with ``harmonics`` >= 1, by descending harmonic
-    count, in groups of at most ``max_terms`` terms; a mode's harmonics
-    are never split."""
-    order = np.argsort(-harmonics, kind="stable")
-    order = order[harmonics[order] > 0]
-    ends = np.cumsum(harmonics[order])
-    groups, lo = [], 0
-    while lo < order.size:  # the most modes from lo on whose terms fit in max_terms
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - harmonics[order[lo]] + max_terms, "right")))
-        groups.append(order[lo:hi])
-        lo = hi
-    return groups
-
-
-class _SeriesModes:
-    """A group of the modes whose log factors (and arguments)
-    ``loschmidt_echo`` sums as harmonic series, by descending harmonic
-    count.
-
-    ``counts[m - 1]`` of the modes take harmonic m, with one coefficient
-    per term in the layout of ``_harmonics``: those of the series in
-    ``loschmidt_echo`` for weight 2 (modes k and 2 pi - k), with the
-    argument's -phi where c < 0 left out.
-    """
-
-    def __init__(self, amplitude, cos2, gap, harmonics, step, rows, workers):
-        self.gap, self.rows = gap, rows
-        self.counts = tuple(int(np.count_nonzero(harmonics >= m)) for m in range(1, int(harmonics[0]) + 1))
-        rho = amplitude / (1.0 + np.sqrt(1.0 - amplitude)) ** 2
-        sign = np.where(cos2 >= 0.5, -2.0, 2.0)
-        coef = np.concatenate([(-1.0) ** (m + 1) * rho[:count] ** m / m
-                               for m, count in enumerate(self.counts, 1)])
-        sign = np.concatenate([sign[:count] for count in self.counts])
-        self.coefs = np.array([4.0 * coef, -1j * sign * coef])
-        # exp(i m gap tau_j) of a block's rows, as (cos, sin) pairs
-        self.table = _harmonics(_phases(step, rows, self.gap), self.counts).view(float)
-        # runs of `per` blocks: the start terms and sums of all threads within _CHUNK_BYTES / 8
-        self.per = max(1, _CHUNK_BYTES // (128 * workers * (4 * coef.size + rows)))
-
-    def run(self, times, *outs) -> None:
-        """Add the sums of the blocks of ``times`` to ``outs`` (ln le, then
-        the argument); each sum is one dot product, the same for any split."""
-        for lo, hi, width in _runs(times.size, self.rows, self.per):
-            start = np.multiply.outer(times[lo:hi:width], self.gap)  # block starts
-            terms = np.multiply(_harmonics(np.exp(1j * start), self.counts), self.coefs[: len(outs), None])
-            np.conjugate(terms, out=terms)
-            sums = np.einsum("aik,jk->aij", terms.view(float), self.table[:width], optimize=False)
-            for out, part in zip(outs, sums):
-                out[lo:hi] += part.reshape(-1)
+    size = min(times.size, _SEGMENT)
+    grid = 1 << (max(2 * size, 2 * _SPREAD + 1) - 1).bit_length()
+    offsets = np.arange(-_SPREAD, _SPREAD + 1)
+    u = np.arange(size) - size // 2
+    deconv = math.sqrt(0.25 * _GAUSS / math.pi) * np.exp((math.pi / grid) ** 2 / _GAUSS * u * u)
+    for lo in range(0, omega.size, _TERMS):
+        terms = slice(lo, lo + _TERMS)
+        y = omega[terms] * (step * grid / (2.0 * math.pi))
+        y -= grid * np.rint(y / grid)
+        near = np.rint(y)
+        weights = np.exp(-_GAUSS * np.square(offsets - (y - near)[:, None]))
+        # the real and imaginary part of grid point m at 2 m and 2 m + 1
+        index = 2 * ((near.astype(int)[:, None] + offsets) % grid)
+        index = np.stack((index, index + 1), axis=-1).ravel()
+        # y = high + low, high of 21 bits: high * c is exact for c < 2^32
+        high = y * (2.0**32 + 1.0)
+        high -= high - y
+        low = (y - high) * (2.0 * math.pi / grid)
+        for first in range(0, times.size, _SEGMENT):
+            n = min(_SEGMENT, times.size - first)
+            half = n // 2
+            turns = high * (first + half) / grid
+            turns -= np.rint(turns)
+            phase = np.exp(1j * (2.0 * math.pi * turns + (low * (first + half) + omega[terms] * times[0])))
+            for coef, out in zip(coefs, outs):
+                spread = (coef[terms] * phase)[:, None] * weights
+                spread = np.bincount(index, spread.view(float).ravel(), 2 * grid).view(complex)
+                # Re sum_m g_m exp(2 pi i u m / G) is half the real transform of g_m + conj(g_-m)
+                spread = spread[: grid // 2 + 1] + np.conj(spread[-np.arange(grid // 2 + 1)])
+                sums = np.fft.irfft(spread, grid, norm="forward")
+                sums = np.concatenate((sums[grid - half :], sums[: n - half]))
+                out[first : first + n] += sums * deconv[size // 2 - half : size // 2 - half + n]
 
 
 class _DirectModes:
@@ -421,34 +417,31 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
       2 rho^(K+1) / ((K + 1)(1 - rho)) <= eps / 4, the bound on the
       series tail after K terms; it takes the least such K.
 
-    Time runs in blocks of B rows, B = min(floor(sqrt(T)),
-    ``_CHUNK_BYTES`` / (16 M)) for M modes.  On a uniform grid
-    t = t_I + tau_j with t_I a block's first time and tau_j = j * step.
-    The full-angle z is (q exp(-i gap t_I)) exp(-i gap tau_j), and the
-    series sums over all (mode, harmonic) terms are the real contractions
-    Re sum conj(coef exp(i m gap t_I)) exp(i m gap tau_j), in groups of
-    terms whose offset table holds at most ``_CHUNK_BYTES`` / 2.  The
-    exp(i gap tau_j) tables come from about 2 sqrt(B) rows of ``exp``
-    (``_phases``) and the harmonics from the first one (``_harmonics``),
-    each once per call; ``exp`` of i gap t_I runs once per block.  Nothing
-    is carried from block to block, so the rounding does not grow along
-    the grid.  The contractions run as ``np.einsum`` with
-    ``optimize=False``, never through BLAS, whose results can depend on
-    its thread count.  ``le`` and ``rate`` are the same bits with or
-    without ``include_la``.
+    On a uniform grid the series sums over all (mode, harmonic) terms,
+    Re sum coef exp(i m gap t), are one type-1 non-uniform FFT per
+    segment of ``_SEGMENT`` times (``_harmonic_sums``), in the calling
+    thread; ``le`` and ``rate`` are the same bits with or without
+    ``include_la``, since ln le and the argument are transformed apart.
+    The other forms run per element, in blocks of B rows,
+    B = min(floor(sqrt(T)), ``_CHUNK_BYTES`` / (16 M)) for M modes.  On a
+    uniform grid t = t_I + tau_j with t_I a block's first time and
+    tau_j = j * step, and the full-angle z is
+    (q exp(-i gap t_I)) exp(-i gap tau_j): the exp(-i gap tau_j) table
+    comes from about 2 sqrt(B) rows of ``exp`` (``_phases``) once per
+    call, and ``exp`` of -i gap t_I runs once per block.  Nothing is
+    carried from block to block or segment to segment, so the rounding
+    does not grow along the grid.
 
     The blocks are split into one contiguous run of whole blocks per CPU
     of the process's affinity set, and the runs go on threads (numpy
-    releases the GIL) for one group of one form at a time: the half-angle
-    modes, the full-angle modes (``_DirectModes``), then each series term
-    group (``_SeriesModes``).  There is at most one thread per 4 rows of a
-    block, and a cgroup CPU quota below the affinity set caps the count
-    too (``_worker_count``); a grid of one block runs in the calling
-    thread.
-    Every element, row sum and dot product takes the same operations for
-    any split, so the results are the same bits for any number of CPUs.
-    The measured costs of these choices are in docs/formats.md, under
-    ``le``.
+    releases the GIL) for one form at a time: the half-angle modes, then
+    the full-angle modes (``_DirectModes``).  There is at most one thread
+    per 4 rows of a block, and a cgroup CPU quota below the affinity set
+    caps the count too (``_worker_count``); a grid of one block runs in
+    the calling thread.  Every element, row sum and transform takes the
+    same operations for any split, so the results are the same bits for
+    any number of CPUs.  The measured costs of these choices are in
+    docs/formats.md, under ``le``.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -482,15 +475,16 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     # of a block, so that every thread's strip (``_DirectModes``) has a row
     pieces = _pieces(times.size, rows, min(_worker_count(), rows // 4))
 
-    def each_piece(modes) -> None:
-        _run_pieces(lambda lo, hi: modes.run(times[lo:hi], *(out[lo:hi] for out in outs)), pieces)
-
     for group, group_step in ((unit, None), (~unit & ~series, step)):
         if group.any():
-            each_piece(_DirectModes(amplitude[group], cos2[group], gap[group], group_step, rows, len(pieces)))
-    # one group at a time, each group's offset table within _CHUNK_BYTES / 2
-    for cols in _term_groups(np.where(series, harmonics, 0), max(_SERIES_HARMONICS, _CHUNK_BYTES // (32 * rows))):
-        each_piece(_SeriesModes(amplitude[cols], cos2[cols], gap[cols], harmonics[cols], step, rows, len(pieces)))
+            modes = _DirectModes(amplitude[group], cos2[group], gap[group], group_step, rows, len(pieces))
+            _run_pieces(lambda lo, hi: modes.run(times[lo:hi], *(out[lo:hi] for out in outs)), pieces)
+    # the series terms: harmonics m = 1 .. K of each series mode
+    cols, m = np.nonzero(series[:, None] & (harmonics[:, None] > np.arange(_SERIES_HARMONICS)))
+    m += 1
+    coef = (-1.0) ** (m + 1) * rho[cols] ** m / m
+    sign = np.where(cos2[cols] >= 0.5, -2.0, 2.0)
+    _harmonic_sums(times, step, m * gap[cols], (4.0 * coef, -1j * sign * coef), outs)
     le = np.exp(log_le)
     rate = -log_le / n
     la = None

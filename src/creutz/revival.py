@@ -107,7 +107,9 @@ def detect_revivals(
     runs separated by at most ``window`` samples are merged and each
     revival time is the weighted center of its run.  An explicit
     ``margin`` must be positive and finite.  A threshold that does not rise
-    above the mean (a flat echo, or a margin below one ulp of it) finds none.
+    above the mean (a flat echo, or a margin below one ulp of it) finds none,
+    and neither does a peak within the echo's rounding, 4 eps N_rungs peak,
+    of the mean.
     """
     times = np.asarray(series.times, dtype=float)
     le = np.asarray(series.le, dtype=float)
@@ -125,6 +127,10 @@ def detect_revivals(
     hi = int(0.4 * times.size)
     mean_level = float(le[lo:hi].mean())
     peak = float(le[lo:].max())
+    floor = 4.0 * np.finfo(float).eps * series.n_rungs * peak
+    if not peak - mean_level > floor:
+        raise NoRevivalError(f"peak {peak:.17g} does not rise above mean_level={mean_level:.17g} "
+                             f"by more than the rounding floor {floor:.3g}")
     if margin is None:
         if not 0.0 < peak_fraction < 1.0:
             raise DomainError(f"peak_fraction must lie in (0, 1), got {peak_fraction}")

@@ -21,7 +21,6 @@ import numpy as np
 from creutz import (
     LadderParams,
     QuenchSpec,
-    critical_mode_residual,
     critical_wavenumbers,
     detect_cusps,
     detect_revivals,
@@ -37,6 +36,7 @@ from creutz import (
     work_stats,
 )
 from creutz.quench import mode_arrays
+from test_dqpt import critical_mode_residual
 
 NEAR_CRITICAL = 0.0016 * math.pi
 

@@ -373,6 +373,23 @@ class TestRevivalCommand:
         assert "does not rise above mean_level" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("theta1, revives", [("1e-9", False), ("1e-8", True), ("1e-7", True),
+                                                 ("1e-5", True)])
+    def test_echo_within_rounding_has_no_revival(self, tmp_path, capsys, theta1, revives):
+        # peak - mean is about 8e-16 at theta1 = 1e-9, rounding, below the
+        # floor 4 eps N peak = 2.7e-14; from 1e-8 on (6.7e-14, x100 per x10
+        # in theta1) the echo revives at 8.47
+        out = tmp_path / "revival.csv"
+        code = run_cli("revival", "--set", "n_rungs=30", "--set", f"theta1={theta1}",
+                       "--set", "theta2=0", "--out", str(out))
+        if revives:
+            assert code == 0
+            assert read_table(str(out))[0]["first_revival"] == pytest.approx(8.47, abs=0.01)
+        else:
+            assert code == 2
+            assert "rounding floor" in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestDqptCommand:
     def test_across_quench_cusps(self, tmp_path):

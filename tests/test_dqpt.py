@@ -13,7 +13,6 @@ from creutz import (
     NoDqptError,
     QuenchSpec,
     commensurate_base,
-    critical_mode_residual,
     detect_cusps,
     dqpt_possible,
     finite_size_dqpt_gate,
@@ -25,6 +24,9 @@ from creutz import (
     solve_critical_modes,
 )
 
+from creutz import dqpt
+from creutz.model import _require_equal_hoppings
+
 ACROSS = (0.25 * math.pi, -0.25 * math.pi)
 SAME_PHASE = (0.1 * math.pi, 0.2 * math.pi)
 
@@ -35,6 +37,14 @@ def make_spec(th1, th2, n=100, j=1.0, jv=1.0):
         theta_pre=th1,
         theta_post=th2,
     )
+
+
+def critical_mode_residual(spec, k):
+    """Residual of the amplitude-one condition (module docstring of
+    ``creutz.dqpt``) at wavenumber ``k``."""
+    j = _require_equal_hoppings(spec.params)
+    s = dqpt._sine_product(spec)
+    return (2.0 * j * math.cos(k) + spec.params.j_v) ** 2 + (2.0 * j * math.sin(k)) ** 2 * s
 
 
 def bisect_roots(spec, n_scan=40001, tol=1e-13):

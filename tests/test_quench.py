@@ -419,27 +419,40 @@ class TestLoschmidtEcho:
         assert peak < 64 * 2**20
 
     def test_kernel_buffers_stay_chunked_on_a_long_grid(self, monkeypatch):
-        # 3 modes take the series (13 terms) in blocks of 1000 rows; beyond
-        # its T-sized arrays the kernel's buffers stay within 2 chunks.
-        # Contraction outputs sized by the term count alone would hold
-        # every block at once here: 16 MB with the amplitude.
+        # 3 modes take the series (13 terms), 1 mode the full-angle factor
+        # in blocks of 1000 rows; beyond its T-sized arrays the kernel's
+        # buffers, per-element and transform, stay within 2 chunks, and no
+        # FFT is longer than one segment's grid.  Contraction outputs sized
+        # by the term count alone would hold every block at once here:
+        # 16 MB with the amplitude.
         spec = make_spec(0.05, 0.0, n=9)
         times = np.linspace(0.0, 1e5, 10**6)
-        run_pieces, growth = quench._run_pieces, []
+        growth, lengths = [], []
 
-        def traced(run, pieces):
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            run_pieces(run, pieces)
-            growth.append(tracemalloc.get_traced_memory()[1] - before)
+        def traced(call):
+            def run(*args):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                call(*args)
+                growth.append(tracemalloc.get_traced_memory()[1] - before)
+            return run
 
-        monkeypatch.setattr(quench, "_run_pieces", traced)
+        def irfft(a, n, *args, **kwargs):
+            lengths.append(n)
+            return np_irfft(a, n, *args, **kwargs)
+
+        np_irfft = np.fft.irfft
+        monkeypatch.setattr(quench, "_run_pieces", traced(quench._run_pieces))
+        monkeypatch.setattr(quench, "_harmonic_sums", traced(quench._harmonic_sums))
+        monkeypatch.setattr(np.fft, "irfft", irfft)
         tracemalloc.start()
         try:
             loschmidt_echo(spec, times)
         finally:
             tracemalloc.stop()
-        assert growth and max(growth) < 2 * quench._CHUNK_BYTES
+        assert len(growth) == 2 and max(growth) < 2 * quench._CHUNK_BYTES
+        assert len(lengths) == 2 * -(-times.size // quench._SEGMENT)  # ln le and the argument
+        assert max(lengths) <= 2 * quench._SEGMENT
 
     def test_rejects_overflowing_phases(self):
         with pytest.raises(DomainError):
@@ -588,7 +601,7 @@ class TestLoschmidtEcho:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert splits == [workers] * 4  # the per-element modes, then three groups
+        assert splits == [workers]  # the per-element modes; the series transform runs here
         assert peak < 5 * 2**20
 
     def test_small_grids_start_no_thread(self, monkeypatch):
@@ -652,6 +665,53 @@ class TestLoschmidtEcho:
         assert np.all(series.rate >= -1e-14)
         _, amplitude, _, _, _, _ = mode_arrays(spec)
         assert np.all((amplitude >= 0.0) & (amplitude <= 1.0 + 1e-14))
+
+
+class TestHarmonicSums:
+    """The series transform ``quench._harmonic_sums`` against direct sums."""
+
+    @pytest.mark.parametrize(
+        "size, t0, step",
+        [(0, 0.0, 0.1), (1, 2.0, 0.1), (2, 0.0, 0.1), (3, 1.5, 0.3), (200, 2.5, 0.1378),
+         (2 * quench._SEGMENT + 100, 3.0, 0.02),  # three segments, the last one short
+         (quench._SEGMENT, 0.0, 1.0)],  # omega * step past pi
+    )
+    def test_matches_longdouble_sum(self, size, t0, step):
+        # coefficients over six decades, frequencies up to 30: within
+        # 64 eps * sum_j |c_j| (1 + omega_j t) of the long-double sum
+        # (measured: at most 29 over 20 seeds, at the far edge of a segment)
+        rng = np.random.default_rng(size)
+        times = t0 + step * np.arange(size)
+        for terms in (1, 13, 400):
+            omega = rng.uniform(0.0, 30.0, terms)
+            coef = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+            coef *= 10.0 ** rng.uniform(-6.0, 0.0, terms)
+            out, pair = np.zeros(size), np.zeros((2, size))
+            quench._harmonic_sums(times, step, omega, (coef,), (out,))
+            quench._harmonic_sums(times, step, omega, (coef, 1j * coef), tuple(pair))
+            np.testing.assert_array_equal(pair[0], out)  # each sum is transformed apart
+            phase = omega.astype(np.longdouble) * times.astype(np.longdouble)[:, None]
+            exact = np.sum(coef.real * np.cos(phase) - coef.imag * np.sin(phase), axis=1)
+            scale = np.sum(np.abs(coef) * (1.0 + omega * times[:, None]), axis=1)
+            assert np.all(np.abs(out - exact) <= 64 * np.finfo(float).eps * scale)
+
+    def test_series_modes_without_terms(self, monkeypatch):
+        # at theta1 = 1e-9 every mode takes the series with K = 0: the
+        # transform gets no terms, and ln le is the series constants alone
+        sums, terms = quench._harmonic_sums, []
+
+        def recorded(times, step, omega, coefs, outs):
+            terms.append(omega.size)
+            sums(times, step, omega, coefs, outs)
+
+        monkeypatch.setattr(quench, "_harmonic_sums", recorded)
+        spec = make_spec(1e-9, 0.0, n=12)
+        times = np.linspace(2.5, 30.0, 200)
+        series = loschmidt_echo(spec, times)
+        log_le, la = reference_echo(spec, times)
+        assert terms == [0]
+        np.testing.assert_allclose(np.log(series.le), log_le, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(series.la, la, rtol=0, atol=1e-12)  # the lower-band phase t * sum(ea_k)
 
 
 class TestDeterminantOracle:
