@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidQuenchTargetError, NoDqptError
-from .model import _require_equal_hoppings, commensurate_base, is_critical_flux, mode_data
+from .model import _require_equal_hoppings, commensurate_base, is_critical_flux
 from .quench import LESeries, QuenchSpec, mode_arrays
 
 __all__ = [
@@ -115,7 +115,7 @@ def solve_critical_modes(spec: QuenchSpec) -> list[CriticalMode]:
         if k_star > math.pi:  # exact, by Sterbenz's lemma
             k_star = 2.0 * math.pi - k_star
         if k_star < math.pi:
-            gap_star = 0.0 if closed else float(mode_data(spec.post, k_star).gap)
+            gap_star = 0.0 if closed else float(mode_arrays(spec, k_star).gap_post)
             t_star = 2.0 * math.pi / gap_star if gap_star > 0.0 else math.inf
             modes.append(CriticalMode(k_star, gap_star, t_star, tangent))
     return modes

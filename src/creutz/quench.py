@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError
-from .model import LadderParams, allowed_modes, canonical_angle, mode_data
+from .model import LadderParams, allowed_modes, canonical_angle
 
 __all__ = [
     "LESeries",
@@ -100,11 +100,9 @@ class LESeries:
 
 
 class ModeArrays(NamedTuple):
-    """Per-mode quench data, one entry per wavenumber ``k``.
-
-    eta is half the pre- minus post-quench rotation angle and
-    ``amplitude`` = sin^2(2 eta); ``ea_*`` are lower-band energies.
-    """
+    """Per-mode quench data, one entry per wavenumber ``k``: eta is half the
+    pre- minus post-quench rotation angle, ``amplitude`` = sin^2(2 eta), and
+    ``ea_*`` are lower-band energies."""
 
     k: np.ndarray
     amplitude: np.ndarray
@@ -115,19 +113,33 @@ class ModeArrays(NamedTuple):
 
 
 def mode_arrays(spec: QuenchSpec, ks=None) -> ModeArrays:
-    """Vectorized per-mode quench data at ``ks`` (default: the ladder's mode grid)."""
-    if ks is None:
-        ks = allowed_modes(spec.params.n_rungs)
-    pre = mode_data(spec.pre, ks)
-    post = mode_data(spec.post, ks)
-    two_eta = pre.gamma - post.gamma
+    """Per-mode quench data at ``ks``; by default the modes 0 < k < pi of the
+    grid, each standing also for 2 pi - k, which shares every field.
+
+    With u = 2 j_h sin k, v = -2 j_h cos k and q = eps_qp, a flux theta has
+    a = u sin theta, half gap h = sqrt(q^2 + a^2) and lower-band energy
+    v cos theta - j_v - h.  Then sin 2 eta = q (a2 - a1) / (h1 h2) and
+    cos 2 eta = (q^2 + a1 a2) / (h1 h2), eta = 0 where h1 h2 = 0.  A is
+    sin^2 2 eta if that square is the smaller, else 1 - cos^2 2 eta, and
+    min(cos^2 eta, sin^2 eta) = sin^2 2 eta / (2 (1 + |cos 2 eta|)).
+    """
+    p, n = spec.params, spec.params.n_rungs
+    k = allowed_modes(n)[1 : (n + 1) // 2] if ks is None else np.asarray(ks, dtype=float)
+    u, v = 2.0 * p.j_h * np.sin(k), -2.0 * p.j_h * np.cos(k)
+    q = 2.0 * p.j_d * np.cos(k) + p.j_v
+    a1, a2 = u * np.sin(spec.theta_pre), u * np.sin(spec.theta_post)
+    h1, h2 = np.sqrt(q * q + a1 * a1), np.sqrt(q * q + a2 * a2)
+    hh = h1 * h2
+    s = np.divide(q * (a2 - a1), hh, out=np.zeros_like(hh), where=hh > 0.0)
+    c = np.divide(q * q + a1 * a2, hh, out=np.ones_like(hh), where=hh > 0.0)
+    small = s * s / (2.0 + 2.0 * np.abs(c))
     return ModeArrays(
-        k=post.k,
-        amplitude=np.sin(two_eta) ** 2,
-        cos2_eta=np.cos(0.5 * two_eta) ** 2,
-        gap_post=post.gap,
-        ea_pre=pre.e_alpha,
-        ea_post=post.e_alpha,
+        k=k,
+        amplitude=np.where(s * s <= c * c, s * s, 1.0 - c * c),
+        cos2_eta=np.where(c >= 0.0, 1.0 - small, small),
+        gap_post=2.0 * h2,
+        ea_pre=v * np.cos(spec.theta_pre) - p.j_v - h1,
+        ea_post=v * np.cos(spec.theta_post) - p.j_v - h2,
     )
 
 
@@ -387,16 +399,12 @@ class _DirectModes:
 def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries:
     """Echo, amplitude, and rate function on the given time grid.
 
-    Modes k and 2 pi - k share amplitude, mixing angle and gap (eps_q -
-    eps_p is odd in k, every other term even), so only the modes with
-    0 < k < pi are evaluated, each counted twice.  At k = 0 and k = pi
-    sin k = 0, so the flux only shifts both bands: A is 0 (at k = pi up
-    to a rounding far below eps) and the factor is 1.  Each mode's
-    amplitude factor is cos^2 eta + sin^2 eta e^{-i phi}, phi = gap t;
-    its squared modulus is the echo factor 1 - A sin^2(phi / 2)
-    = p + q cos phi with p = 1 - A/2 and q = A/2, and the lower-band
-    phase sum_k ea_post t, over all N modes, is t * sum(ea_post), one
-    number per time.  Each mode takes one of three forms:
+    The modes 0 < k < pi of ``mode_arrays`` are each counted twice; at k = 0
+    and k = pi, sin k = 0 and the factor is 1.  Each mode's amplitude factor
+    is cos^2 eta + sin^2 eta e^{-i phi}, phi = gap t, and its squared
+    modulus the echo factor 1 - A sin^2(phi / 2) = p + q cos phi, with
+    p = 1 - A/2 and q = A/2; the lower-band phase is t times the sum of
+    ea_post over all N modes.  Each mode takes one of three forms:
 
     * Half angle: 1 - A s^2 with s = sin(phi / 2), s^2 clamped at 1, and
       argument atan2(-2 sin^2 eta s c, cos^2 eta + sin^2 eta (1 - 2 s^2)),
@@ -449,10 +457,8 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     if times.size and (not np.all(np.isfinite(times)) or times.min() < 0.0):
         raise DomainError("times must be non-negative and finite")
 
-    _, amplitude, cos2, gap_post, _, ea_post = mode_arrays(spec)
+    _, amplitude, cos2, gap, _, ea_post = mode_arrays(spec)
     n = spec.params.n_rungs
-    inner = slice(1, (n + 1) // 2)  # 0 < k < pi
-    amplitude, cos2, gap = amplitude[inner], cos2[inner], gap_post[inner]
     step = _uniform_step(times)
     unit = amplitude > 1.0 - _NEAR_UNIT if step is not None else np.ones(gap.size, dtype=bool)
     rho = amplitude / (1.0 + np.sqrt(1.0 - amplitude)) ** 2
@@ -465,10 +471,11 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     amp_s = amplitude[series]
     log_le = np.full(times.size, float(np.sum(4.0 * np.log1p(-amp_s / (2.0 + 2.0 * np.sqrt(1.0 - amp_s))))))
     outs = [log_le, np.zeros(times.size)] if include_la else [log_le]  # ln le and the argument
-    # the -phi of the series modes with c < 0 joins the lower-band phase
-    lower_band = float(np.sum(ea_post)) + 2.0 * float(np.sum(gap[series][cos2[series] < 0.5]))
+    # the lower-band phase: k = 0 (k = pi for even N) and the -phi of series modes with c < 0
+    ends = mode_arrays(spec, [0.0, math.pi][: 2 - n % 2]).ea_post
+    lower_band = 2.0 * float(np.sum(ea_post) + np.sum(gap[series][cos2[series] < 0.5])) + float(np.sum(ends))
     t_max = float(times.max()) if times.size else 0.0
-    if not math.isfinite(t_max * (float(gap_post.max()) + abs(lower_band))):
+    if not math.isfinite(t_max * (float(np.max(gap, initial=0.0)) + abs(lower_band))):
         raise DomainError(f"times up to {t_max:g} overflow the mode phases gap * t")
 
     # runs of whole blocks, one per thread, and at most one thread per 4 rows

@@ -57,10 +57,6 @@ _LEAD, _TRAIL = 10**4, 2 * 10**4
 _SLOT = 36
 
 
-def format_float(x: float) -> str:
-    return f"{x:.15g}"
-
-
 def _meta_str(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -188,17 +184,6 @@ def _csv_blocks(metadata: dict, columns: Sequence[str], rows: np.ndarray) -> Ite
         slots[:, :, -1] = ord(",")
         slots[:, -1, -1] = ord("\n")
         yield slots[slots != 0].tobytes()
-
-
-def render_csv(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarray) -> str:
-    """CSV text; each value as ``format_float`` writes it.
-
-    The join of the blocks that ``write_table`` streams as each is formatted.
-    In a block, numpy formats zero and the values printed in fixed notation,
-    the ``%`` operator the rest (non-finite, or |x| below 1e-4 or from 1e15
-    after rounding); the texts and separators fill one NUL-padded byte array.
-    """
-    return b"".join(_csv_blocks(metadata, columns, rows)).decode()
 
 
 def render_json(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarray) -> str:

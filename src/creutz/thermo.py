@@ -17,7 +17,7 @@ import numpy as np
 
 from . import quench
 from .errors import DomainError
-from .model import LadderParams, allowed_modes, canonical_angle, mode_data
+from .model import LadderParams, allowed_modes, canonical_angle
 from .quench import QuenchSpec, mode_arrays
 
 __all__ = [
@@ -88,7 +88,7 @@ def work_distribution(spec: QuenchSpec) -> WorkDistribution:
         raise DomainError(
             f"work distribution limited to n_rungs <= {DISTRIBUTION_MAX_RUNGS}, got {n}"
         )
-    _, _, cos2, gap_post, ea_pre, ea_post = mode_arrays(spec)
+    _, _, cos2, gap_post, ea_pre, ea_post = mode_arrays(spec, allowed_modes(n))
     eb_post = ea_post + gap_post
     works = np.array([0.0])
     probs = np.array([1.0])
@@ -124,22 +124,17 @@ def scan_theta2(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
     """Work statistics for a sweep of post-quench angles at fixed theta1:
     average_work, delta_f and irreversible_work, a (3, len(theta2_grid)) array.
 
-    One (theta2 x k) evaluation on the modes 0 < k < pi, each counted
-    twice for k and 2 pi - k.  With u = 2 j_h sin k, v = -2 j_h cos k and
-    q = eps_qp (free of theta), a flux theta has a = u sin theta, half
-    gap h = sqrt(q^2 + a^2) and cos gamma = a / h.  Per mode,
-    dc = v (cos theta2 - cos theta1), dh = h2 - h1 and
-    lin = cos gamma1 (a2 - a1) give average_work = sum (dc - lin),
-    delta_f = sum (dc - dh) and irreversible_work = sum (dh - lin): no
-    arctan2 or cosine of an angle difference, one sqrt per element.  At
-    k = 0 and k = pi, sin k = 0, so a = 0 and only dc survives: the two
-    ends add -2 j_h (cos theta2 - cos theta1) to average_work and
-    delta_f for odd N (k = 0 alone) and nothing for even N, where the
-    dc of k = 0 and k = pi cancel.  cos gamma1 comes from
-    ``mode_data`` (1 where h1 = 0).  Where q^2 + a1 a2 > 0 an irreversible
-    term is q^2 (a2 - a1)^2 / (h1 (h1 h2 + q^2 + a1 a2)), which is
-    non-negative and exactly 0 at a2 = a1, so theta2 = pi - theta1 costs no
-    irreversible work; elsewhere it is max(dh - lin, 0).  At
+    One (theta2 x k) evaluation on the modes 0 < k < pi, each counted twice,
+    with the u, v, q, a and h of ``mode_arrays`` and cos gamma1 = a1 / h1
+    (1 where h1 = 0).  Per mode, dc = v (cos theta2 - cos theta1),
+    dh = h2 - h1 and lin = cos gamma1 (a2 - a1) give average_work =
+    sum (dc - lin), delta_f = sum (dc - dh) and irreversible_work =
+    sum (dh - lin), one sqrt per element.  At k = 0 and k = pi, a = 0 and
+    only dc survives: it adds -2 j_h (cos theta2 - cos theta1) for odd N
+    (k = 0 alone) and cancels for even N.  Where q^2 + a1 a2 > 0 an
+    irreversible term is q^2 (a2 - a1)^2 / (h1 (h1 h2 + q^2 + a1 a2)),
+    non-negative and exactly 0 at a2 = a1, so theta2 = pi - theta1 costs
+    no irreversible work; elsewhere it is max(dh - lin, 0).  At
     theta2 = theta1, every sum is exactly 0.
 
     Chunks of theta2 rows go through six float64 buffers of about
@@ -151,13 +146,11 @@ def scan_theta2(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
     n = params.n_rungs
     k = allowed_modes(n)[1 : (n + 1) // 2]  # 0 < k < pi
     theta1 = canonical_angle(theta1)
-    pre = mode_data(params.with_theta(theta1), k)
-    u = 2.0 * params.j_h * np.sin(k)
-    v = -2.0 * params.j_h * np.cos(k)
-    q2 = pre.eps_qp**2
+    u, v = 2.0 * params.j_h * np.sin(k), -2.0 * params.j_h * np.cos(k)
+    q2 = (2.0 * params.j_d * np.cos(k) + params.j_v) ** 2
     a1 = u * math.sin(theta1)
     h1 = np.sqrt(q2 + a1 * a1)
-    c1 = np.cos(pre.gamma)
+    c1 = np.divide(a1, h1, out=np.ones_like(h1), where=h1 > 0.0)  # cos gamma1
     theta2 = [canonical_angle(t) for t in np.asarray(theta2_grid, dtype=float)]
     sin_theta2 = np.array([math.sin(t) for t in theta2])[:, None]
     dcos = np.array([math.cos(t) - math.cos(theta1) for t in theta2])[:, None]

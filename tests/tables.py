@@ -1,11 +1,30 @@
-"""Test helper: parse a table written by ``creutz.serialize.write_table``."""
+"""Test helpers: the ``%.15g`` value text, the CSV text of
+``creutz.serialize.write_table`` as one string, and a parser of its tables."""
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
+
+from creutz.serialize import _csv_blocks
+
+
+def format_float(x: float) -> str:
+    """The reference text of one CSV value."""
+    return f"{x:.15g}"
+
+
+def render_csv(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarray) -> str:
+    """CSV text; each value as ``format_float`` writes it.
+
+    The join of the blocks that ``write_table`` streams as each is formatted.
+    In a block, numpy formats zero and the values printed in fixed notation,
+    the ``%`` operator the rest (non-finite, or |x| below 1e-4 or from 1e15
+    after rounding); the texts and separators fill one NUL-padded byte array.
+    """
+    return b"".join(_csv_blocks(metadata, columns, rows)).decode()
 
 
 def _parse_meta(value: str) -> Any:

@@ -21,6 +21,7 @@ import numpy as np
 from creutz import (
     LadderParams,
     QuenchSpec,
+    allowed_modes,
     critical_wavenumbers,
     detect_cusps,
     detect_revivals,
@@ -244,7 +245,7 @@ def test_criterion_8_work_statistics():
         spec = quench(rng.uniform(-2, 2), rng.uniform(-2, 2), n, jv=rng.uniform(0.2, 1.8))
         dist = work_distribution(spec)
         stats = work_stats(spec)
-        _, _, cos2, gap_post, _, _ = mode_arrays(spec)
+        _, _, cos2, gap_post, _, _ = mode_arrays(spec, allowed_modes(n))
         variance = float(np.sum(cos2 * (1 - cos2) * gap_post**2))
         if abs(dist.mean - stats.average_work) > 1e-10:
             failures.append(f"N={n}: first moment off by {dist.mean - stats.average_work:.2e}")

@@ -26,8 +26,7 @@ from creutz import (
 )
 from creutz import __version__, cli, quench, thermo
 from creutz.cli import MAX_TABLE_ROWS, MAX_TIME_POINTS, main
-from creutz.serialize import format_float
-from tables import read_table
+from tables import format_float, read_table
 from test_quench import record_splits
 
 

@@ -7,6 +7,7 @@ import threading
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,9 +22,11 @@ from creutz import (
     loschmidt_echo,
     mode_arrays,
     mode_data,
+    scan_theta2,
     work_stats,
 )
 from creutz import quench
+from creutz.dqpt import predict_dqpt_times
 from creutz.quench import _uniform_step
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -63,7 +66,7 @@ def random_spec(rng, n_max=9, n=None):
 def reference_echo(spec, times):
     """(ln le, la) from the full-mode formula: every mode k_j, with the
     amplitude from complex exp and log of each factor."""
-    _, amplitude, cos2, gap_post, _, ea_post = mode_arrays(spec)
+    _, amplitude, cos2, gap_post, _, ea_post = mode_arrays(spec, allowed_modes(spec.params.n_rungs))
     phase = gap_post[None, :] * times[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         log_le = np.sum(np.log(1.0 - amplitude * np.sin(0.5 * phase) ** 2), axis=1)
@@ -76,29 +79,51 @@ def longdouble_echo(spec, times, table=None):
     """(ln le, scale) per time from the kernel's mode table (``table``, by
     default ``mode_arrays(spec)``) in np.longdouble.
 
-    The modes 0 <= k <= pi, the interior ones twice, as the kernel takes
-    them (mode_arrays rounds k and 2 pi - k apart).  Each factor
-    f = 1 - A sin^2(phi / 2), phi = gap t, is evaluated in long double;
+    The modes 0 < k < pi, each twice for k and 2 pi - k, as the kernel
+    takes them.  Each factor f = 1 - A sin^2(phi / 2), phi = gap t, is
+    evaluated in long double;
     ``scale`` is sum_k (|ln f_k| + (1 + A_k phi_k |sin phi_k|) / f_k).  A
     float64 kernel that rounds each phase (an error of about eps phi_k,
     which moves ln f_k by A_k sin(phi_k) / (2 f_k) per unit), each factor
     (eps / f_k in ln f_k) and each logarithm (eps |ln f_k|) is within a
     few eps * scale of the long-double ln le.
     """
-    n = spec.params.n_rungs
     _, amplitude, _, gap_post, _, _ = mode_arrays(spec) if table is None else table
-    half = n // 2 + 1
-    weight = np.full(half, 2.0)
-    weight[0] = 1.0
-    if n % 2 == 0:
-        weight[-1] = 1.0
     ld = np.longdouble
-    amplitude = amplitude[:half].astype(ld)
-    phase = gap_post[:half].astype(ld) * np.asarray(times, dtype=float).astype(ld)[:, None]
+    amplitude = amplitude.astype(ld)
+    phase = gap_post.astype(ld) * np.asarray(times, dtype=float).astype(ld)[:, None]
     factor = 1 - amplitude * np.sin(phase / 2) ** 2
     log_factor = np.log(factor)
     scale = np.abs(log_factor) + (1 + amplitude * phase * np.abs(np.sin(phase))) / factor
-    return np.sum(weight * log_factor, axis=1), np.sum(weight * scale, axis=1)
+    return 2 * np.sum(log_factor, axis=1), 2 * np.sum(scale, axis=1)
+
+
+def referee_echo(spec, times):
+    """(ln le, scale) per time at 30 digits: the modes k = 2 pi j / N with
+    0 < k < pi, each twice, from the exact k and the closed-form amplitude
+    A = (q (a2 - a1) / (h1 h2))^2 (``mode_arrays``); ``scale`` as in
+    ``longdouble_echo``.  The angles and hoppings are the float inputs."""
+    p, n = spec.params, spec.params.n_rungs
+    with mpmath.workdps(30):
+        sin1, sin2 = mpmath.sin(spec.theta_pre), mpmath.sin(spec.theta_post)
+        modes = []
+        for j in range(1, (n + 1) // 2):
+            k = 2 * mpmath.pi * j / n
+            u, q = 2 * p.j_h * mpmath.sin(k), 2 * p.j_d * mpmath.cos(k) + p.j_v
+            h1, h2 = mpmath.sqrt(q * q + (u * sin1) ** 2), mpmath.sqrt(q * q + (u * sin2) ** 2)
+            modes.append(((q * u * (sin2 - sin1) / (h1 * h2)) ** 2, h2))
+        log_le, scale = [], []
+        for t in times:
+            total = size = 0
+            for amplitude, half_gap in modes:
+                cos, sin = mpmath.cos_sin(half_gap * float(t))  # phi / 2
+                factor = 1 - amplitude * sin * sin
+                log_factor = mpmath.log(factor)
+                total += log_factor
+                size += abs(log_factor) + (1 + 4 * amplitude * half_gap * t * abs(sin * cos)) / factor
+            log_le.append(2 * total)
+            scale.append(float(2 * size))
+    return log_le, np.array(scale)
 
 
 def band_vectors(params, k):
@@ -153,16 +178,48 @@ class TestQuenchMode:
             assert table.amplitude[0] == pytest.approx(4.0 * cos2 * sin2, abs=1e-12)
 
     def test_table_on_mode_grid(self):
-        # the default wavenumbers are the mode grid; the table matches
-        # per-ladder mode data and unpacks as a 6-tuple
-        spec = make_spec(0.3, -0.6, n=24)
-        ks, amplitude, cos2, gap_post, ea_pre, ea_post = mode_arrays(spec)
-        np.testing.assert_array_equal(ks, allowed_modes(24))
-        np.testing.assert_array_equal(ea_pre, mode_data(spec.pre, ks).e_alpha)
-        np.testing.assert_array_equal(ea_post, mode_data(spec.post, ks).e_alpha)
-        np.testing.assert_array_equal(gap_post, mode_data(spec.post, ks).gap)
-        np.testing.assert_allclose(mode_arrays(spec, ks[5:9]).cos2_eta, cos2[5:9], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(amplitude, 4.0 * cos2 * (1.0 - cos2), rtol=0, atol=1e-12)
+        # the default wavenumbers are the modes 0 < k < pi of the grid; the
+        # closed-form table is within 4 eps of the angle form of per-ladder
+        # mode data and of eigenvector overlaps (measured: at most 2 eps),
+        # has its lower-band energies, and unpacks as a 6-tuple
+        eps = np.finfo(float).eps
+        for n in (24, 25):
+            spec = make_spec(0.3, -0.6, n=n)
+            ks, amplitude, cos2, gap_post, ea_pre, ea_post = mode_arrays(spec)
+            np.testing.assert_array_equal(ks, allowed_modes(n)[1 : (n + 1) // 2])
+            pre, post = mode_data(spec.pre, ks), mode_data(spec.post, ks)
+            np.testing.assert_array_equal(ea_pre, pre.e_alpha)
+            np.testing.assert_array_equal(ea_post, post.e_alpha)
+            np.testing.assert_allclose(gap_post, post.gap, rtol=4 * eps, atol=0)
+            two_eta = pre.gamma - post.gamma
+            np.testing.assert_allclose(amplitude, np.sin(two_eta) ** 2, rtol=0, atol=4 * eps)
+            np.testing.assert_allclose(cos2, np.cos(0.5 * two_eta) ** 2, rtol=0, atol=4 * eps)
+            weights = np.array([overlap_weights(spec, k) for k in ks])
+            np.testing.assert_allclose(cos2, weights[:, 0], rtol=0, atol=4 * eps)
+            np.testing.assert_allclose(amplitude, 4.0 * weights[:, 0] * weights[:, 1], rtol=0, atol=4 * eps)
+            np.testing.assert_array_equal(mode_arrays(spec, ks[5:9]).cos2_eta, cos2[5:9])
+
+    def test_closed_gap_at_an_inner_mode(self):
+        # q = 2 j_d cos k + j_v is exactly 0 at k = 2 pi / 3 for this j_v, so
+        # with theta1 or theta2 at 0 that mode has h1 h2 = 0 and eta = 0
+        params = LadderParams(j_h=1.0, j_v=0.9999999999999996, j_d=1.0, theta=0.0, n_rungs=6)
+        times = np.linspace(0.0, 20.0, 201)
+        for theta1, theta2 in ((0.0, 0.7), (0.7, 0.0), (0.0, -2.1), (0.0, 0.0)):
+            spec = QuenchSpec(params, theta1, theta2)
+            ks, amplitude, cos2, _, _, _ = mode_arrays(spec)
+            assert ks[1] == 2 * np.pi / 3
+            assert amplitude[1] == 0.0 and cos2[1] == 1.0
+            series = loschmidt_echo(spec, times)
+            assert np.all(np.isfinite(series.rate)) and np.all(np.isfinite(series.la))
+            assert np.all(np.isfinite(scan_theta2(params, theta1, [theta2, 0.0, -0.3])))
+        # no quench: eta = 0 on every mode, exactly
+        rng = np.random.default_rng(6)
+        for theta in (0.0, 0.7, -2.9, np.pi):
+            for n, j_v in ((6, params.j_v), (31, rng.uniform(0.1, 3.0))):
+                ladder = LadderParams(j_h=rng.uniform(-2.0, 2.0), j_v=j_v, j_d=1.0, theta=0.0, n_rungs=n)
+                table = mode_arrays(QuenchSpec(ladder, theta, theta), allowed_modes(n))
+                np.testing.assert_array_equal(table.amplitude, 0.0)
+                np.testing.assert_array_equal(table.cos2_eta, 1.0)
 
     def test_high_symmetry_modes_are_not_excited(self):
         # sin k = 0 at k = 0 and k = pi, so the flux only shifts both bands
@@ -177,7 +234,7 @@ class TestQuenchMode:
                               for _ in range(2))
             n = int(rng.integers(2, 40))
             spec = QuenchSpec(LadderParams(j_h=j_h, j_v=j_v, j_d=j_d, theta=0.0, n_rungs=n), theta1, theta2)
-            amplitude = mode_arrays(spec).amplitude
+            amplitude = mode_arrays(spec, allowed_modes(n)).amplitude
             assert amplitude[0] == 0.0
             if n % 2 == 0:
                 assert 1.0 - amplitude[n // 2] == 1.0
@@ -187,7 +244,7 @@ class TestQuenchMode:
         rng = np.random.default_rng(12)
         for _ in range(300):
             spec = random_spec(rng)
-            ks, amplitude, cos2, gap_post, _, ea_post = mode_arrays(spec)
+            ks, amplitude, cos2, gap_post, _, ea_post = mode_arrays(spec, allowed_modes(spec.params.n_rungs))
             i = int(rng.integers(0, ks.size))
             t = rng.uniform(0, 30)
             la_mode = cos2[i] * np.exp(-1j * ea_post[i] * t) + (1 - cos2[i]) * np.exp(
@@ -220,7 +277,7 @@ class TestLoschmidtEcho:
         # energies; the echo is unchanged
         spec = make_spec(0.3, -0.6, n=24)
         times = np.linspace(0, 30, 97)
-        _, amplitude, cos2, gap_post, _, ea_post = mode_arrays(spec)
+        _, amplitude, cos2, gap_post, _, ea_post = mode_arrays(spec, allowed_modes(24))
         eb_post = ea_post + gap_post
         swapped = np.array(
             [
@@ -293,7 +350,8 @@ class TestLoschmidtEcho:
             np.testing.assert_array_equal(np.isinf(series.rate), np.isneginf(log_le))
             # 1e-12, plus a few ulps of the lower-band phase t * sum(ea_k),
             # which both kernels round (about 2e-12 at N = 101, t = 30)
-            phase_ulps = 4 * np.finfo(float).eps * times * np.sum(np.abs(mode_arrays(spec).ea_post))
+            ea_post = mode_arrays(spec, allowed_modes(spec.params.n_rungs)).ea_post
+            phase_ulps = 4 * np.finfo(float).eps * times * np.sum(np.abs(ea_post))
             assert np.all(np.abs(series.la - la) <= 1e-12 + phase_ulps)
             np.testing.assert_array_equal(series.le, echo_only.le)
             np.testing.assert_array_equal(series.rate, echo_only.rate)
@@ -344,20 +402,55 @@ class TestLoschmidtEcho:
         error = np.abs((-n * rate).astype(np.longdouble) - exact)
         assert np.all(error <= 2 * np.finfo(float).eps * scale)
 
+    @pytest.mark.parametrize(
+        "n, theta1, theta2, t_max, size, bound",
+        [
+            (1000, 0.0016, 0.0, 1732.0508075688774, 86604, 5.0),  # the revival command's grid
+            (9000, 0.25, -0.25, 10.0, 10001, 0.4),  # the dqpt bench grid
+            (100, 0.25, 0.0, 100.0, 100001, 1.25),  # criterion 7's ladder, to t = 100
+        ],
+        ids=["revival", "dqpt", "n100"],
+    )
+    def test_matches_mpmath_referee(self, n, theta1, theta2, t_max, size, bound):
+        # the table and the kernel end to end: ln le within ``bound`` eps *
+        # scale of the 30-digit referee on 12 evenly spaced grid times, plus
+        # the grid times on both sides of each predicted cusp (dqpt) and
+        # criterion 7's minimum at t = 28.236 (n100).  Measured: at most
+        # 4.47, 0.26 and 0.92; the table of sin^2 of an arctan2 difference
+        # read 4.62, 0.44 and 0.93 on the same times
+        spec = make_spec(theta1 * np.pi, theta2 * np.pi, n=n)
+        times = np.linspace(0.0, t_max, size)
+        pick = set(np.linspace(0, size - 1, 12).astype(int))
+        if theta2 < 0.0:
+            for cusp in predict_dqpt_times(spec, t_max):
+                i = int(np.searchsorted(times, cusp))
+                pick |= {i - 1, i}
+        if n == 100:
+            pick.add(28236)
+        pick = np.array(sorted(pick))
+        rate = loschmidt_echo(spec, times, include_la=False).rate[pick]
+        exact, scale = referee_echo(spec, times[pick])
+        error = np.array([float(abs(mpmath.mpf(-n * r) - x)) for r, x in zip(rate, exact)])
+        assert np.all(error <= bound * np.finfo(float).eps * scale)
+
     @pytest.mark.parametrize("uniform", [True, False])
     def test_amplitudes_next_to_one_stay_finite(self, monkeypatch, uniform):
         # amplitudes 1 - j 2^-53 for j = 1..40, on both sides of the
         # half-angle threshold, at times where phi = gap t passes odd
         # multiples of pi: no factor may round to 0 or below
         n = 84
-        ks = allowed_modes(n)
-        j = np.arange(n) % 40 + 1
+        ks = allowed_modes(n)[1 : n // 2]  # 0 < k < pi
+        j = np.arange(ks.size) % 40 + 1
         amplitude = 1.0 - j * 2.0**-53
-        amplitude[0] = amplitude[n // 2] = 0.0
         cos2 = 0.5 * (1.0 + np.sqrt(1.0 - amplitude))
-        gap = np.pi / (0.01 * (np.arange(n) % 7 + 1))
-        table = quench.ModeArrays(ks, amplitude, cos2, gap, -np.ones(n), -np.ones(n) - gap)
-        monkeypatch.setattr(quench, "mode_arrays", lambda spec: table)
+        gap = np.pi / (0.01 * (np.arange(ks.size) % 7 + 1))
+        ones = np.ones(ks.size)
+        table = quench.ModeArrays(ks, amplitude, cos2, gap, -ones, -ones - gap)
+        # the table of the modes 0 < k < pi; the end modes k = 0 and k = pi
+        # (their lower-band energies) from the closed form
+        closed_form = quench.mode_arrays
+        monkeypatch.setattr(quench, "mode_arrays",
+                            lambda spec, ks=None: table if ks is None else closed_form(spec, ks))
         times = np.linspace(0.0, 2.0, 4001)
         if not uniform:
             times[2000] += 1e-9
@@ -370,15 +463,16 @@ class TestLoschmidtEcho:
     @pytest.mark.parametrize(
         "n, j_v, theta1, theta2",
         [
-            (12, 0.635117220190133, 0.9870983074886834, -3.0883817809017686),
+            (12, 0.48629570188069793, 1.927765547430917, -2.237440200436503),
             (20, 0.8944647729084867, 0.7755398430302387, -2.5698122739690272),
             (26, 0.7974888536417748, 0.7278200781124773, -3.1382427102567276),
         ],
     )
     def test_near_unit_amplitude_factor_stays_finite(self, n, j_v, theta1, theta2):
-        # one mode has amplitude 1 - 2^-52; on this grid the angle-addition
-        # sine of that mode rounds above 1 once, so 1 - A s^2 needs the
-        # clamp s^2 <= 1 to stay positive (it would be NaN or an exact 0)
+        # one mode has amplitude 1 - 2^-52 and takes the half-angle factor
+        # 1 - A s^2, 2^-52 where s^2 = 1 (at 4 of these times in each case); were
+        # s^2 to round above 1, only the clamp s^2 <= 1 would keep it
+        # positive (it would be NaN or an exact 0)
         spec = QuenchSpec(LadderParams(j_h=1.0, j_v=j_v, j_d=1.0, theta=0.0, n_rungs=n), theta1, theta2)
         _, amplitude, _, gap_post, _, _ = mode_arrays(spec)
         j = int(np.argmax(np.where(amplitude < 1.0, amplitude, 0.0)))

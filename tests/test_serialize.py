@@ -7,13 +7,8 @@ import numpy as np
 import pytest
 
 from creutz import LadderParams, __version__, allowed_modes, mode_data
-from creutz.serialize import (
-    _CSV_BLOCK_ROWS,
-    format_float,
-    render_csv,
-    render_json,
-    write_table,
-)
+from creutz.serialize import _CSV_BLOCK_ROWS, render_json, write_table
+from tables import format_float, render_csv
 
 # signed zero, non-finite values, the subnormal and overflow ends, and the
 # switch to exponent notation between 1e15 and 1e16

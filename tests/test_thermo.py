@@ -54,7 +54,7 @@ def reference_work_stats(spec):
     of per-mode terms over all N modes, so that the referee adds no
     rounding of its own at large N.
     """
-    _, _, cos2, gap_post, ea_pre, ea_post = mode_arrays(spec)
+    _, _, cos2, gap_post, ea_pre, ea_post = mode_arrays(spec, allowed_modes(spec.params.n_rungs))
     sin2 = 1.0 - cos2
     eb_post = ea_post + gap_post
     return (
@@ -150,7 +150,7 @@ class TestWorkStats:
         spec = make_spec(0.4, -0.3, n=21)
         stats = work_stats(spec)
         shift = 1.7
-        _, _, cos2, gap_post, ea_pre, ea_post = mode_arrays(spec)
+        _, _, cos2, gap_post, ea_pre, ea_post = mode_arrays(spec, allowed_modes(21))
         eb_post = ea_post + gap_post
         avg = np.sum((ea_post + shift) * cos2 + (eb_post + shift) * (1 - cos2) - (ea_pre + shift))
         delta_f = np.sum(ea_post + shift) - np.sum(ea_pre + shift)
@@ -174,7 +174,7 @@ class TestWorkDistribution:
             assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-10)
             assert np.all(dist.probabilities > 0.0)
             assert np.all(np.diff(dist.works) > 0.0)
-            _, amplitude, _, _, _, _ = mode_arrays(spec)
+            _, amplitude, _, _, _, _ = mode_arrays(spec, allowed_modes(spec.params.n_rungs))
             active = int(np.sum(amplitude > 0.0))
             assert dist.works.size <= 2**active
 
@@ -185,7 +185,7 @@ class TestWorkDistribution:
             dist = work_distribution(spec)
             stats = work_stats(spec)
             assert dist.mean == pytest.approx(stats.average_work, abs=1e-10)
-            _, _, cos2, gap_post, _, _ = mode_arrays(spec)
+            _, _, cos2, gap_post, _, _ = mode_arrays(spec, allowed_modes(spec.params.n_rungs))
             variance = float(np.sum(cos2 * (1 - cos2) * gap_post**2))
             assert dist.variance == pytest.approx(variance, abs=1e-9)
 
@@ -274,8 +274,8 @@ class TestScan:
     @pytest.mark.parametrize("n", [2, 4, 10, 64, 100])
     def test_pre_quench_gap_closing_on_grid(self, n):
         # j_v = 2 j_d at theta1 = 0 closes the pre-quench gap at k = pi,
-        # which even N puts on the grid: the mixing angle there is the
-        # arctan2(0, 0) = 0 convention
+        # which even N puts on the grid: there h1 = 0, and the scan takes
+        # cos gamma1 = 1
         rng = np.random.default_rng(50 + n)
         for j in (1.0, rng.uniform(0.3, 2.0)):
             params = LadderParams(j, 2.0 * j, j, 0.0, n)
@@ -309,7 +309,7 @@ class TestScan:
     @pytest.mark.parametrize("theta1", [0.24, 0.25, 0.2549722, 0.26])
     def test_full_grid_within_longdouble_bound(self, theta1):
         # every row of the N = 20000 x 401 scan is within 2 eps of the
-        # summed magnitudes of its per-mode products (measured at most 0.61)
+        # summed magnitudes of its per-mode products (measured at most 0.67)
         params = LadderParams(1.0, 1.0, 1.0, 0.0, 20000)
         grid = np.linspace(-1.0, 1.0, 401) * math.pi
         eps = np.finfo(float).eps
