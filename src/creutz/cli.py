@@ -15,6 +15,7 @@ Identical configurations write identical bytes.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from dataclasses import dataclass
 from math import inf, isfinite, pi
@@ -213,10 +214,8 @@ def _cmd_revival(cfg: RunConfig):
     prediction = revival.predict_revival(spec, q_max=cfg["q_max"], tol=cfg["tol"])
     times = _time_grid(cfg, default_t_max=2.0 * prediction.period, default_dt=0.02)
     series = loschmidt_echo(spec, times, include_la=False)
-    detection = revival.detect_revivals(
-        series, margin=cfg["margin"], window=cfg["window"],
-        peak_fraction=cfg["peak_fraction"],
-    )
+    detection = revival.detect_revivals(series, margin=cfg["margin"], window=cfg["window"],
+                                        peak_fraction=cfg["peak_fraction"])
     meta = _base_metadata(cfg, ("theta1", "theta2"))
     meta.update(q_max=cfg["q_max"], tol=cfg["tol"], window=cfg["window"],
                 peak_fraction=cfg["peak_fraction"])
@@ -235,9 +234,7 @@ def _cmd_revival(cfg: RunConfig):
         n_points=int(times.size),
     )
     grid_le = np.interp(detection.revival_times, series.times, series.le)
-    rows = np.column_stack(
-        [np.arange(detection.revival_times.size), detection.revival_times, grid_le]
-    )
+    rows = np.column_stack([np.arange(grid_le.size), detection.revival_times, grid_le])
     return meta, ["revival_index", "t_revival", "le_at_revival"], rows
 
 
@@ -317,8 +314,25 @@ _RUNNERS = {
 }
 
 
+def _park_blas_pool() -> None:
+    """Stop numpy's idle OpenBLAS workers, which spin for about 0.1 s of CPU
+    after ``import numpy`` and so take a CPU from the echo kernel's threads;
+    the CLI calls no BLAS, and the pool restarts by itself on the next call."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({ln.split(maxsplit=5)[-1].strip() for ln in maps if "openblas" in ln})
+        for path in paths:  # loaded already, so CDLL returns the same instance
+            shutdown = getattr(ctypes.CDLL(path), "blas_thread_shutdown_", None)
+            if shutdown is not None:  # MKL, BLIS and Accelerate have no such routine
+                shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                shutdown()
+    except OSError:  # no /proc, or a mapped path that is not a library
+        pass
+
+
 def run(config: RunConfig) -> int:
     """Execute one resolved configuration and write its output table."""
+    _park_blas_pool()
     meta, columns, rows = _RUNNERS[config.command](config)
     write_table(config.out, meta, columns, rows, fmt=config.fmt)
     return 0

@@ -132,14 +132,9 @@ def predict_dqpt_times(spec: QuenchSpec, t_max: float) -> list[float]:
         raise NoDqptError("quench admits no critical mode; no transition times exist")
     times = []
     for mode in modes:
-        if not math.isfinite(mode.t_star):
-            continue
-        n_max = int(t_max / mode.t_star + 0.5)
-        times.extend(
-            mode.t_star * (n + 0.5)
-            for n in range(n_max + 1)
-            if mode.t_star * (n + 0.5) <= t_max
-        )
+        if math.isfinite(mode.t_star):
+            n_max = int(t_max / mode.t_star + 0.5)
+            times += [t for t in (mode.t_star * (n + 0.5) for n in range(n_max + 1)) if t <= t_max]
     return sorted(times)
 
 
@@ -167,9 +162,7 @@ def fisher_zero_lines(
     lines = []
     for n in range(n_range[0], n_range[1] + 1):
         z = (1j * math.pi * (2 * n + 1) + log_tan2[valid]) / gap[valid]
-        lines.append(
-            FisherZeroLine(n=n, k=ks[valid], points=z, n_skipped=n_skipped)
-        )
+        lines.append(FisherZeroLine(n=n, k=ks[valid], points=z, n_skipped=n_skipped))
     return lines
 
 

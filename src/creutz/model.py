@@ -33,9 +33,10 @@ __all__ = [
 ]
 
 _CRITICAL_TARGET_TOL = 1e-12
-# Band energies reach about 3 |j|; squaring them must stay below the float
-# overflow threshold (~1.8e308), with room for sums over modes.
+# Band energies reach about 3 |j|; squaring them must stay between the float
+# underflow and overflow thresholds (~2.2e-308, ~1.8e308), with room for sums.
 _MAX_HOPPING = 1e150
+_MIN_HOPPING = 1e-150  # of a nonzero hopping in a mode table
 
 
 def _rung_count(n_rungs) -> int:
@@ -69,10 +70,11 @@ class LadderParams:
 
     ``theta`` is stored canonically in (-pi, pi].  Hoppings must be finite
     with magnitude at most 1e150, ``j_v`` and ``j_d`` positive; ``n_rungs``
-    is the number of sites per leg.  A negative ``j_h`` is the gauge
-    theta -> theta - pi of ``|j_h|`` (eps_q, eps_p, the band center and
-    the half gap map onto each other), and at ``j_h = 0`` the flux drops
-    out; the criticality analysis needs ``j_h == j_d``.
+    is the number of sites per leg.  The mode tables refuse a nonzero
+    hopping below 1e-150.  A negative ``j_h`` is the gauge theta -> theta - pi
+    of ``|j_h|`` (eps_q, eps_p, the band center and the half gap map onto
+    each other), and at ``j_h = 0`` the flux drops out; the criticality
+    analysis needs ``j_h == j_d``.
     """
 
     j_h: float
@@ -89,10 +91,9 @@ class LadderParams:
                     f"{name} must be finite with magnitude at most {_MAX_HOPPING:g}, got {value}: "
                     "larger hoppings overflow the squared band energies of the mode table"
                 )
-        if self.j_v <= 0.0:
-            raise DomainError(f"j_v must be positive, got {self.j_v}")
-        if self.j_d <= 0.0:
-            raise DomainError(f"j_d must be positive, got {self.j_d}")
+        for name in ("j_v", "j_d"):
+            if getattr(self, name) <= 0.0:
+                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
         object.__setattr__(self, "n_rungs", _rung_count(self.n_rungs))
         object.__setattr__(self, "theta", canonical_angle(self.theta))
 
@@ -121,6 +122,16 @@ def allowed_modes(n_rungs: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
+def _band_terms(params: LadderParams, k: np.ndarray):
+    """u = 2 j_h sin k, v = -2 j_h cos k and q = eps_qp at ``k``, the terms of
+    every mode table; a nonzero hopping below 1e-150 is refused."""
+    for name in ("j_h", "j_v", "j_d"):
+        if 0.0 < abs(getattr(params, name)) < _MIN_HOPPING:
+            raise DomainError(f"nonzero {name} must have magnitude at least {_MIN_HOPPING:g}, "
+                              f"got {getattr(params, name)}: its band energies' squares underflow")
+    return 2.0 * params.j_h * np.sin(k), -2.0 * params.j_h * np.cos(k), 2.0 * params.j_d * np.cos(k) + params.j_v
+
+
 def mode_data(params: LadderParams, k) -> ModeData:
     """All per-wavenumber spectral quantities at scalar or array ``k``.
 
@@ -129,12 +140,12 @@ def mode_data(params: LadderParams, k) -> ModeData:
     """
     theta = params.theta
     k = np.asarray(k, dtype=float)
+    u, v, eps_qp = _band_terms(params, k)
     eps_q = 2.0 * params.j_h * np.cos(k - theta)
     eps_p = 2.0 * params.j_h * np.cos(k + theta)
-    eps_qp = 2.0 * params.j_d * np.cos(k) + params.j_v
     gamma = np.arctan2(2.0 * eps_qp, eps_q - eps_p)
-    half_gap = np.sqrt(eps_qp**2 + (2.0 * params.j_h * np.sin(k) * np.sin(theta)) ** 2)
-    center = -2.0 * params.j_h * np.cos(k) * np.cos(theta) - params.j_v
+    half_gap = np.sqrt(eps_qp**2 + (u * np.sin(theta)) ** 2)
+    center = v * np.cos(theta) - params.j_v
     e_alpha, e_beta = center - half_gap, center + half_gap
     return ModeData(
         k=k,

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError
-from .model import LadderParams, allowed_modes, canonical_angle
+from .model import LadderParams, _band_terms, allowed_modes, canonical_angle
 
 __all__ = [
     "LESeries",
@@ -125,8 +125,7 @@ def mode_arrays(spec: QuenchSpec, ks=None) -> ModeArrays:
     """
     p, n = spec.params, spec.params.n_rungs
     k = allowed_modes(n)[1 : (n + 1) // 2] if ks is None else np.asarray(ks, dtype=float)
-    u, v = 2.0 * p.j_h * np.sin(k), -2.0 * p.j_h * np.cos(k)
-    q = 2.0 * p.j_d * np.cos(k) + p.j_v
+    u, v, q = _band_terms(p, k)
     a1, a2 = u * np.sin(spec.theta_pre), u * np.sin(spec.theta_post)
     h1, h2 = np.sqrt(q * q + a1 * a1), np.sqrt(q * q + a2 * a2)
     hh = h1 * h2

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import quench
 from .errors import DomainError
-from .model import LadderParams, allowed_modes, canonical_angle
+from .model import LadderParams, _band_terms, allowed_modes, canonical_angle
 from .quench import QuenchSpec, mode_arrays
 
 __all__ = [
@@ -146,8 +146,8 @@ def scan_theta2(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
     n = params.n_rungs
     k = allowed_modes(n)[1 : (n + 1) // 2]  # 0 < k < pi
     theta1 = canonical_angle(theta1)
-    u, v = 2.0 * params.j_h * np.sin(k), -2.0 * params.j_h * np.cos(k)
-    q2 = (2.0 * params.j_d * np.cos(k) + params.j_v) ** 2
+    u, v, q = _band_terms(params, k)
+    q2 = q**2
     a1 = u * math.sin(theta1)
     h1 = np.sqrt(q2 + a1 * a1)
     c1 = np.divide(a1, h1, out=np.ones_like(h1), where=h1 > 0.0)  # cos gamma1

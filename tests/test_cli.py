@@ -1,11 +1,14 @@
 """Command-line surface: formats, precedence, determinism, exit codes."""
 
 import contextlib
+import ctypes
 import io
 import json
 import math
 import os
 import string
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -27,7 +30,7 @@ from creutz import (
 from creutz import __version__, cli, quench, thermo
 from creutz.cli import MAX_TABLE_ROWS, MAX_TIME_POINTS, main
 from tables import format_float, read_table
-from test_quench import record_splits
+from test_quench import SRC, record_splits
 
 
 def run_cli(*args):
@@ -602,3 +605,149 @@ def test_every_command_and_key_ends_in_exit_code_not_traceback(command, settings
         if code == 0:
             _, _, rows = read_table(out)
             assert not np.any(np.isnan(rows))
+
+
+@pytest.mark.parametrize("tiny", ["1e-160", "1e-170"])
+def test_hoppings_that_underflow_end_in_domain_error(tmp_path, capsys, tiny):
+    # at 1e-170 every gap and amplitude of the table read 0, and `le`
+    # wrote le = 1 on every row with exit 0
+    out = tmp_path / "le.csv"
+    code = run_cli("le", "--set", f"j={tiny}", "--set", f"j_v={tiny}", "--set", "n_rungs=12",
+                   "--set", "theta1=0.3", "--set", "theta2=-0.9", "--set", "t_max=1e170",
+                   "--set", "n_points=4", "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "domain error" in err and "underflow" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _openblas_paths() -> list:
+    """Mapped OpenBLAS libraries that export the pool's shutdown routine."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line}
+        return [path for path in paths if hasattr(ctypes.CDLL(path), "blas_thread_shutdown_")]
+    except OSError:
+        return []
+
+
+needs_openblas = pytest.mark.skipif(not _openblas_paths(), reason="numpy's BLAS is not OpenBLAS on Linux")
+FRESH_ENV = {key: value for key, value in os.environ.items()
+             if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+FRESH_ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+
+
+def run_fresh(script: str, *args: str) -> str:
+    done = subprocess.run([sys.executable, "-c", script, *args], env=FRESH_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@needs_openblas
+def test_cli_run_leaves_no_spinning_blas_thread():
+    # numpy first, as a host program would: its OpenBLAS workers spin after
+    # the import (two threads and 0.07 s of CPU in a 0.2 s sleep after the
+    # run, before the park)
+    script = (
+        "import os, time\n"
+        "import numpy as np\n"
+        "from creutz import cli\n"
+        "assert cli.main(['dqpt', '--set', 'n_rungs=300', '--out', os.devnull]) == 0\n"
+        "start = time.process_time()\n"
+        "time.sleep(0.2)\n"
+        "print(len(os.listdir('/proc/self/task')), time.process_time() - start)\n"
+    )
+    threads, cpu = run_fresh(script).split()
+    assert int(threads) == 1
+    assert float(cpu) < 0.02
+
+
+@needs_openblas
+def test_blas_results_are_the_same_after_the_park():
+    # the pool restarts on the next threaded call; eigvalsh and a product
+    # large enough for threads give the same bits
+    spec = QuenchSpec(LadderParams(1.0, 1.0, 1.0, 0.0, 12), 0.3 * math.pi, -0.9 * math.pi)
+    times = np.linspace(0.0, 5.0, 7)
+    a = np.random.default_rng(3).standard_normal((400, 400))
+    before = [*quench.exact_le_oracle(spec, times), a @ a]
+    cli._park_blas_pool()
+    after = [*quench.exact_le_oracle(spec, times), a @ a]
+    assert [np.asarray(x).tobytes() for x in before] == [np.asarray(x).tobytes() for x in after]
+
+
+@pytest.mark.parametrize("maps, cdll_result", [
+    (PermissionError, None),
+    ("7f0-7f1 r-xp 00000000 08:01 42 /usr/lib/libm.so.6\n", None),
+    ("7f0-7f1 r-xp 00000000 08:01 42 /usr/lib/libopenblas.so.0\n", OSError),
+    ("7f0-7f1 r-xp 00000000 08:01 42 /usr/lib/libopenblas.so.0 (deleted)\n", OSError),
+    ("7f0-7f1 r-xp 00000000 08:01 42 /usr/lib/libopenblas.so.0\n", "no symbol"),
+])
+def test_park_returns_quietly_without_a_pool(monkeypatch, maps, cdll_result):
+    # no /proc, no OpenBLAS (MKL, BLIS, Accelerate), a path that is not a
+    # library, or an OpenBLAS without the routine: nothing to stop
+    loaded = []
+
+    def fake_open(path, *args, **kwargs):
+        assert path == "/proc/self/maps"
+        if isinstance(maps, type):
+            raise maps(path)
+        return io.StringIO(maps)
+
+    def fake_cdll(path):
+        loaded.append(path)
+        if cdll_result is OSError:
+            raise OSError(f"{path}: cannot open shared object file")
+        return object()
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    monkeypatch.setattr(cli.ctypes, "CDLL", fake_cdll)
+    assert cli._park_blas_pool() is None
+    assert loaded == ([] if cdll_result is None else [maps.split(maxsplit=5)[-1].strip()])
+
+
+def test_park_stops_each_mapped_openblas_once(monkeypatch):
+    maps = "".join(f"7f{i}-7f{i + 1} r-xp 00000000 08:01 42 {path}\n" for i, path in enumerate(
+        ["/opt/numpy.libs/libscipy_openblas64_-1a.so"] * 3 + ["/usr/lib/libopenblas.so.0"]))
+    stopped = []
+
+    def fake_cdll(path):
+        def shutdown():
+            stopped.append(path)
+            return 0
+        return type("Library", (), {"blas_thread_shutdown_": staticmethod(shutdown)})()
+
+    monkeypatch.setattr(cli, "open", lambda path: io.StringIO(maps), raising=False)
+    monkeypatch.setattr(cli.ctypes, "CDLL", fake_cdll)
+    cli._park_blas_pool()
+    assert stopped == ["/opt/numpy.libs/libscipy_openblas64_-1a.so", "/usr/lib/libopenblas.so.0"]
+
+
+def test_outputs_are_the_same_bytes_with_and_without_the_park():
+    # every command in a fresh process, once with the park patched to a
+    # no-op: the BLAS pool's state must not reach any output
+    script = (
+        "import hashlib, os, sys, tempfile\n"
+        "import numpy as np\n"
+        "from creutz import cli\n"
+        "if sys.argv[1] == 'off':\n"
+        "    cli._park_blas_pool = lambda: None\n"
+        "runs = [['spectrum', '--set', 'n_rungs=40', '--set', 'theta=0.3'],\n"
+        "        ['le', '--set', 'n_rungs=40', '--set', 'theta1=0.25', '--set', 'theta2=-0.25',\n"
+        "         '--set', 't_max=5', '--set', 'n_points=501'],\n"
+        "        ['le', '--set', 'n_rungs=40', '--set', 't_max=5', '--set', 'n_points=51',\n"
+        "         '--format', 'json'],\n"
+        "        ['revival', '--set', 'n_rungs=100'],\n"
+        "        ['dqpt', '--set', 'n_rungs=300', '--set', 't_max=3', '--set', 'n_points=3001'],\n"
+        "        ['work', '--set', 'n_rungs=50', '--set', 'theta1=0.25', '--set', 'theta2=-0.25'],\n"
+        "        ['scan', '--set', 'n_rungs=200', '--set', 'n_theta2=41']]\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    for i, argv in enumerate(runs):\n"
+        "        out = os.path.join(tmp, f'{i}.out')\n"
+        "        assert cli.main([*argv, '--out', out]) == 0\n"
+        "        with open(out, 'rb') as handle:\n"
+        "            print(argv[0], hashlib.sha256(handle.read()).hexdigest())\n"
+    )
+    off, on = run_fresh(script, "off"), run_fresh(script, "on")
+    assert off.count("\n") == 7
+    assert on == off
