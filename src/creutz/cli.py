@@ -15,7 +15,6 @@ Identical configurations write identical bytes.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import ctypes
 import sys
 from dataclasses import dataclass
 from math import inf, isfinite, pi
@@ -24,7 +23,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, CreutzError, DomainError
-from .model import LadderParams, allowed_modes, is_critical_flux, mode_data
+from .model import LadderParams, _park_blas_pool, allowed_modes, is_critical_flux, mode_data
 from .serialize import write_table  # the runners import quench, dqpt, revival and thermo
 
 # Most points a time grid may have: 10^8 float64 times are 800 MB before
@@ -312,22 +311,6 @@ _RUNNERS = {
     "work": _cmd_work,
     "scan": _cmd_work,
 }
-
-
-def _park_blas_pool() -> None:
-    """Stop numpy's idle OpenBLAS workers, which spin for about 0.1 s of CPU
-    after ``import numpy`` and so take a CPU from the echo kernel's threads;
-    the CLI calls no BLAS, and the pool restarts by itself on the next call."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({ln.split(maxsplit=5)[-1].strip() for ln in maps if "openblas" in ln})
-        for path in paths:  # loaded already, so CDLL returns the same instance
-            shutdown = getattr(ctypes.CDLL(path), "blas_thread_shutdown_", None)
-            if shutdown is not None:  # MKL, BLIS and Accelerate have no such routine
-                shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-                shutdown()
-    except OSError:  # no /proc, or a mapped path that is not a library
-        pass
 
 
 def run(config: RunConfig) -> int:

@@ -12,6 +12,7 @@ differences are unaffected by the shift.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -122,13 +123,19 @@ def allowed_modes(n_rungs: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def _band_terms(params: LadderParams, k: np.ndarray):
-    """u = 2 j_h sin k, v = -2 j_h cos k and q = eps_qp at ``k``, the terms of
-    every mode table; a nonzero hopping below 1e-150 is refused."""
+def _require_hopping_floor(params: LadderParams) -> None:
+    """Refuse a nonzero hopping below 1e-150, whose squares underflow in the
+    mode tables and the group velocity."""
     for name in ("j_h", "j_v", "j_d"):
         if 0.0 < abs(getattr(params, name)) < _MIN_HOPPING:
             raise DomainError(f"nonzero {name} must have magnitude at least {_MIN_HOPPING:g}, "
                               f"got {getattr(params, name)}: its band energies' squares underflow")
+
+
+def _band_terms(params: LadderParams, k: np.ndarray):
+    """u = 2 j_h sin k, v = -2 j_h cos k and q = eps_qp at ``k``, the terms of
+    every mode table; a nonzero hopping below 1e-150 is refused."""
+    _require_hopping_floor(params)
     return 2.0 * params.j_h * np.sin(k), -2.0 * params.j_h * np.cos(k), 2.0 * params.j_d * np.cos(k) + params.j_v
 
 
@@ -223,5 +230,25 @@ def group_velocity(params: LadderParams) -> float:
     wavenumbers.
     """
     critical_wavenumbers(params)  # validates j_h == j_d and j_v < 2j
+    _require_hopping_floor(params)
     j = params.j_h
     return 2.0 * math.sqrt(4.0 * j * j - params.j_v * params.j_v)
+
+
+def _park_blas_pool() -> None:
+    """Stop numpy's idle OpenBLAS workers, which spin for about 0.1 s of CPU
+    after ``import numpy`` and so take a CPU from the echo kernel's threads;
+    the pool restarts by itself on the next threaded BLAS call.  ``cli.run``
+    calls it (no command calls BLAS), and so does ``quench._run_pieces``
+    before it starts threads, if no other thread has a Python frame (a
+    thread inside a BLAS call keeps its frame)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({ln.split(maxsplit=5)[-1].strip() for ln in maps if "openblas" in ln})
+        for path in paths:  # loaded already, so CDLL returns the same instance
+            shutdown = getattr(ctypes.CDLL(path), "blas_thread_shutdown_", None)
+            if shutdown is not None:  # MKL, BLIS and Accelerate have no such routine
+                shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                shutdown()
+    except OSError:  # no /proc, or a mapped path that is not a library
+        pass

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -24,7 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError
-from .model import LadderParams, _band_terms, allowed_modes, canonical_angle
+from .model import LadderParams, _band_terms, _park_blas_pool, allowed_modes, canonical_angle
 
 __all__ = [
     "LESeries",
@@ -219,6 +220,8 @@ def _run_pieces(run, pieces) -> None:
             errors.append(exc)
 
     threads = [threading.Thread(target=guarded, args=piece) for piece in pieces[1:]]
+    if threads and len(sys._current_frames()) == 1:  # so no other thread is inside BLAS
+        _park_blas_pool()
     for thread in threads:
         thread.start()
     guarded(*pieces[0])
@@ -405,12 +408,14 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     p = 1 - A/2 and q = A/2; the lower-band phase is t times the sum of
     ea_post over all N modes.  Each mode takes one of three forms:
 
-    * Half angle: 1 - A s^2 with s = sin(phi / 2), s^2 clamped at 1, and
-      argument atan2(-2 sin^2 eta s c, cos^2 eta + sin^2 eta (1 - 2 s^2)),
+    * Half angle: 1 - A s^2 with s = sin(phi / 2), and argument
+      atan2(-2 sin^2 eta s c, cos^2 eta + sin^2 eta (1 - 2 s^2)),
       c = cos(phi / 2), from ``sin`` and ``cos`` per element.  Every mode
       on a grid that is not uniform (``_uniform_step``); on a uniform
       grid those with 1 - A <= ``_NEAR_UNIT``.  A factor is exactly 0
       only for A = 1 where s^2 rounds to 1, which gives ``rate = +inf``.
+      s^2 is clamped at 1, a guard against a ``sin`` with more than one
+      ulp of error that rounds above 1; numpy's stays within [-1, 1].
     * Full angle: p + Re z with z = q exp(-i phi), and argument
       atan2(Im z, 2 cos^4 eta + Re z), the parts of
       cos^2 eta + sin^2 eta exp(-i phi) times 2 cos^2 eta > 0; z is one

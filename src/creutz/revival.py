@@ -78,14 +78,10 @@ def predict_revival(spec: QuenchSpec, q_max: int = 64, tol: float = 1e-9) -> Rev
         )
     n = spec.params.n_rungs
     effective_n = math.lcm(base, n)
-    velocity = group_velocity(spec.params)
-    period = effective_n / velocity if velocity > 0.0 else math.inf
-    if not math.isfinite(period):  # hoppings so small that 4 j^2 - j_v^2 underflows
-        raise DomainError(f"group velocity {velocity:g} gives no finite revival period")
     return RevivalPrediction(
         base=base,
         effective_n=effective_n,
-        period=period,
+        period=effective_n / group_velocity(spec.params),
         commensurate=(n % base == 0),
     )
 

@@ -27,7 +27,7 @@ from creutz import (
     loschmidt_echo,
     mode_data,
 )
-from creutz import __version__, cli, quench, thermo
+from creutz import __version__, cli, model, quench, thermo
 from creutz.cli import MAX_TABLE_ROWS, MAX_TIME_POINTS, main
 from tables import format_float, read_table
 from test_quench import SRC, record_splits
@@ -607,6 +607,19 @@ def test_every_command_and_key_ends_in_exit_code_not_traceback(command, settings
             assert not np.any(np.isnan(rows))
 
 
+@pytest.mark.parametrize("command", ["spectrum", "le", "revival", "dqpt", "work", "scan"])
+def test_every_command_refuses_hoppings_that_underflow(tmp_path, capsys, command):
+    # revival used to size its default grid from the period of a 1e-160
+    # hopping (about 1e162 points) and exit 1 before any table refused it
+    out = tmp_path / "out.csv"
+    code = run_cli(command, "--set", "j=1e-160", "--set", "j_v=1e-160", "--set", "n_rungs=12",
+                   "--set", "theta1=0.25", "--set", "theta2=0", "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "domain error" in err and "underflow" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tiny", ["1e-160", "1e-170"])
 def test_hoppings_that_underflow_end_in_domain_error(tmp_path, capsys, tiny):
     # at 1e-170 every gap and amplitude of the table read 0, and `le`
@@ -664,6 +677,27 @@ def test_cli_run_leaves_no_spinning_blas_thread():
 
 
 @needs_openblas
+@pytest.mark.skipif(quench._worker_count() < 2, reason="the kernel starts no thread on one CPU")
+def test_loschmidt_echo_leaves_no_spinning_blas_thread():
+    # a plain library call after numpy's import: the kernel parks the pool
+    # before it starts its threads (two threads and 0.08 s of CPU in a
+    # 0.2 s sleep after the call, before the park)
+    script = (
+        "import os, time\n"
+        "import numpy as np\n"
+        "from creutz import LadderParams, QuenchSpec, loschmidt_echo\n"
+        "spec = QuenchSpec(LadderParams(1.0, 1.0, 1.0, 0.0, 300), 0.25 * np.pi, -0.25 * np.pi)\n"
+        "loschmidt_echo(spec, np.linspace(0.0, 10.0, 2001))\n"
+        "start = time.process_time()\n"
+        "time.sleep(0.2)\n"
+        "print(len(os.listdir('/proc/self/task')), time.process_time() - start)\n"
+    )
+    threads, cpu = run_fresh(script).split()
+    assert int(threads) == 1
+    assert float(cpu) < 0.02
+
+
+@needs_openblas
 def test_blas_results_are_the_same_after_the_park():
     # the pool restarts on the next threaded call; eigvalsh and a product
     # large enough for threads give the same bits
@@ -671,7 +705,7 @@ def test_blas_results_are_the_same_after_the_park():
     times = np.linspace(0.0, 5.0, 7)
     a = np.random.default_rng(3).standard_normal((400, 400))
     before = [*quench.exact_le_oracle(spec, times), a @ a]
-    cli._park_blas_pool()
+    model._park_blas_pool()
     after = [*quench.exact_le_oracle(spec, times), a @ a]
     assert [np.asarray(x).tobytes() for x in before] == [np.asarray(x).tobytes() for x in after]
 
@@ -700,9 +734,9 @@ def test_park_returns_quietly_without_a_pool(monkeypatch, maps, cdll_result):
             raise OSError(f"{path}: cannot open shared object file")
         return object()
 
-    monkeypatch.setattr(cli, "open", fake_open, raising=False)
-    monkeypatch.setattr(cli.ctypes, "CDLL", fake_cdll)
-    assert cli._park_blas_pool() is None
+    monkeypatch.setattr(model, "open", fake_open, raising=False)
+    monkeypatch.setattr(model.ctypes, "CDLL", fake_cdll)
+    assert model._park_blas_pool() is None
     assert loaded == ([] if cdll_result is None else [maps.split(maxsplit=5)[-1].strip()])
 
 
@@ -717,21 +751,22 @@ def test_park_stops_each_mapped_openblas_once(monkeypatch):
             return 0
         return type("Library", (), {"blas_thread_shutdown_": staticmethod(shutdown)})()
 
-    monkeypatch.setattr(cli, "open", lambda path: io.StringIO(maps), raising=False)
-    monkeypatch.setattr(cli.ctypes, "CDLL", fake_cdll)
-    cli._park_blas_pool()
+    monkeypatch.setattr(model, "open", lambda path: io.StringIO(maps), raising=False)
+    monkeypatch.setattr(model.ctypes, "CDLL", fake_cdll)
+    model._park_blas_pool()
     assert stopped == ["/opt/numpy.libs/libscipy_openblas64_-1a.so", "/usr/lib/libopenblas.so.0"]
 
 
 def test_outputs_are_the_same_bytes_with_and_without_the_park():
-    # every command in a fresh process, once with the park patched to a
-    # no-op: the BLAS pool's state must not reach any output
+    # every command in a fresh process, once with both calls of the park
+    # (the CLI's and the kernel's) patched to a no-op: the BLAS pool's
+    # state must not reach any output
     script = (
         "import hashlib, os, sys, tempfile\n"
         "import numpy as np\n"
-        "from creutz import cli\n"
+        "from creutz import cli, quench\n"
         "if sys.argv[1] == 'off':\n"
-        "    cli._park_blas_pool = lambda: None\n"
+        "    cli._park_blas_pool = quench._park_blas_pool = lambda: None\n"
         "runs = [['spectrum', '--set', 'n_rungs=40', '--set', 'theta=0.3'],\n"
         "        ['le', '--set', 'n_rungs=40', '--set', 'theta1=0.25', '--set', 'theta2=-0.25',\n"
         "         '--set', 't_max=5', '--set', 'n_points=501'],\n"

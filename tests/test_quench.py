@@ -470,9 +470,10 @@ class TestLoschmidtEcho:
     )
     def test_near_unit_amplitude_factor_stays_finite(self, n, j_v, theta1, theta2):
         # one mode has amplitude 1 - 2^-52 and takes the half-angle factor
-        # 1 - A s^2, 2^-52 where s^2 = 1 (at 4 of these times in each case); were
-        # s^2 to round above 1, only the clamp s^2 <= 1 would keep it
-        # positive (it would be NaN or an exact 0)
+        # 1 - A s^2, 2^-52 where s^2 = 1 (at 4 of these times in each case).
+        # No case reaches the clamp s^2 <= 1: np.sin stays within [-1, 1]
+        # here, so s^2 <= 1; the clamp guards against a sin with more than
+        # one ulp of error that rounds above 1 (the factor would be <= 0)
         spec = QuenchSpec(LadderParams(j_h=1.0, j_v=j_v, j_d=1.0, theta=0.0, n_rungs=n), theta1, theta2)
         _, amplitude, _, gap_post, _, _ = mode_arrays(spec)
         j = int(np.argmax(np.where(amplitude < 1.0, amplitude, 0.0)))
@@ -708,6 +709,31 @@ class TestLoschmidtEcho:
         spec = make_spec(0.3, -1.1, n=40)
         for times in (np.array([0.0, 1.0, 3.0, 7.5]), np.linspace(0.0, 1.0, 2)):
             assert np.all(np.isfinite(loschmidt_echo(spec, times).rate))
+
+    def test_blas_pool_is_parked_only_from_the_only_python_thread(self, monkeypatch):
+        # before the kernel and the scan start threads, and only while no
+        # other thread has a Python frame, so that none can be inside BLAS
+        parks = []
+        monkeypatch.setattr(quench, "_park_blas_pool", lambda: parks.append(threading.get_ident()))
+        monkeypatch.setattr(quench, "_worker_count", lambda: 2)
+        splits = record_splits(monkeypatch)
+        spec = make_spec(0.25 * np.pi, -0.25 * np.pi, n=300)
+        times = np.linspace(0.0, 10.0, 401)
+        loschmidt_echo(spec, np.array([0.5]))  # one block: no thread, no park
+        assert splits == [1] and parks == []
+        loschmidt_echo(spec, times)
+        assert splits[1:] == [2] and parks == [threading.get_ident()]
+        scan_theta2(make_spec(0.0, 0.0, n=2000).params, 0.25 * np.pi, np.linspace(-np.pi, np.pi, 41))
+        assert splits[2:] == [2] and len(parks) == 2
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            loschmidt_echo(spec, times)
+        finally:
+            release.set()
+            other.join()
+        assert splits[3:] == [2] and len(parks) == 2
 
     @pytest.mark.parametrize(
         "files, workers",
