@@ -415,7 +415,7 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
       grid those with 1 - A <= ``_NEAR_UNIT``.  A factor is exactly 0
       only for A = 1 where s^2 rounds to 1, which gives ``rate = +inf``.
       s^2 is clamped at 1, a guard against a ``sin`` with more than one
-      ulp of error that rounds above 1; numpy's stays within [-1, 1].
+      ulp of error that rounds above 1.
     * Full angle: p + Re z with z = q exp(-i phi), and argument
       atan2(Im z, 2 cos^4 eta + Re z), the parts of
       cos^2 eta + sin^2 eta exp(-i phi) times 2 cos^2 eta > 0; z is one
@@ -450,7 +450,8 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     the full-angle modes (``_DirectModes``).  There is at most one thread
     per 4 rows of a block, and a cgroup CPU quota below the affinity set
     caps the count too (``_worker_count``); a grid of one block runs in
-    the calling thread.  Every element, row sum and transform takes the
+    the calling thread.  Before threads start, numpy's idle OpenBLAS pool
+    is parked if no other thread has a Python frame (``_run_pieces``).  Every element, row sum and transform takes the
     same operations for any split, so the results are the same bits for
     any number of CPUs.  The measured costs of these choices are in
     docs/formats.md, under ``le``.
