@@ -102,9 +102,9 @@ def _parse_value(key: str, raw: str, where: str) -> Any:
 def load_config_file(path: str) -> dict[str, Any]:
     """Parse a flat ``key = value`` file; '#' starts a comment."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, Any] = {}
     for lineno, line in enumerate(lines, start=1):

@@ -37,7 +37,7 @@ _CRITICAL_TARGET_TOL = 1e-12
 # Band energies reach about 3 |j|; squaring them must stay between the float
 # underflow and overflow thresholds (~2.2e-308, ~1.8e308), with room for sums.
 _MAX_HOPPING = 1e150
-_MIN_HOPPING = 1e-150  # of a nonzero hopping in a mode table
+_MIN_HOPPING = 1e-150  # of a nonzero hopping
 
 
 def _rung_count(n_rungs) -> int:
@@ -70,12 +70,13 @@ class LadderParams:
     """Hopping amplitudes, flux, and size of one Creutz ladder.
 
     ``theta`` is stored canonically in (-pi, pi].  Hoppings must be finite
-    with magnitude at most 1e150, ``j_v`` and ``j_d`` positive; ``n_rungs``
-    is the number of sites per leg.  The mode tables refuse a nonzero
-    hopping below 1e-150.  A negative ``j_h`` is the gauge theta -> theta - pi
-    of ``|j_h|`` (eps_q, eps_p, the band center and the half gap map onto
-    each other), and at ``j_h = 0`` the flux drops out; the criticality
-    analysis needs ``j_h == j_d``.
+    with magnitude at most 1e150 and, unless zero, at least 1e-150, so that
+    the squared band energies neither overflow nor underflow; ``j_v`` and
+    ``j_d`` must be positive; ``n_rungs`` is the number of sites per leg.
+    A negative ``j_h`` is the gauge theta -> theta - pi of ``|j_h|`` (eps_q,
+    eps_p, the band center and the half gap map onto each other), and at
+    ``j_h = 0`` the flux drops out; the criticality analysis needs
+    ``j_h == j_d``.
     """
 
     j_h: float
@@ -92,6 +93,9 @@ class LadderParams:
                     f"{name} must be finite with magnitude at most {_MAX_HOPPING:g}, got {value}: "
                     "larger hoppings overflow the squared band energies of the mode table"
                 )
+            if 0.0 < abs(value) < _MIN_HOPPING:
+                raise DomainError(f"nonzero {name} must have magnitude at least {_MIN_HOPPING:g}, "
+                                  f"got {value}: its band energies' squares underflow")
         for name in ("j_v", "j_d"):
             if getattr(self, name) <= 0.0:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
@@ -123,19 +127,9 @@ def allowed_modes(n_rungs: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def _require_hopping_floor(params: LadderParams) -> None:
-    """Refuse a nonzero hopping below 1e-150, whose squares underflow in the
-    mode tables and the group velocity."""
-    for name in ("j_h", "j_v", "j_d"):
-        if 0.0 < abs(getattr(params, name)) < _MIN_HOPPING:
-            raise DomainError(f"nonzero {name} must have magnitude at least {_MIN_HOPPING:g}, "
-                              f"got {getattr(params, name)}: its band energies' squares underflow")
-
-
 def _band_terms(params: LadderParams, k: np.ndarray):
     """u = 2 j_h sin k, v = -2 j_h cos k and q = eps_qp at ``k``, the terms of
-    every mode table; a nonzero hopping below 1e-150 is refused."""
-    _require_hopping_floor(params)
+    every mode table."""
     return 2.0 * params.j_h * np.sin(k), -2.0 * params.j_h * np.cos(k), 2.0 * params.j_d * np.cos(k) + params.j_v
 
 
@@ -230,7 +224,6 @@ def group_velocity(params: LadderParams) -> float:
     wavenumbers.
     """
     critical_wavenumbers(params)  # validates j_h == j_d and j_v < 2j
-    _require_hopping_floor(params)
     j = params.j_h
     return 2.0 * math.sqrt(4.0 * j * j - params.j_v * params.j_v)
 

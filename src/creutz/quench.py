@@ -451,10 +451,10 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     per 4 rows of a block, and a cgroup CPU quota below the affinity set
     caps the count too (``_worker_count``); a grid of one block runs in
     the calling thread.  Before threads start, numpy's idle OpenBLAS pool
-    is parked if no other thread has a Python frame (``_run_pieces``).  Every element, row sum and transform takes the
-    same operations for any split, so the results are the same bits for
-    any number of CPUs.  The measured costs of these choices are in
-    docs/formats.md, under ``le``.
+    is parked if no other thread has a Python frame (``_run_pieces``).
+    Every element, row sum and transform takes the same operations for
+    any split, so the results are the same bits for any number of CPUs.
+    The measured costs of these choices are in docs/formats.md, under ``le``.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:

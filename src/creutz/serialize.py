@@ -187,12 +187,17 @@ def _csv_blocks(metadata: dict, columns: Sequence[str], rows: np.ndarray) -> Ite
 
 
 def render_json(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarray) -> str:
+    """The JSON text; a non-finite value is its CSV text, ``"inf"``, ``"-inf"`` or ``"nan"``."""
+    rows = _as_rows(rows)
+    cells = rows.tolist()
+    for i, j in np.argwhere(~np.isfinite(rows)):  # strict JSON has no Infinity or NaN literal
+        cells[i][j] = "%.15g" % rows[i, j]
     payload = {
         "artifact": ARTIFACT,
         "version": __version__,
         "metadata": dict(metadata),
         "columns": list(columns),
-        "rows": _as_rows(rows).tolist(),
+        "rows": cells,
     }
     return json.dumps(payload, indent=2) + "\n"
 

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from creutz import (
@@ -188,6 +188,14 @@ class TestConfigHandling:
         cfg.write_text("n_rungs = 12\nnot a pair\n")
         assert run_cli("spectrum", "--config", str(cfg)) == 1
         assert "bad.cfg:2" in capsys.readouterr().err
+
+    def test_config_file_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        # the decode error escaped main as a traceback
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        assert run_cli("spectrum", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert "binary.cfg" in err and "Traceback" not in err
 
     def test_domain_error_exit_code(self):
         # vertical hopping too strong for a gap closing
@@ -584,25 +592,35 @@ fuzz_value = st.one_of(
 )
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 @given(
     command=st.sampled_from(sorted(set(cli._RUNNERS))),
     settings_=st.dictionaries(st.sampled_from(sorted(["j", *cli._KEYS])), fuzz_value,
                               min_size=1, max_size=3),
+    fmt=st.sampled_from(["csv", "json"]),
 )
+# a cusp with no predicted time: its t_predicted_nearest and abs_diff are inf
+@example(command="dqpt", settings_={"n_rungs": "300", "theta1": "0.25", "theta2": "0"}, fmt="json")
 @settings(max_examples=300, deadline=None)
-def test_every_command_and_key_ends_in_exit_code_not_traceback(command, settings_):
+def test_every_command_and_key_ends_in_exit_code_not_traceback(command, settings_, fmt):
     base = {"n_rungs": "6", "n_points": "64", "n_theta2": "3"}
     items = [f"{key}={value}" for key, value in {**base, **settings_}.items()]
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out.csv")
+        out = os.path.join(tmp, "out." + fmt)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run_cli(command, *(arg for item in items for arg in ("--set", item)),
-                           "--out", out)
+                           "--format", fmt, "--out", out)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
         if code == 0:
+            if fmt == "json":  # strict: no Infinity or NaN literals
+                with open(out) as handle:
+                    json.loads(handle.read(), parse_constant=_refuse_constant)
             _, _, rows = read_table(out)
             assert not np.any(np.isnan(rows))
 

@@ -231,9 +231,10 @@ class TestCriticalModes:
         assert bisect_roots(spec) == []
 
 
-    @pytest.mark.parametrize("j_h, j_d", [(0.0, 5e-324), (5e-324, 5e-324)])
+    @pytest.mark.parametrize("j_h, j_d", [(0.0, 1e-150), (1e-150, 1e-150)])
     def test_vanishing_hopping_has_no_modes(self, j_h, j_d):
-        # 2 |j| sqrt(1 - s) < j_v: no root, and no division by a zero j
+        # the smallest hoppings a ladder holds: 2 |j| sqrt(1 - s) < j_v, so
+        # no root, and no division by a zero j
         spec = QuenchSpec(LadderParams(j_h, 1.0, j_d, 0.0, 10), *ACROSS)
         assert solve_critical_modes(spec) == []
 

@@ -86,11 +86,13 @@ class TestPrediction:
 
     def test_vanishing_group_velocity_rejected(self):
         # j = j_v = 5e-324: 4 j^2 - j_v^2 underflows to 0, so the period
-        # would divide by zero
-        spec = QuenchSpec(LadderParams(j_h=5e-324, j_v=5e-324, j_d=5e-324, theta=0.0, n_rungs=6),
+        # would divide by zero; the ladder refuses such hoppings, and at the
+        # smallest it holds the period N / (2 sqrt(3) j) stays finite
+        with pytest.raises(DomainError, match="underflow"):
+            LadderParams(j_h=5e-324, j_v=5e-324, j_d=5e-324, theta=0.0, n_rungs=6)
+        spec = QuenchSpec(LadderParams(j_h=1e-150, j_v=1e-150, j_d=1e-150, theta=0.0, n_rungs=6),
                           0.0016 * np.pi, 0.0)
-        with pytest.raises(DomainError):
-            predict_revival(spec)
+        assert predict_revival(spec).period == pytest.approx(math.sqrt(3.0) * 1e150, rel=1e-12)
 
     def test_horizon_is_multiple_of_period(self):
         prediction = predict_revival(quench_to_zero(100))
