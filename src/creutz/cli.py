@@ -30,8 +30,8 @@ from .serialize import write_table  # the runners import quench, dqpt, revival a
 # the echo series triples them.
 MAX_TIME_POINTS = 10**8
 # Most rows a mode or theta2 table may have (n_rungs, and n_theta2 for
-# scan): a spectrum of 10^6 rungs peaks at about 100 MB, a scan of 10^6
-# angles at about 160 MB, and both grow linearly.
+# scan): a spectrum of 10^6 rungs peaks at about 100 MB and a scan of 10^6
+# angles at about 160 MB, as CSV or JSON, and both grow linearly.
 MAX_TABLE_ROWS = 10**7
 
 # key -> (parser, default).  ``j`` is not a key of its own: it parses as a

@@ -39,8 +39,8 @@ __all__ = [
 ORACLE_MAX_RUNGS = 512
 # Bytes of one float64 (times x modes) temporary in ``loschmidt_echo``.
 _CHUNK_BYTES = 4 << 20
-# Most elements of one buffer of the per-element path (512 KiB): large
-# enough that threads seldom wait for each other between numpy calls.
+# Most elements of a slab of the per-element path, 512 KiB a temporary:
+# large enough that threads seldom wait for each other between numpy calls.
 _SLAB_ELEMENTS = 1 << 16
 _EPS = float(np.finfo(float).eps)
 # Modes whose amplitude A has 1 - A at most this keep the half-angle echo
@@ -325,15 +325,15 @@ class _DirectModes:
     element, each mode counted twice: the half-angle factor when ``step``
     is None, else the full-angle one with one (``rows`` x modes) offset
     table of the uniform grid of that step.  Time runs in blocks of
-    ``rows`` rows.  Each numpy call takes a slab of up to
-    ``_SLAB_ELEMENTS`` elements per buffer: some rows of one block, or
-    those rows of several blocks when a whole block holds fewer elements.
+    ``rows`` rows, and each form is numpy expressions on a slab of up to
+    ``_SLAB_ELEMENTS`` elements: some rows of one block, or those rows of
+    several blocks when a whole block holds fewer elements.
     """
 
     def __init__(self, amplitude, cos2, gap, step, rows, workers):
         self.rows, self.gap = rows, gap
         # rows of one block in a slab: with its start row, at most half of a
-        # thread's share of a block, so all threads' buffers hold half a block
+        # thread's share of a block, so all threads' slabs hold half a block
         self.strip = max(1, min(_SLAB_ELEMENTS // gap.size, rows // workers // 2 - 1))
         self.per = max(1, _SLAB_ELEMENTS // (rows * gap.size))  # blocks in a slab
         self.full = step is not None
@@ -349,47 +349,31 @@ class _DirectModes:
         """Add the sums of the blocks of ``times`` to ``outs`` (ln le, then
         the argument); every element and row sum is the same for any split."""
         form = self._full_angle if self.full else self._half_angle
-        layers = 3 if self.full or len(outs) > 1 else 2  # a complex and a float, or s, f (and c)
-        work = np.empty(layers * self.per * self.strip * self.gap.size)
         with np.errstate(divide="ignore"):
             for lo, hi, width in _runs(times.size, self.rows, self.per):
                 blocks = -(-(hi - lo) // width)
                 base = times[lo:hi].reshape(blocks, width, 1)
                 if self.full:  # the blocks' start rows q exp(-i phi_I)
-                    start = np.exp(-1j * np.multiply.outer(times[lo:hi:width], self.gap))
-                    base = np.multiply(start, self.q, out=start)[:, None]
+                    base = (np.exp(-1j * np.multiply.outer(times[lo:hi:width], self.gap)) * self.q)[:, None]
                 views = [out[lo:hi].reshape(blocks, width) for out in outs]
                 for a in range(0, width, self.strip):
                     b = min(a + self.strip, width)
-                    form(base, a, b, work[: layers * blocks * (b - a) * self.gap.size], *(x[:, a:b] for x in views))
+                    form(base, a, b, *(x[:, a:b] for x in views))
 
-    def _half_angle(self, t, a, b, work, log_le, arg=None) -> None:
-        layer = work.reshape((-1,) + log_le.shape + self.gap.shape)
-        s, f, c = layer[0], layer[1], layer[-1]  # c, a third layer, only with arg
-        np.multiply(self.half_gap, t[:, a:b], out=f)
-        np.sin(f, out=s)
+    def _half_angle(self, t, a, b, log_le, arg=None) -> None:
+        s = np.sin(self.half_gap * t[:, a:b])
         if arg is not None:
-            np.cos(f, out=c)
-            c *= s
-            c *= -2.0 * (1.0 - self.cos2)  # -2 sin^2(eta) s c
-        np.square(s, out=s)
-        np.minimum(s, 1.0, out=s)
-        np.multiply(self.amp, s, out=f)
-        np.subtract(1.0, f, out=f)  # echo factors 1 - A s^2
+            c = np.cos(self.half_gap * t[:, a:b]) * s * (-2.0 * (1.0 - self.cos2))  # -2 sin^2(eta) s c
+        np.minimum(s * s, 1.0, out=s)
+        if arg is not None:
+            re = (-2.0 * s + 1.0) * (1.0 - self.cos2) + self.cos2  # cos^2(eta) + sin^2(eta) (1 - 2 s^2)
+            arg += 2.0 * np.sum(np.arctan2(c, re, out=c), axis=-1)
+        f = -self.amp * s + 1.0  # echo factors 1 - A s^2; "+ 1.0" reuses the product's memory
         log_le += 2.0 * np.sum(np.log(f, out=f), axis=-1)
-        if arg is not None:
-            np.multiply(-2.0, s, out=f)
-            f += 1.0
-            f *= 1.0 - self.cos2
-            f += self.cos2  # cos^2(eta) + sin^2(eta) (1 - 2 s^2)
-            arg += 2.0 * np.sum(np.arctan2(c, f, out=c), axis=-1)
 
-    def _full_angle(self, start, a, b, work, log_le, arg=None) -> None:
-        size = work.size // 3
-        z = work[: 2 * size].view(complex).reshape(log_le.shape + (-1,))
-        f = work[2 * size :].reshape(z.shape)
-        np.multiply(self.offsets[a:b], start, out=z)  # q exp(-i phi), phi = phi_I + tau_j
-        np.add(z.real, self.p, out=f)  # p + q cos(phi)
+    def _full_angle(self, start, a, b, log_le, arg=None) -> None:
+        z = self.offsets[a:b] * start  # q exp(-i phi), phi = phi_I + tau_j
+        f = z.real + self.p  # p + q cos(phi)
         log_le += 2.0 * np.sum(np.log(f, out=f), axis=-1)
         if arg is not None:
             # the argument of cos^2(eta) + sin^2(eta) exp(-i phi), both parts
@@ -444,14 +428,14 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     carried from block to block or segment to segment, so the rounding
     does not grow along the grid.
 
-    The blocks are split into one contiguous run of whole blocks per CPU
-    of the process's affinity set, and the runs go on threads (numpy
-    releases the GIL) for one form at a time: the half-angle modes, then
-    the full-angle modes (``_DirectModes``).  There is at most one thread
-    per 4 rows of a block, and a cgroup CPU quota below the affinity set
-    caps the count too (``_worker_count``); a grid of one block runs in
-    the calling thread.  Before threads start, numpy's idle OpenBLAS pool
-    is parked if no other thread has a Python frame (``_run_pieces``).
+    The blocks are split into one contiguous run of whole blocks per CPU of
+    the process's affinity set, and the runs go on threads (numpy releases
+    the GIL) once per call, each with the half-angle, then the full-angle
+    modes of its run (``_DirectModes``).  There is at most one thread per 4
+    rows of a block, and a cgroup CPU quota below the affinity set caps the
+    count too (``_worker_count``); a grid of one block runs in the calling
+    thread.  Before threads start, numpy's idle OpenBLAS pool is parked if
+    no other thread has a Python frame (``_run_pieces``).
     Every element, row sum and transform takes the same operations for
     any split, so the results are the same bits for any number of CPUs.
     The measured costs of these choices are in docs/formats.md, under ``le``.
@@ -486,23 +470,24 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     # runs of whole blocks, one per thread, and at most one thread per 4 rows
     # of a block, so that every thread's strip (``_DirectModes``) has a row
     pieces = _pieces(times.size, rows, min(_worker_count(), rows // 4))
+    groups = [_DirectModes(amplitude[group], cos2[group], gap[group], group_step, rows, len(pieces))
+              for group, group_step in ((unit, None), (~unit & ~series, step)) if group.any()]
 
-    for group, group_step in ((unit, None), (~unit & ~series, step)):
-        if group.any():
-            modes = _DirectModes(amplitude[group], cos2[group], gap[group], group_step, rows, len(pieces))
-            _run_pieces(lambda lo, hi: modes.run(times[lo:hi], *(out[lo:hi] for out in outs)), pieces)
+    def run_groups(lo, hi) -> None:  # a piece's rows: the half-angle modes, then the full-angle ones
+        for modes in groups:
+            modes.run(times[lo:hi], *(out[lo:hi] for out in outs))
+
+    if groups:
+        _run_pieces(run_groups, pieces)
+    del groups  # the offset table, before the series transform's tables
     # the series terms: harmonics m = 1 .. K of each series mode
     cols, m = np.nonzero(series[:, None] & (harmonics[:, None] > np.arange(_SERIES_HARMONICS)))
     m += 1
     coef = (-1.0) ** (m + 1) * rho[cols] ** m / m
     sign = np.where(cos2[cols] >= 0.5, -2.0, 2.0)
     _harmonic_sums(times, step, m * gap[cols], (4.0 * coef, -1j * sign * coef), outs)
-    le = np.exp(log_le)
-    rate = -log_le / n
-    la = None
-    if include_la:
-        la = np.exp(0.5 * log_le + 1j * (outs[1] - times * lower_band))
-    return LESeries(times=times, le=le, la=la, rate=rate, n_rungs=n)
+    la = np.exp(0.5 * log_le + 1j * (outs[1] - times * lower_band)) if include_la else None
+    return LESeries(times=times, le=np.exp(log_le), la=la, rate=-log_le / n, n_rungs=n)
 
 
 def _single_particle_matrix(params: LadderParams) -> np.ndarray:

@@ -21,9 +21,9 @@ import numpy as np
 from . import __version__
 
 ARTIFACT = "creutz"
-# A CSV table is formatted and written a block of rows at a time: the
-# temporaries take about 230 bytes a value, so a block of
-# ``_CSV_BLOCK_ROWS // columns`` rows holds under 1 MiB of them.
+# A table is formatted and written a block of ``_CSV_BLOCK_ROWS // columns``
+# rows at a time: a CSV block's temporaries take about 230 bytes a value,
+# under 1 MiB a block, and a JSON block's rows as floats and text less.
 _CSV_BLOCK_ROWS = 4096
 
 # Exact doubles 10**0 .. 10**19, each split into two 26-bit halves for
@@ -186,20 +186,28 @@ def _csv_blocks(metadata: dict, columns: Sequence[str], rows: np.ndarray) -> Ite
         yield slots[slots != 0].tobytes()
 
 
-def render_json(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarray) -> str:
-    """The JSON text; a non-finite value is its CSV text, ``"inf"``, ``"-inf"`` or ``"nan"``."""
+def _json_blocks(metadata: dict, columns: Sequence[str], rows: np.ndarray) -> Iterator[bytes]:
+    """The bytes of ``json.dumps(payload, indent=2)`` and a newline, the rows a
+    block at a time; a non-finite value is its CSV text, ``"inf"``, ``"-inf"``
+    or ``"nan"``, as strict JSON has no Infinity or NaN literal."""
     rows = _as_rows(rows)
-    cells = rows.tolist()
-    for i, j in np.argwhere(~np.isfinite(rows)):  # strict JSON has no Infinity or NaN literal
-        cells[i][j] = "%.15g" % rows[i, j]
-    payload = {
-        "artifact": ARTIFACT,
-        "version": __version__,
-        "metadata": dict(metadata),
-        "columns": list(columns),
-        "rows": cells,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    payload = {"artifact": ARTIFACT, "version": __version__, "metadata": dict(metadata),
+               "columns": list(columns), "rows": []}
+    head = json.dumps(payload, indent=2)  # ends in '"rows": []\n}'
+    if not len(rows):
+        yield (head + "\n").encode()
+        return
+    yield (head[:-3] + "\n").encode()
+    step = max(1, _CSV_BLOCK_ROWS // max(1, rows.shape[1]))
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step]
+        cells = block.tolist()
+        for i, j in np.argwhere(~np.isfinite(block)):
+            cells[i][j] = "%.15g" % block[i, j]
+        # the block's rows, one level deeper than in a list of their own
+        text = json.dumps(cells, indent=2)[2:-2].replace("\n", "\n  ")
+        yield ((",\n  " if lo else "  ") + text).encode()
+    yield b"\n  ]\n}\n"
 
 
 def write_table(
@@ -209,11 +217,11 @@ def write_table(
     rows: np.ndarray,
     fmt: str = "csv",
 ) -> None:
-    """Write one result table to ``path`` (or stdout when path is '-'), CSV a block at a time."""
+    """Write one result table to ``path`` (or stdout when path is '-'), a block of rows at a time."""
     if fmt == "csv":
         blocks = _csv_blocks(metadata, columns, rows)
     elif fmt == "json":
-        blocks = [render_json(metadata, columns, rows).encode()]
+        blocks = _json_blocks(metadata, columns, rows)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if path == "-":

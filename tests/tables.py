@@ -1,5 +1,5 @@
-"""Test helpers: the ``%.15g`` value text, the CSV text of
-``creutz.serialize.write_table`` as one string, and a parser of its tables."""
+"""Test helpers: the ``%.15g`` value text, the CSV and JSON texts of
+``creutz.serialize.write_table`` as one string each, and a parser of its tables."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from creutz.serialize import _csv_blocks
+from creutz.serialize import _csv_blocks, _json_blocks
 
 
 def format_float(x: float) -> str:
@@ -25,6 +25,11 @@ def render_csv(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarra
     after rounding); the texts and separators fill one NUL-padded byte array.
     """
     return b"".join(_csv_blocks(metadata, columns, rows)).decode()
+
+
+def render_json(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarray) -> str:
+    """JSON text, the join of the blocks that ``write_table`` streams."""
+    return b"".join(_json_blocks(metadata, columns, rows)).decode()
 
 
 def _parse_meta(value: str) -> Any:

@@ -80,18 +80,20 @@ class TestSpectrum:
         assert rows.tobytes() == table.tobytes()
 
     def test_memory_is_the_rows_and_a_block(self, tmp_path):
-        # the table's float rows plus one block of modes and one of text; a
-        # run holding all mode_data columns and the whole text peaks at 59.7 MiB
+        # the table's float rows plus one block of modes and one of text, as
+        # CSV or JSON; holding all mode_data columns and the whole CSV text
+        # peaks at 59.7 MiB, and the whole JSON text at 252.9 MiB
         n = 200_000
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            assert run_cli("spectrum", "--set", f"n_rungs={n}",
-                           "--out", str(tmp_path / "s.csv")) == 0
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < n * len(cli._SPECTRUM_COLUMNS) * 8 + 4 * 2**20
+        for fmt in ("csv", "json"):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert run_cli("spectrum", "--set", f"n_rungs={n}", "--format", fmt,
+                               "--out", str(tmp_path / f"s.{fmt}")) == 0
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < n * len(cli._SPECTRUM_COLUMNS) * 8 + 4 * 2**20, fmt
 
     def test_headers_carry_package_version(self, tmp_path):
         csv_path, json_path = tmp_path / "o.csv", tmp_path / "o.json"

@@ -726,8 +726,12 @@ class TestLoschmidtEcho:
         assert splits == [1] and parks == []
         loschmidt_echo(spec, times)
         assert splits[1:] == [2] and parks == [threading.get_ident()]
-        scan_theta2(make_spec(0.0, 0.0, n=2000).params, 0.25 * np.pi, np.linspace(-np.pi, np.pi, 41))
+        # 1 half-angle, 136 full-angle and 12 series modes: both per-element
+        # groups run in one threaded pass, with one park
+        loschmidt_echo(make_spec(0.25 * np.pi, 0.0, n=300), times)
         assert splits[2:] == [2] and len(parks) == 2
+        scan_theta2(make_spec(0.0, 0.0, n=2000).params, 0.25 * np.pi, np.linspace(-np.pi, np.pi, 41))
+        assert splits[3:] == [2] and len(parks) == 3
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(60.0,))
         other.start()
@@ -737,7 +741,7 @@ class TestLoschmidtEcho:
             release.set()
             other.join(timeout=60.0)
         assert not other.is_alive()
-        assert splits[3:] == [2] and len(parks) == 2
+        assert splits[4:] == [2] and len(parks) == 3
 
     @pytest.mark.parametrize(
         "files, workers",

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from creutz import LadderParams, __version__, allowed_modes, mode_data
-from creutz.serialize import _CSV_BLOCK_ROWS, render_json, write_table
-from tables import format_float, render_csv
+from creutz.serialize import _CSV_BLOCK_ROWS, write_table
+from tables import format_float, render_csv, render_json
 
 # signed zero, non-finite values, the subnormal and overflow ends, and the
 # switch to exponent notation between 1e15 and 1e16
@@ -152,19 +152,27 @@ class TestWriteTable:
 
 class TestRenderJson:
     def test_rows_byte_identical_to_per_row_floats(self):
+        # the streamed blocks join to the one-shot text: a spectrum table,
+        # row counts about the block boundary (with the special values in
+        # their first rows), the special values alone and rows without values
         params = LadderParams(1.0, 1.0, 1.0, 0.3, 101)
         m = mode_data(params, allowed_modes(params.n_rungs))
-        columns = ["k", "eps_q", "eps_p", "eps_qp", "gamma", "e_alpha", "e_beta", "gap"]
-        rows = np.column_stack([getattr(m, name) for name in columns])
+        spectrum = ["k", "eps_q", "eps_p", "eps_qp", "gamma", "e_alpha", "e_beta", "gap"]
+        step = _CSV_BLOCK_ROWS // 3
+        cases = [(spectrum, np.column_stack([getattr(m, name) for name in spectrum])),
+                 *((list("abc"), table(n)) for n in (step - 1, step, step + 1, 2 * step)),
+                 (list("abcd"), np.array(SPECIAL).reshape(-1, 4)), ([], np.empty((5, 0)))]
         meta = {"command": "spectrum", "n_rungs": 101}
-        old_form = {
-            "artifact": "creutz",
-            "version": __version__,
-            "metadata": meta,
-            "columns": columns,
-            "rows": [list(map(float, row)) for row in rows],
-        }
-        assert render_json(meta, columns, rows) == json.dumps(old_form, indent=2) + "\n"
+        for columns, rows in cases:
+            old_form = {
+                "artifact": "creutz",
+                "version": __version__,
+                "metadata": meta,
+                "columns": columns,
+                "rows": [[v if np.isfinite(v) else format_float(v) for v in map(float, row)]
+                         for row in rows],
+            }
+            assert render_json(meta, columns, rows) == json.dumps(old_form, indent=2) + "\n"
 
     def test_empty_table(self):
         payload = json.loads(render_json({}, ["a", "b"], np.empty((0, 2))))
