@@ -89,8 +89,8 @@ class LESeries:
     underflows.  An exact zero of a mode factor shows up as +inf.
     ``la`` is None when the series was computed without the complex
     amplitude; ``le`` and ``rate`` are the same either way, and skipping
-    ``la`` cuts the kernel's CPU time 2.3x at N = 9000 x 2001 times and
-    2.1x at N = 1000 x 86604 (one thread; docs/formats.md, ``le``).
+    ``la`` cuts the kernel's CPU time 1.8x at N = 9000 x 2001 times and
+    2.0x at N = 1000 x 86604 (one thread; docs/formats.md, ``le``).
     """
 
     times: np.ndarray
@@ -327,59 +327,98 @@ class _DirectModes:
     table of the uniform grid of that step.  Time runs in blocks of
     ``rows`` rows, and each form is numpy expressions on a slab of up to
     ``_SLAB_ELEMENTS`` elements: some rows of one block, or those rows of
-    several blocks when a whole block holds fewer elements.
+    several blocks when a whole block holds fewer elements.  The forms
+    write into arrays that ``run`` allocates once: a complex and, but for
+    the half-angle echo, a float array of the largest slab, and the start
+    rows.
     """
 
-    def __init__(self, amplitude, cos2, gap, step, rows, workers):
+    def __init__(self, amplitude, cos2, gap, step, rows, workers, fold):
+        self.modes, self.full = gap.size, step is not None
+        if self.full and fold:  # to a multiple of 4 modes, with A = 0, cos^2 eta = 1, gap 0: factor 1
+            pad = -gap.size % 4
+            amplitude, cos2, gap = (np.append(x, [fill] * pad)
+                                    for x, fill in ((amplitude, 0.0), (cos2, 1.0), (gap, 0.0)))
         self.rows, self.gap = rows, gap
         # rows of one block in a slab: with its start row, at most half of a
         # thread's share of a block, so all threads' slabs hold half a block
         self.strip = max(1, min(_SLAB_ELEMENTS // gap.size, rows // workers // 2 - 1))
         self.per = max(1, _SLAB_ELEMENTS // (rows * gap.size))  # blocks in a slab
-        self.full = step is not None
         if self.full:  # exp(-i gap tau_j)
             self.q = 0.5 * amplitude
             self.p, self.r = 1.0 - self.q, 2.0 * cos2 ** 2
             self.offsets = _phases(step, rows, gap)
             np.conjugate(self.offsets, out=self.offsets)
         else:
-            self.amp, self.cos2, self.half_gap = amplitude, cos2, 0.5 * gap
+            self.neg_amp, self.cos2, self.sin2, self.half_gap = -amplitude, cos2, 1.0 - cos2, 0.5 * gap
+            self.arg_scale = -2.0 * self.sin2
 
     def run(self, times, *outs) -> None:
         """Add the sums of the blocks of ``times`` to ``outs`` (ln le, then
         the argument); every element and row sum is the same for any split."""
         form = self._full_angle if self.full else self._half_angle
+        # the run's arrays: the slab's, of up to ``per`` blocks of ``strip``
+        # rows, and the full angle's start rows
+        most = self.per * self.strip * self.gap.size
+        slab = np.empty(most, dtype=complex), np.empty(most) if self.full or len(outs) > 1 else None
+        starts = np.empty((self.per, self.gap.size), dtype=complex) if self.full else None
         with np.errstate(divide="ignore"):
             for lo, hi, width in _runs(times.size, self.rows, self.per):
                 blocks = -(-(hi - lo) // width)
                 base = times[lo:hi].reshape(blocks, width, 1)
-                if self.full:  # the blocks' start rows q exp(-i phi_I)
-                    base = (np.exp(-1j * np.multiply.outer(times[lo:hi:width], self.gap)) * self.q)[:, None]
+                if self.full:  # the blocks' start rows q exp(-i phi_I), -i phi_I as -1j * phi_I
+                    base = starts[:blocks]
+                    base.real = 0.0
+                    np.multiply.outer(-times[lo:hi:width], self.gap, out=base.imag)
+                    np.exp(base, out=base)
+                    for part in (base.real, base.imag):  # times q, as the product with q + 0j
+                        np.multiply(part, self.q, out=part)
+                    base = base[:, None]
                 views = [out[lo:hi].reshape(blocks, width) for out in outs]
                 for a in range(0, width, self.strip):
                     b = min(a + self.strip, width)
-                    form(base, a, b, *(x[:, a:b] for x in views))
+                    form(base, a, b, *slab, *(x[:, a:b] for x in views))
 
-    def _half_angle(self, t, a, b, log_le, arg=None) -> None:
-        s = np.sin(self.half_gap * t[:, a:b])
+    def _half_angle(self, t, a, b, wide, narrow, log_le, arg=None) -> None:
+        shape = (t.shape[0], b - a, self.gap.size)
+        s, f = wide.view(float)[: 2 * math.prod(shape)].reshape(2, *shape)
+        np.sin(np.multiply(self.half_gap, t[:, a:b], out=s), out=s)
         if arg is not None:
-            c = np.cos(self.half_gap * t[:, a:b]) * s * (-2.0 * (1.0 - self.cos2))  # -2 sin^2(eta) s c
-        np.minimum(s * s, 1.0, out=s)
-        if arg is not None:
-            re = (-2.0 * s + 1.0) * (1.0 - self.cos2) + self.cos2  # cos^2(eta) + sin^2(eta) (1 - 2 s^2)
-            arg += 2.0 * np.sum(np.arctan2(c, re, out=c), axis=-1)
-        f = -self.amp * s + 1.0  # echo factors 1 - A s^2; "+ 1.0" reuses the product's memory
+            c = narrow[: s.size].reshape(shape)
+            np.cos(np.multiply(self.half_gap, t[:, a:b], out=c), out=c)
+            c *= s
+            c *= self.arg_scale  # -2 sin^2(eta) s c
+        s *= s
+        np.minimum(s, 1.0, out=s)
+        if arg is not None:  # cos^2(eta) + sin^2(eta) (1 - 2 s^2), in f
+            np.multiply(s, -2.0, out=f)
+            f += 1.0
+            f *= self.sin2
+            f += self.cos2
+            arg += 2.0 * np.sum(np.arctan2(c, f, out=c), axis=-1)
+        np.multiply(s, self.neg_amp, out=f)  # echo factors 1 - A s^2
+        f += 1.0
         log_le += 2.0 * np.sum(np.log(f, out=f), axis=-1)
 
-    def _full_angle(self, start, a, b, log_le, arg=None) -> None:
-        z = self.offsets[a:b] * start  # q exp(-i phi), phi = phi_I + tau_j
-        f = z.real + self.p  # p + q cos(phi)
-        log_le += 2.0 * np.sum(np.log(f, out=f), axis=-1)
+    def _full_angle(self, start, a, b, wide, narrow, log_le, arg=None) -> None:
+        shape = (start.shape[0], b - a, self.gap.size)
+        n = math.prod(shape)
+        z, f = wide[:n].reshape(shape), narrow[:n].reshape(shape)
+        np.multiply(self.offsets[a:b], start, out=z)  # q exp(-i phi), phi = phi_I + tau_j
+        np.add(z.real, self.p, out=f)  # p + q cos(phi)
+        log_le += 2.0 * np.sum(np.log(f, out=f)[..., : self.modes], axis=-1)
         if arg is not None:
-            # the argument of cos^2(eta) + sin^2(eta) exp(-i phi), both parts
-            # times 2 cos^2(eta) > 0 (q = 2 sin^2(eta) cos^2(eta))
-            np.add(z.real, self.r, out=f)
-            arg += 2.0 * np.sum(np.arctan2(z.imag, f, out=f), axis=-1)
+            # w = 2 cos^4(eta) + z is cos^2(eta) + sin^2(eta) exp(-i phi) times
+            # 2 cos^2(eta) > 0 (q = 2 sin^2(eta) cos^2(eta)); la needs the sum
+            # of the arguments mod 2 pi only, so one arctan2 per product of
+            # four neighbouring modes: w in pairs into the float array, those
+            # in pairs into the complex one
+            np.add(z.real, self.r, out=z.real)
+            pair, quad = narrow[:n].view(complex), wide[: n // 4]
+            np.multiply(wide[:n:2], wide[1:n:2], out=pair)
+            np.multiply(pair[0::2], pair[1::2], out=quad)
+            angles = np.arctan2(quad.imag, quad.real, out=wide.view(float)[n // 2 : 3 * n // 4])
+            arg += 2.0 * np.sum(angles.reshape(shape[0], shape[1], -1), axis=-1)
 
 
 def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries:
@@ -400,10 +439,12 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
       only for A = 1 where s^2 rounds to 1, which gives ``rate = +inf``.
       s^2 is clamped at 1, a guard against a ``sin`` with more than one
       ulp of error that rounds above 1.
-    * Full angle: p + Re z with z = q exp(-i phi), and argument
-      atan2(Im z, 2 cos^4 eta + Re z), the parts of
-      cos^2 eta + sin^2 eta exp(-i phi) times 2 cos^2 eta > 0; z is one
-      complex product per element (below).
+    * Full angle: p + Re z with z = q exp(-i phi), one complex product
+      per element (below).  w = 2 cos^4 eta + z is
+      cos^2 eta + sin^2 eta exp(-i phi) times 2 cos^2 eta > 0, and as
+      ``la`` needs the sum of the arguments mod 2 pi only, the argument
+      is one atan2 per product of the w of four neighbouring modes; the
+      modes are padded to a multiple of 4 with factors 1 for that.
     * Series: with c = cos 2 eta and rho = A / (1 + |c|)^2 (tan^2 eta or
       cot^2 eta, below 1), ln(p + q cos phi) =
       2 ln((1 + |c|) / 2) + 2 sum_m (-1)^(m+1) rho^m cos(m phi) / m, and
@@ -446,7 +487,9 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     if times.size and (not np.all(np.isfinite(times)) or times.min() < 0.0):
         raise DomainError("times must be non-negative and finite")
 
-    _, amplitude, cos2, gap, _, ea_post = mode_arrays(spec)
+    table = mode_arrays(spec)
+    amplitude, cos2, gap, ea_sum = table.amplitude, table.cos2_eta, table.gap_post, float(np.sum(table.ea_post))
+    del table  # its k and energies, before the kernel
     n = spec.params.n_rungs
     step = _uniform_step(times)
     unit = amplitude > 1.0 - _NEAR_UNIT if step is not None else np.ones(gap.size, dtype=bool)
@@ -462,7 +505,7 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     outs = [log_le, np.zeros(times.size)] if include_la else [log_le]  # ln le and the argument
     # the lower-band phase: k = 0 (k = pi for even N) and the -phi of series modes with c < 0
     ends = mode_arrays(spec, [0.0, math.pi][: 2 - n % 2]).ea_post
-    lower_band = 2.0 * float(np.sum(ea_post) + np.sum(gap[series][cos2[series] < 0.5])) + float(np.sum(ends))
+    lower_band = 2.0 * float(ea_sum + np.sum(gap[series][cos2[series] < 0.5])) + float(np.sum(ends))
     t_max = float(times.max()) if times.size else 0.0
     if not math.isfinite(t_max * (float(np.max(gap, initial=0.0)) + abs(lower_band))):
         raise DomainError(f"times up to {t_max:g} overflow the mode phases gap * t")
@@ -470,7 +513,7 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     # runs of whole blocks, one per thread, and at most one thread per 4 rows
     # of a block, so that every thread's strip (``_DirectModes``) has a row
     pieces = _pieces(times.size, rows, min(_worker_count(), rows // 4))
-    groups = [_DirectModes(amplitude[group], cos2[group], gap[group], group_step, rows, len(pieces))
+    groups = [_DirectModes(amplitude[group], cos2[group], gap[group], group_step, rows, len(pieces), include_la)
               for group, group_step in ((unit, None), (~unit & ~series, step)) if group.any()]
 
     def run_groups(lo, hi) -> None:  # a piece's rows: the half-angle modes, then the full-angle ones

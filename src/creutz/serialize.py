@@ -198,15 +198,18 @@ def _json_blocks(metadata: dict, columns: Sequence[str], rows: np.ndarray) -> It
         yield (head + "\n").encode()
         return
     yield (head[:-3] + "\n").encode()
-    step = max(1, _CSV_BLOCK_ROWS // max(1, rows.shape[1]))
+    width = rows.shape[1]
+    step = max(1, _CSV_BLOCK_ROWS // max(1, width))
     for lo in range(0, len(rows), step):
         block = rows[lo : lo + step]
-        cells = block.tolist()
-        for i, j in np.argwhere(~np.isfinite(block)):
-            cells[i][j] = "%.15g" % block[i, j]
-        # the block's rows, one level deeper than in a list of their own
-        text = json.dumps(cells, indent=2)[2:-2].replace("\n", "\n  ")
-        yield ((",\n  " if lo else "  ") + text).encode()
+        # float.__repr__ is what json.dumps writes for a finite float
+        cells = list(map(float.__repr__, block.ravel().tolist()))
+        for i in np.flatnonzero(~np.isfinite(block.ravel())):
+            cells[i] = '"%.15g"' % block.flat[i]
+        # each row as in the payload at indent 2: one value a line, six spaces in
+        texts = (["    [\n      " + ",\n      ".join(cells[i : i + width]) + "\n    ]"
+                  for i in range(0, len(cells), width)] if width else ["    []"] * len(block))
+        yield ((",\n" if lo else "") + ",\n".join(texts)).encode()
     yield b"\n  ]\n}\n"
 
 

@@ -1,5 +1,6 @@
 """Test helpers: the ``%.15g`` value text, the CSV and JSON texts of
-``creutz.serialize.write_table`` as one string each, and a parser of its tables."""
+``creutz.serialize.write_table`` as one string each, a parser of its tables,
+and the echo kernel's full-angle form with one ``arctan2`` per element."""
 
 from __future__ import annotations
 
@@ -30,6 +31,16 @@ def render_csv(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarra
 def render_json(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarray) -> str:
     """JSON text, the join of the blocks that ``write_table`` streams."""
     return b"".join(_json_blocks(metadata, columns, rows)).decode()
+
+
+def full_angle_per_element(modes, start, a, b, wide, narrow, log_le, arg=None) -> None:
+    """``creutz.quench._DirectModes._full_angle`` on fresh arrays, with the
+    amplitude's argument as one ``arctan2`` per mode and time, the reference
+    for its products of four factors."""
+    z = modes.offsets[a:b] * start
+    log_le += 2.0 * np.sum(np.log(z.real + modes.p)[..., : modes.modes], axis=-1)
+    if arg is not None:
+        arg += 2.0 * np.sum(np.arctan2(z.imag, z.real + modes.r)[..., : modes.modes], axis=-1)
 
 
 def _parse_meta(value: str) -> Any:

@@ -28,6 +28,7 @@ from creutz import (
 from creutz import quench
 from creutz.dqpt import predict_dqpt_times
 from creutz.quench import _uniform_step
+from tables import full_angle_per_element
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -124,6 +125,45 @@ def referee_echo(spec, times):
             log_le.append(2 * total)
             scale.append(float(2 * size))
     return log_le, np.array(scale)
+
+
+def referee_argument(spec, times):
+    """(phase, scale) per time at 30 digits: the phase of la, the sum over
+    the modes k = 2 pi j / N with 0 < k < pi, each twice, of
+    2 arg(cos^2 eta + sin^2 eta exp(-i phi)), phi = gap t, minus t times the
+    lower-band energy of all N modes, reduced to (-pi, pi].  cos 2 eta is
+    (q^2 + a1 a2) / (h1 h2) and the energy v cos theta2 - j_v - h2
+    (``mode_arrays``), from the exact k.  ``scale`` is
+    t sum_k |e_k| + 2 sum_k (1 + phi_k sin^2 eta_k / f_k), f_k the echo
+    factor: a float64 kernel that rounds the lower-band sum (about
+    eps t sum |e_k|), each phase (eps phi_k, which moves the argument by at
+    most sin^2 eta_k / f_k per unit) and each factor's argument (about eps)
+    is within a few eps * scale of the referee."""
+    p, n = spec.params, spec.params.n_rungs
+    with mpmath.workdps(30):
+        sin1, sin2 = mpmath.sin(spec.theta_pre), mpmath.sin(spec.theta_post)
+        cos_post = mpmath.cos(spec.theta_post)
+        modes, energy, size = [], 0, 0
+        for j in range(n):
+            k = 2 * mpmath.pi * j / n
+            u, v, q = 2 * p.j_h * mpmath.sin(k), -2 * p.j_h * mpmath.cos(k), 2 * p.j_d * mpmath.cos(k) + p.j_v
+            h1, h2 = mpmath.sqrt(q * q + (u * sin1) ** 2), mpmath.sqrt(q * q + (u * sin2) ** 2)
+            e = v * cos_post - p.j_v - h2
+            energy, size = energy + e, size + abs(e)
+            if 0 < 2 * j < n:
+                c = (q * q + u * u * sin1 * sin2) / (h1 * h2) if h1 * h2 > 0 else mpmath.mpf(1)
+                modes.append(((1 + c) / 2, (1 - c) / 2, 2 * h2))
+        phase, scale = [], []
+        for t in times:
+            total, bound = -t * energy, t * size
+            for cos2, sin2_eta, gap in modes:
+                cos, sin = mpmath.cos_sin(gap * float(t))
+                re, im = cos2 + sin2_eta * cos, -sin2_eta * sin
+                total += 2 * mpmath.atan2(im, re)
+                bound += 2 * (1 + gap * t * sin2_eta / (re * re + im * im))
+            phase.append(total - 2 * mpmath.pi * mpmath.nint(total / (2 * mpmath.pi)))
+            scale.append(float(bound))
+    return phase, np.array(scale)
 
 
 def band_vectors(params, k):
@@ -436,6 +476,66 @@ class TestLoschmidtEcho:
         error = np.array([float(abs(mpmath.mpf(-n * r) - x)) for r, x in zip(rate, exact)])
         assert np.all(error <= bound * np.finfo(float).eps * scale)
 
+    @pytest.mark.parametrize(
+        "n, theta1, theta2, t_max, size",
+        [
+            (9000, 0.25, -0.25, 10.0, 2001),  # the amplitude bench grid
+            (37, 0.3, -0.35, 30.0, 3001),
+        ],
+        ids=["amplitude", "n37"],
+    )
+    def test_argument_matches_mpmath_referee(self, monkeypatch, n, theta1, theta2, t_max, size):
+        # the phase of la, as the kernel passes it to ``exp`` (la itself
+        # underflows on the amplitude grid after t = 0.3), within 1 eps *
+        # scale (``referee_argument``) of the 30-digit referee, mod
+        # 2 pi, on 12 evenly spaced grid times.  Measured: at most 0.70
+        # (amplitude) and 0.70 (n37) with the products of four factors, 0.39
+        # and 0.70 with one arctan2 per element.  The readings are steps of
+        # the float phase's own rounding: it is about t sum |e_k| in size,
+        # and half an ulp of it is about 0.28 eps * scale on the amplitude grid
+        spec = make_spec(theta1 * np.pi, theta2 * np.pi, n=n)
+        times = np.linspace(0.0, t_max, size)
+        pick = np.linspace(0, size - 1, 12).astype(int)
+        phases, exp = [], np.exp
+
+        def recording(x, *args, **kwargs):  # the last complex exp of a T array is la's
+            if np.iscomplexobj(x) and np.shape(x) == times.shape and not args and not kwargs:
+                phases.append(x.imag[pick])
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", recording)
+        loschmidt_echo(spec, times)
+        monkeypatch.undo()
+        exact, scale = referee_argument(spec, times[pick])
+        error = []
+        for phase, x in zip(phases[-1], exact):
+            diff = mpmath.mpf(float(phase)) - x
+            error.append(float(abs(diff - 2 * mpmath.pi * mpmath.nint(diff / (2 * mpmath.pi)))))
+        assert np.all(np.array(error) <= np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize(
+        "n, theta1, theta2, t_max, size",
+        [
+            (9000, 0.25, -0.25, 10.0, 2001),  # 4207 full-angle modes, padded by 1
+            (37, 0.3, -0.35, 30.0, 3001),  # 18, padded by 2
+            (30, 0.25, -0.25, 20.0, 1001),  # 13, padded by 3
+            (41, 0.25, -0.25, 20.0, 2001),  # 20, not padded
+        ],
+    )
+    def test_argument_folds_match_one_arctan2_per_element(self, monkeypatch, n, theta1, theta2, t_max, size):
+        # la from the products of four full-angle factors against one arctan2
+        # per mode and time (tests/tables.py), on the same z: measured 2.9e-15,
+        # 1.5e-14, 1.1e-14 and 1.2e-14 apart on these grids; le and rate the
+        # same bits
+        spec = make_spec(theta1 * np.pi, theta2 * np.pi, n=n)
+        times = np.linspace(0.0, t_max, size)
+        folded = loschmidt_echo(spec, times)
+        monkeypatch.setattr(quench._DirectModes, "_full_angle", full_angle_per_element)
+        reference = loschmidt_echo(spec, times)
+        assert np.max(np.abs(folded.la - reference.la)) <= 1e-13
+        np.testing.assert_array_equal(folded.le, reference.le)
+        np.testing.assert_array_equal(folded.rate, reference.rate)
+
     @pytest.mark.parametrize("uniform", [True, False])
     def test_amplitudes_next_to_one_stay_finite(self, monkeypatch, uniform):
         # amplitudes 1 - j 2^-53 for j = 1..40, on both sides of the
@@ -551,6 +651,50 @@ class TestLoschmidtEcho:
         assert len(growth) == 2 and max(growth) < 2 * quench._CHUNK_BYTES
         assert len(lengths) == 2 * -(-times.size // quench._SEGMENT)  # ln le and the argument
         assert max(lengths) <= 2 * quench._SEGMENT
+
+    def test_kernel_allocations_do_not_grow_with_the_grid(self, monkeypatch):
+        # traced allocations, no timing: with two workers, one amplitude call
+        # makes its numpy arrays of 64 KiB or more once per run, so as many at
+        # T = 2001 as at T = 8001.  A line of ``_DirectModes`` counts when the
+        # traced memory rose by 64 KiB or more while it ran; the two runs take
+        # turns, so that each line sees its own thread's allocations only.
+        # Fresh slab arrays and start rows count one or more per slab.
+        monkeypatch.setattr(quench, "_worker_count", lambda: 2)
+        run, turn = quench._DirectModes.run, threading.Lock()
+
+        def in_turn(self, *args):
+            with turn:
+                run(self, *args)
+
+        monkeypatch.setattr(quench._DirectModes, "run", in_turn)
+        codes = {run.__code__, quench._DirectModes._full_angle.__code__, quench._DirectModes._half_angle.__code__}
+        count, base = [0], [0]
+
+        def line(frame, event, arg):
+            if event != "call" and tracemalloc.get_traced_memory()[1] - base[0] >= 64 << 10:
+                count[0] += 1
+            tracemalloc.reset_peak()
+            base[0] = tracemalloc.get_traced_memory()[0]
+            return line
+
+        def call(frame, event, arg):
+            return line(frame, event, arg) if frame.f_code in codes else None
+
+        spec = make_spec(0.25 * np.pi, -0.25 * np.pi, n=9000)
+        counts = []
+        for size in (2001, 8001):
+            count[0] = 0
+            tracemalloc.start()
+            threading.settrace(call)
+            sys.settrace(call)
+            try:
+                loschmidt_echo(spec, np.linspace(0.0, 10.0, size))
+            finally:
+                sys.settrace(None)
+                threading.settrace(None)
+                tracemalloc.stop()
+            counts.append(count[0])
+        assert counts[0] == counts[1] > 0
 
     def test_rejects_overflowing_phases(self):
         with pytest.raises(DomainError):
