@@ -9,14 +9,14 @@ echo factorizes over modes:
 
 with ``gap_k`` the post-quench band gap and ``A_k`` an oscillation
 amplitude fixed by the rotation between pre- and post-quench
-eigenbases.  An exact determinant overlap on the full single-particle
-matrix provides an independent check for ladders of up to 512 rungs.
+eigenbases.  ``model.exact_le_oracle``, an exact determinant overlap
+on the full single-particle matrix, checks it for ladders of up to 512
+rungs.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -25,18 +25,16 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError
-from .model import LadderParams, _band_terms, _park_blas_pool, allowed_modes, canonical_angle
+from .model import LadderParams, _band_terms, _park_blas_pool, _worker_count, allowed_modes, canonical_angle
 
 __all__ = [
     "LESeries",
     "ModeArrays",
     "QuenchSpec",
-    "exact_le_oracle",
     "loschmidt_echo",
     "mode_arrays",
 ]
 
-ORACLE_MAX_RUNGS = 512
 # Bytes of one float64 (times x modes) temporary in ``loschmidt_echo``.
 _CHUNK_BYTES = 4 << 20
 # Most elements of a slab of the per-element path, 512 KiB a temporary:
@@ -159,52 +157,6 @@ def _uniform_step(times: np.ndarray) -> Optional[float]:
     off += times[0]
     off -= times
     return float(step) if np.abs(off, out=off).max() <= np.spacing(times.max()) else None
-
-
-# The cgroup CPU quota as "quota period" (v2), or as quota and period
-# files (v1); the first of these that can be read holds it.
-_CPU_QUOTA_FILES = (
-    ("/sys/fs/cgroup/cpu.max",),
-    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
-)
-
-
-def _read_text(path: str) -> str:
-    with open(path) as handle:
-        return handle.read()
-
-
-def _cpu_quota() -> float:
-    """CPUs' worth of time the cgroup CPU quota grants; inf without a quota.
-
-    "max" (v2), -1 (v1) and a file that is missing, unreadable or
-    malformed all mean no quota.
-    """
-    for paths in _CPU_QUOTA_FILES:
-        try:
-            fields = " ".join(_read_text(path) for path in paths).split()
-        except OSError:
-            continue
-        try:
-            quota, period = int(fields[0]), int(fields[1])
-        except (IndexError, ValueError):
-            return math.inf
-        return quota / period if quota > 0 and period > 0 else math.inf
-    return math.inf
-
-
-def _worker_count() -> int:
-    """CPUs in this process's affinity set (``os.cpu_count`` without one),
-    at most the whole CPUs that cover the cgroup CPU quota.
-
-    More threads than the quota allows only queue for CPU time.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    quota = _cpu_quota()
-    return cpus if quota == math.inf else max(1, min(cpus, math.ceil(quota)))
 
 
 def _run_pieces(run, pieces) -> None:
@@ -531,59 +483,3 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     _harmonic_sums(times, step, m * gap[cols], (4.0 * coef, -1j * sign * coef), outs)
     la = np.exp(0.5 * log_le + 1j * (outs[1] - times * lower_band)) if include_la else None
     return LESeries(times=times, le=np.exp(log_le), la=la, rate=-log_le / n, n_rungs=n)
-
-
-def _single_particle_matrix(params: LadderParams) -> np.ndarray:
-    """Full 2N x 2N hopping matrix of the ladder, shifted by -j_v.
-
-    Basis ordering: upper-leg sites 0..N-1, then lower-leg sites.
-    """
-    n = params.n_rungs
-    h = np.zeros((2 * n, 2 * n), dtype=complex)
-    fwd_q = -params.j_h * np.exp(-1j * params.theta)
-    fwd_p = -params.j_h * np.exp(1j * params.theta)
-    for m in range(n):
-        nxt = (m + 1) % n
-        h[nxt, m] += fwd_q
-        h[m, nxt] += np.conj(fwd_q)
-        h[n + nxt, n + m] += fwd_p
-        h[n + m, n + nxt] += np.conj(fwd_p)
-        h[n + nxt, m] += -params.j_d
-        h[m, n + nxt] += -params.j_d
-        h[nxt, n + m] += -params.j_d
-        h[n + m, nxt] += -params.j_d
-        h[m, n + m] += -params.j_v
-        h[n + m, m] += -params.j_v
-    h -= params.j_v * np.eye(2 * n)
-    return h
-
-
-def exact_le_oracle(spec: QuenchSpec, t):
-    """Echo and amplitude from an exact determinant overlap.
-
-    Fills the N lowest orbitals of the pre-quench single-particle
-    matrix, evolves with the post-quench matrix, and returns
-    (|det|^2, det) of the occupied-orbital overlap: floats for a scalar
-    ``t``, arrays for an array of times.  The two ``eigh`` calls and the
-    projection of the occupied orbitals on the post-quench ones run once
-    per call, then one N x N determinant per time.  Limited to
-    ``ORACLE_MAX_RUNGS``: one call with six times took 0.3 s at 256 rungs
-    and 2.4 s at 512 (2 vCPUs), nearly all of it in the two ``eigh``
-    calls.  The mode-product formula must agree exactly.
-    """
-    n = spec.params.n_rungs
-    if n > ORACLE_MAX_RUNGS:
-        raise DomainError(
-            f"oracle limited to n_rungs <= {ORACLE_MAX_RUNGS}, got {n}"
-        )
-    times = np.asarray(t, dtype=float)
-    _, v_pre = np.linalg.eigh(_single_particle_matrix(spec.pre))
-    w_post, v_post = np.linalg.eigh(_single_particle_matrix(spec.post))
-    projection = v_post.conj().T @ v_pre[:, :n]
-    adjoint = projection.conj().T
-    la = np.array([np.linalg.det((adjoint * np.exp(-1j * w_post * time)) @ projection)
-                   for time in times.ravel()]).reshape(times.shape)
-    if times.ndim == 0:
-        la = complex(la)
-        return abs(la) ** 2, la
-    return np.abs(la) ** 2, la

@@ -724,9 +724,9 @@ def test_blas_results_are_the_same_after_the_park():
     spec = QuenchSpec(LadderParams(1.0, 1.0, 1.0, 0.0, 12), 0.3 * math.pi, -0.9 * math.pi)
     times = np.linspace(0.0, 5.0, 7)
     a = np.random.default_rng(3).standard_normal((400, 400))
-    before = [*quench.exact_le_oracle(spec, times), a @ a]
+    before = [*model.exact_le_oracle(spec, times), a @ a]
     model._park_blas_pool()
-    after = [*quench.exact_le_oracle(spec, times), a @ a]
+    after = [*model.exact_le_oracle(spec, times), a @ a]
     assert [np.asarray(x).tobytes() for x in before] == [np.asarray(x).tobytes() for x in after]
 
 

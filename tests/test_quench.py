@@ -25,7 +25,7 @@ from creutz import (
     scan_theta2,
     work_stats,
 )
-from creutz import quench
+from creutz import model, quench
 from creutz.dqpt import predict_dqpt_times
 from creutz.quench import _uniform_step
 from tables import full_angle_per_element
@@ -918,10 +918,10 @@ class TestLoschmidtEcho:
                 raise text(path)
             return text
 
-        monkeypatch.setattr(quench, "_read_text", read_text)
-        monkeypatch.setattr(quench.os, "sched_getaffinity", lambda pid: set(range(8)),
+        monkeypatch.setattr(model, "_read_text", read_text)
+        monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(8)),
                             raising=False)
-        assert quench._worker_count() == workers
+        assert model._worker_count() == workers
 
     @given(
         st.floats(min_value=-2.5, max_value=2.5),
@@ -1044,7 +1044,7 @@ class TestDeterminantOracle:
 
     def test_size_guard(self):
         with pytest.raises(DomainError):
-            exact_le_oracle(make_spec(0.1, 0.2, n=quench.ORACLE_MAX_RUNGS + 1), 1.0)
+            exact_le_oracle(make_spec(0.1, 0.2, n=model.ORACLE_MAX_RUNGS + 1), 1.0)
 
     def test_pins_incommensurate_echo_minimum(self):
         # criterion 7's N = 100 ladder after 0.25 pi -> 0, on its grid: the
