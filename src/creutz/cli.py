@@ -23,15 +23,16 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, CreutzError, DomainError
-from .model import LadderParams, _park_blas_pool, allowed_modes, is_critical_flux, mode_data
+from .model import LadderParams, QuenchSpec, _park_blas_pool, allowed_modes, is_critical_flux, mode_data
 from .serialize import write_table  # the runners import quench, dqpt, revival and thermo
 
 # Most points a time grid may have: 10^8 float64 times are 800 MB before
 # the echo series triples them.
 MAX_TIME_POINTS = 10**8
 # Most rows a mode or theta2 table may have (n_rungs, and n_theta2 for
-# scan): a spectrum of 10^6 rungs peaks at about 100 MB and a scan of 10^6
-# angles at about 160 MB, as CSV or JSON, and both grow linearly.
+# scan), and most cusp times dqpt may predict: a spectrum of 10^6 rungs
+# peaks at about 100 MB and a scan of 10^6 angles at about 160 MB, as CSV or
+# JSON, and both grow linearly, as does the list of cusp times.
 MAX_TABLE_ROWS = 10**7
 
 # key -> (parser, default).  ``j`` is not a key of its own: it parses as a
@@ -80,9 +81,7 @@ class RunConfig:
         )
 
     @property
-    def quench(self):
-        from .quench import QuenchSpec
-
+    def quench(self) -> QuenchSpec:
         return QuenchSpec(
             params=self.params,
             theta_pre=self.values["theta1"] * pi,
@@ -248,7 +247,13 @@ def _cmd_dqpt(cfg: RunConfig):
         gate = dqpt.finite_size_dqpt_gate(spec, q_max=cfg["q_max"], tol=cfg["tol"])
     possible = dqpt.dqpt_possible(spec)
     modes = dqpt.solve_critical_modes(spec)
-    predicted = dqpt.predict_dqpt_times(spec, t_max=float(times[-1])) if modes else []
+    t_max = float(times[-1])
+    # predict_dqpt_times lists at most floor(t_max / t* + 1/2) + 1 times per
+    # finite t*, counted first (a float division that overflows gives inf)
+    count = float(np.sum(np.floor([t_max / m.t_star + 0.5 for m in modes if isfinite(m.t_star)]) + 1.0))
+    if not count <= MAX_TABLE_ROWS:
+        raise ConfigError(f"{count:.12g} predicted cusp times exceed the limit of {MAX_TABLE_ROWS:g}; lower t_max")
+    predicted = dqpt.predict_dqpt_times(spec, t_max=t_max) if modes else []
     series = loschmidt_echo(spec, times, include_la=False)
     cusps = dqpt.detect_cusps(series, sensitivity=cfg["sensitivity"])
     meta = _base_metadata(cfg, ("theta1", "theta2"))
@@ -259,7 +264,7 @@ def _cmd_dqpt(cfg: RunConfig):
         t_star=";".join(repr(m.t_star) for m in modes),
         predicted_times=";".join(repr(t) for t in predicted),
         sensitivity=cfg["sensitivity"],
-        t_max=float(times[-1]),
+        t_max=t_max,
         n_points=int(times.size),
     )
     if gate is not None:

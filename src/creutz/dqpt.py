@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidQuenchTargetError, NoDqptError
-from .model import _require_equal_hoppings, commensurate_base, is_critical_flux
-from .quench import LESeries, QuenchSpec, mode_arrays
+from .model import (LESeries, QuenchSpec, _integer_count, _require_equal_hoppings, commensurate_base,
+                    is_critical_flux, mode_arrays)
 
 __all__ = [
     "CriticalMode",
@@ -125,8 +125,11 @@ def predict_dqpt_times(spec: QuenchSpec, t_max: float) -> list[float]:
     """Merged, sorted cusp times t*(n + 1/2) up to ``t_max``.
 
     Tangent modes carry no finite timescale and contribute nothing.
-    Raises when the quench has no critical mode at all.
+    Raises when the quench has no critical mode at all, and for a
+    negative or non-finite ``t_max``.
     """
+    if not 0.0 <= t_max < math.inf:  # also refuses nan
+        raise DomainError(f"t_max must be non-negative and finite, got {t_max}")
     modes = solve_critical_modes(spec)
     if not modes:
         raise NoDqptError("quench admits no critical mode; no transition times exist")
@@ -149,9 +152,7 @@ def fisher_zero_lines(
     """
     if n_range[0] > n_range[1]:
         raise DomainError(f"empty branch range {n_range}")
-    if k_samples < 2:
-        raise DomainError(f"k_samples must be >= 2, got {k_samples}")
-    ks = np.linspace(0.0, math.pi, k_samples + 2)[1:-1]
+    ks = np.linspace(0.0, math.pi, _integer_count(k_samples, "k_samples") + 2)[1:-1]
     _, _, cos2, gap, _, _ = mode_arrays(spec, ks)
     sin2 = 1.0 - cos2
     with np.errstate(divide="ignore", invalid="ignore"):

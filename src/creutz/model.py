@@ -1,4 +1,4 @@
-"""Creutz ladder: Bloch Hamiltonian, quasiparticle bands, and commensurability.
+"""Creutz ladder and its quenches in closed form: bands, commensurability, mode tables.
 
 The ladder has two legs of ``n_rungs`` sites with periodic boundary
 conditions, horizontal hopping ``j_h`` carrying a Peierls phase
@@ -7,11 +7,12 @@ conditions, horizontal hopping ``j_h`` carrying a Peierls phase
 
 All band energies here use the shifted convention: the constant ``j_v``
 is subtracted from both quasiparticle branches.  Gaps and energy
-differences are unaffected by the shift.  The real-space single-particle
-matrix gives ``exact_le_oracle``, the determinant-overlap echo of a
-quench that referees ``quench.loschmidt_echo``.  The process helpers
-that size the echo kernel's threads (the CPU count under a cgroup quota)
-and park numpy's OpenBLAS pool live here too.
+differences are unaffected by the shift.  A sudden flux quench
+(``QuenchSpec``) has one closed-form per-mode table, ``mode_arrays``,
+which the echo kernel (``quench``), ``dqpt`` and ``thermo`` read, and
+``exact_le_oracle``, the determinant-overlap echo of the real-space
+matrix, referees the kernel.  The process helpers that split the
+kernel's and the work scan's ranges over threads live here too.
 """
 
 from __future__ import annotations
@@ -19,16 +20,21 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import sys
+import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
+    "LESeries",
     "LadderParams",
+    "ModeArrays",
     "ModeData",
+    "QuenchSpec",
     "allowed_modes",
     "canonical_angle",
     "commensurate_base",
@@ -36,6 +42,7 @@ __all__ = [
     "exact_le_oracle",
     "group_velocity",
     "is_critical_flux",
+    "mode_arrays",
     "mode_data",
 ]
 
@@ -47,12 +54,12 @@ _MAX_HOPPING = 1e150
 _MIN_HOPPING = 1e-150  # of a nonzero hopping
 
 
-def _rung_count(n_rungs) -> int:
-    """``n_rungs`` as an int; non-finite, fractional or < 2 values are rejected."""
+def _integer_count(value, name: str = "n_rungs") -> int:
+    """``value`` as an int; non-finite, fractional or < 2 values are rejected."""
     # the chained comparison is False for nan and inf, so int() never sees them
-    if not 2 <= n_rungs < math.inf or int(n_rungs) != n_rungs:
-        raise DomainError(f"n_rungs must be an integer >= 2, got {n_rungs}")
-    return int(n_rungs)
+    if not 2 <= value < math.inf or int(value) != value:
+        raise DomainError(f"{name} must be an integer >= 2, got {value}")
+    return int(value)
 
 
 def canonical_angle(theta: float) -> float:
@@ -106,7 +113,7 @@ class LadderParams:
         for name in ("j_v", "j_d"):
             if getattr(self, name) <= 0.0:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
-        object.__setattr__(self, "n_rungs", _rung_count(self.n_rungs))
+        object.__setattr__(self, "n_rungs", _integer_count(self.n_rungs))
         object.__setattr__(self, "theta", canonical_angle(self.theta))
 
     def with_theta(self, theta: float) -> "LadderParams":
@@ -130,7 +137,7 @@ class ModeData:
 
 def allowed_modes(n_rungs: int) -> np.ndarray:
     """Quantized wavenumbers k_j = 2 pi j / N, j = 0..N-1, of a ladder with N = ``n_rungs``."""
-    n = _rung_count(n_rungs)
+    n = _integer_count(n_rungs)
     return 2.0 * np.pi * np.arange(n) / n
 
 
@@ -235,6 +242,89 @@ def group_velocity(params: LadderParams) -> float:
     return 2.0 * math.sqrt(4.0 * j * j - params.j_v * params.j_v)
 
 
+@dataclass(frozen=True)
+class QuenchSpec:
+    """A sudden flux quench: shared ladder parameters plus the two angles."""
+
+    params: LadderParams
+    theta_pre: float
+    theta_post: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "theta_pre", canonical_angle(self.theta_pre))
+        object.__setattr__(self, "theta_post", canonical_angle(self.theta_post))
+
+    @property
+    def pre(self) -> LadderParams:
+        return self.params.with_theta(self.theta_pre)
+
+    @property
+    def post(self) -> LadderParams:
+        return self.params.with_theta(self.theta_post)
+
+
+@dataclass(frozen=True)
+class LESeries:
+    """Echo, amplitude, and rate function sampled on a time grid.
+
+    ``rate`` is -ln(le)/N with N the number of rungs; it is computed
+    from a log-sum over modes so it stays finite even where ``le``
+    underflows.  An exact zero of a mode factor shows up as +inf.
+    ``la`` is None when the series was computed without the complex
+    amplitude; ``le`` and ``rate`` are the same either way, and skipping
+    ``la`` cuts the kernel's cost (measured in docs/formats.md, ``le``).
+    """
+
+    times: np.ndarray
+    le: np.ndarray
+    la: Optional[np.ndarray]
+    rate: np.ndarray
+    n_rungs: int
+
+
+class ModeArrays(NamedTuple):
+    """Per-mode quench data, one entry per wavenumber ``k``: eta is half the
+    pre- minus post-quench rotation angle, ``amplitude`` = sin^2(2 eta), and
+    ``ea_*`` are lower-band energies."""
+
+    k: np.ndarray
+    amplitude: np.ndarray
+    cos2_eta: np.ndarray
+    gap_post: np.ndarray
+    ea_pre: np.ndarray
+    ea_post: np.ndarray
+
+
+def mode_arrays(spec: QuenchSpec, ks=None) -> ModeArrays:
+    """Per-mode quench data at ``ks``; by default the modes 0 < k < pi of the
+    grid, each standing also for 2 pi - k, which shares every field.
+
+    With u = 2 j_h sin k, v = -2 j_h cos k and q = eps_qp, a flux theta has
+    a = u sin theta, half gap h = sqrt(q^2 + a^2) and lower-band energy
+    v cos theta - j_v - h.  Then sin 2 eta = q (a2 - a1) / (h1 h2) and
+    cos 2 eta = (q^2 + a1 a2) / (h1 h2), eta = 0 where h1 h2 = 0.  A is
+    sin^2 2 eta if that square is the smaller, else 1 - cos^2 2 eta, and
+    min(cos^2 eta, sin^2 eta) = sin^2 2 eta / (2 (1 + |cos 2 eta|)).
+    """
+    p, n = spec.params, spec.params.n_rungs
+    k = allowed_modes(n)[1 : (n + 1) // 2] if ks is None else np.asarray(ks, dtype=float)
+    u, v, q = _band_terms(p, k)
+    a1, a2 = u * np.sin(spec.theta_pre), u * np.sin(spec.theta_post)
+    h1, h2 = np.sqrt(q * q + a1 * a1), np.sqrt(q * q + a2 * a2)
+    hh = h1 * h2
+    s = np.divide(q * (a2 - a1), hh, out=np.zeros_like(hh), where=hh > 0.0)
+    c = np.divide(q * q + a1 * a2, hh, out=np.ones_like(hh), where=hh > 0.0)
+    small = s * s / (2.0 + 2.0 * np.abs(c))
+    return ModeArrays(
+        k=k,
+        amplitude=np.where(s * s <= c * c, s * s, 1.0 - c * c),
+        cos2_eta=np.where(c >= 0.0, 1.0 - small, small),
+        gap_post=2.0 * h2,
+        ea_pre=v * np.cos(spec.theta_pre) - p.j_v - h1,
+        ea_post=v * np.cos(spec.theta_post) - p.j_v - h2,
+    )
+
+
 # The cgroup CPU quota as "quota period" (v2), or as quota and period
 # files (v1); the first of these that can be read holds it.
 _CPU_QUOTA_FILES = (
@@ -285,9 +375,9 @@ def _park_blas_pool() -> None:
     """Stop numpy's idle OpenBLAS workers, which spin for about 0.1 s of CPU
     after ``import numpy`` and so take a CPU from the echo kernel's threads;
     the pool restarts by itself on the next threaded BLAS call.  ``cli.run``
-    calls it (no command calls BLAS), and so does ``quench._run_pieces``
-    before it starts threads, if no other thread has a Python frame (a
-    thread inside a BLAS call keeps its frame)."""
+    calls it (no command calls BLAS), and so does ``_run_pieces`` before it
+    starts threads, if no other thread has a Python frame (a thread inside
+    a BLAS call keeps its frame)."""
     try:
         with open("/proc/self/maps") as maps:
             paths = sorted({ln.split(maxsplit=5)[-1].strip() for ln in maps if "openblas" in ln})
@@ -298,6 +388,35 @@ def _park_blas_pool() -> None:
                 shutdown()
     except OSError:  # no /proc, or a mapped path that is not a library
         pass
+
+
+def _run_pieces(run, size: int, unit: int, workers: int) -> None:
+    """``run(lo, hi)`` for contiguous runs [lo, hi) of whole ``unit``-item
+    parts of [0, size) (the last may be short), one per worker and at most
+    one per part: the first in this thread and the others on threads, after
+    ``_park_blas_pool`` if no other thread has a Python frame.  The first
+    error of any run is raised here once all runs have stopped."""
+    parts = -(-size // unit)
+    workers = max(1, min(workers, parts))
+    ends = [min(size, parts * i // workers * unit) for i in range(workers + 1)]
+    errors = []
+
+    def guarded(lo, hi) -> None:
+        try:
+            run(lo, hi)
+        except BaseException as exc:  # re-raised below, in the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=piece) for piece in zip(ends[1:-1], ends[2:])]
+    if threads and len(sys._current_frames()) == 1:  # so no other thread is inside BLAS
+        _park_blas_pool()
+    for thread in threads:
+        thread.start()
+    guarded(ends[0], ends[1])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _single_particle_matrix(params: LadderParams) -> np.ndarray:
@@ -325,9 +444,9 @@ def _single_particle_matrix(params: LadderParams) -> np.ndarray:
     return h
 
 
-def exact_le_oracle(spec, t):
-    """Echo and amplitude of the quench ``spec`` (a ``quench.QuenchSpec``)
-    from an exact determinant overlap.
+def exact_le_oracle(spec: QuenchSpec, t):
+    """Echo and amplitude of the quench ``spec`` (a ``QuenchSpec``) from an
+    exact determinant overlap.
 
     Fills the N lowest orbitals of the pre-quench single-particle
     matrix, evolves with the post-quench matrix, and returns

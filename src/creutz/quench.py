@@ -1,4 +1,4 @@
-"""Loschmidt amplitude and echo after a sudden flux quench.
+"""Loschmidt amplitude and echo after a sudden flux quench: the echo kernel.
 
 The flux is changed instantaneously from ``theta_pre`` to ``theta_post``
 with the system prepared in the lower-band-filled state of the
@@ -9,31 +9,22 @@ echo factorizes over modes:
 
 with ``gap_k`` the post-quench band gap and ``A_k`` an oscillation
 amplitude fixed by the rotation between pre- and post-quench
-eigenbases.  ``model.exact_le_oracle``, an exact determinant overlap
-on the full single-particle matrix, checks it for ladders of up to 512
-rungs.
+eigenbases.  ``QuenchSpec``, ``LESeries``, the table ``mode_arrays`` and
+the thread runner live in ``model``, as does ``exact_le_oracle``, an
+exact determinant overlap that checks the echo for up to 512 rungs.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-import threading
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .model import LadderParams, _band_terms, _park_blas_pool, _worker_count, allowed_modes, canonical_angle
+from .model import LESeries, QuenchSpec, _run_pieces, _worker_count, mode_arrays
 
-__all__ = [
-    "LESeries",
-    "ModeArrays",
-    "QuenchSpec",
-    "loschmidt_echo",
-    "mode_arrays",
-]
+__all__ = ["loschmidt_echo"]
 
 # Bytes of one float64 (times x modes) temporary in ``loschmidt_echo``.
 _CHUNK_BYTES = 4 << 20
@@ -57,90 +48,6 @@ _GAUSS = 0.75 * math.pi / _SPREAD
 _TERMS = _CHUNK_BYTES // (64 * (2 * _SPREAD + 1))
 
 
-@dataclass(frozen=True)
-class QuenchSpec:
-    """A sudden flux quench: shared ladder parameters plus the two angles."""
-
-    params: LadderParams
-    theta_pre: float
-    theta_post: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta_pre", canonical_angle(self.theta_pre))
-        object.__setattr__(self, "theta_post", canonical_angle(self.theta_post))
-
-    @property
-    def pre(self) -> LadderParams:
-        return self.params.with_theta(self.theta_pre)
-
-    @property
-    def post(self) -> LadderParams:
-        return self.params.with_theta(self.theta_post)
-
-
-@dataclass(frozen=True)
-class LESeries:
-    """Echo, amplitude, and rate function sampled on a time grid.
-
-    ``rate`` is -ln(le)/N with N the number of rungs; it is computed
-    from a log-sum over modes so it stays finite even where ``le``
-    underflows.  An exact zero of a mode factor shows up as +inf.
-    ``la`` is None when the series was computed without the complex
-    amplitude; ``le`` and ``rate`` are the same either way, and skipping
-    ``la`` cuts the kernel's CPU time 1.8x at N = 9000 x 2001 times and
-    2.0x at N = 1000 x 86604 (one thread; docs/formats.md, ``le``).
-    """
-
-    times: np.ndarray
-    le: np.ndarray
-    la: Optional[np.ndarray]
-    rate: np.ndarray
-    n_rungs: int
-
-
-class ModeArrays(NamedTuple):
-    """Per-mode quench data, one entry per wavenumber ``k``: eta is half the
-    pre- minus post-quench rotation angle, ``amplitude`` = sin^2(2 eta), and
-    ``ea_*`` are lower-band energies."""
-
-    k: np.ndarray
-    amplitude: np.ndarray
-    cos2_eta: np.ndarray
-    gap_post: np.ndarray
-    ea_pre: np.ndarray
-    ea_post: np.ndarray
-
-
-def mode_arrays(spec: QuenchSpec, ks=None) -> ModeArrays:
-    """Per-mode quench data at ``ks``; by default the modes 0 < k < pi of the
-    grid, each standing also for 2 pi - k, which shares every field.
-
-    With u = 2 j_h sin k, v = -2 j_h cos k and q = eps_qp, a flux theta has
-    a = u sin theta, half gap h = sqrt(q^2 + a^2) and lower-band energy
-    v cos theta - j_v - h.  Then sin 2 eta = q (a2 - a1) / (h1 h2) and
-    cos 2 eta = (q^2 + a1 a2) / (h1 h2), eta = 0 where h1 h2 = 0.  A is
-    sin^2 2 eta if that square is the smaller, else 1 - cos^2 2 eta, and
-    min(cos^2 eta, sin^2 eta) = sin^2 2 eta / (2 (1 + |cos 2 eta|)).
-    """
-    p, n = spec.params, spec.params.n_rungs
-    k = allowed_modes(n)[1 : (n + 1) // 2] if ks is None else np.asarray(ks, dtype=float)
-    u, v, q = _band_terms(p, k)
-    a1, a2 = u * np.sin(spec.theta_pre), u * np.sin(spec.theta_post)
-    h1, h2 = np.sqrt(q * q + a1 * a1), np.sqrt(q * q + a2 * a2)
-    hh = h1 * h2
-    s = np.divide(q * (a2 - a1), hh, out=np.zeros_like(hh), where=hh > 0.0)
-    c = np.divide(q * q + a1 * a2, hh, out=np.ones_like(hh), where=hh > 0.0)
-    small = s * s / (2.0 + 2.0 * np.abs(c))
-    return ModeArrays(
-        k=k,
-        amplitude=np.where(s * s <= c * c, s * s, 1.0 - c * c),
-        cos2_eta=np.where(c >= 0.0, 1.0 - small, small),
-        gap_post=2.0 * h2,
-        ea_pre=v * np.cos(spec.theta_pre) - p.j_v - h1,
-        ea_post=v * np.cos(spec.theta_post) - p.j_v - h2,
-    )
-
-
 def _uniform_step(times: np.ndarray) -> Optional[float]:
     """Step of ``times`` when it is a uniform grid, else None.
 
@@ -157,39 +64,6 @@ def _uniform_step(times: np.ndarray) -> Optional[float]:
     off += times[0]
     off -= times
     return float(step) if np.abs(off, out=off).max() <= np.spacing(times.max()) else None
-
-
-def _run_pieces(run, pieces) -> None:
-    """``run(*piece)`` for each of ``pieces``, the first in this thread and
-    the others on threads; the first error of any piece is raised here
-    once all pieces have stopped."""
-    errors = []
-
-    def guarded(*piece) -> None:
-        try:
-            run(*piece)
-        except BaseException as exc:  # re-raised below, in the caller
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=piece) for piece in pieces[1:]]
-    if threads and len(sys._current_frames()) == 1:  # so no other thread is inside BLAS
-        _park_blas_pool()
-    for thread in threads:
-        thread.start()
-    guarded(*pieces[0])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-
-
-def _pieces(size: int, unit: int, workers: int) -> list:
-    """Contiguous runs [lo, hi) of whole ``unit``-item parts of [0, size) (the
-    last may be short), one per worker and at most one per part."""
-    parts = -(-size // unit)
-    workers = max(1, min(workers, parts))
-    ends = [min(size, parts * i // workers * unit) for i in range(workers + 1)]
-    return list(zip(ends, ends[1:]))
 
 
 def _runs(size: int, rows: int, per: int):
@@ -426,9 +300,10 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     the GIL) once per call, each with the half-angle, then the full-angle
     modes of its run (``_DirectModes``).  There is at most one thread per 4
     rows of a block, and a cgroup CPU quota below the affinity set caps the
-    count too (``_worker_count``); a grid of one block runs in the calling
-    thread.  Before threads start, numpy's idle OpenBLAS pool is parked if
-    no other thread has a Python frame (``_run_pieces``).
+    count too (``model._worker_count``); a grid of one block runs in the
+    calling thread.  ``model._run_pieces`` makes the split and the threads,
+    and before threads start it parks numpy's idle OpenBLAS pool if no
+    other thread has a Python frame.
     Every element, row sum and transform takes the same operations for
     any split, so the results are the same bits for any number of CPUs.
     The measured costs of these choices are in docs/formats.md, under ``le``.
@@ -462,10 +337,10 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     if not math.isfinite(t_max * (float(np.max(gap, initial=0.0)) + abs(lower_band))):
         raise DomainError(f"times up to {t_max:g} overflow the mode phases gap * t")
 
-    # runs of whole blocks, one per thread, and at most one thread per 4 rows
-    # of a block, so that every thread's strip (``_DirectModes``) has a row
-    pieces = _pieces(times.size, rows, min(_worker_count(), rows // 4))
-    groups = [_DirectModes(amplitude[group], cos2[group], gap[group], group_step, rows, len(pieces), include_la)
+    # one run of whole blocks per thread (T > 0 times make at least rows blocks),
+    # at most one thread per 4 rows of a block, so that each strip has a row
+    workers = max(1, min(_worker_count(), rows // 4))
+    groups = [_DirectModes(amplitude[group], cos2[group], gap[group], group_step, rows, workers, include_la)
               for group, group_step in ((unit, None), (~unit & ~series, step)) if group.any()]
 
     def run_groups(lo, hi) -> None:  # a piece's rows: the half-angle modes, then the full-angle ones
@@ -473,7 +348,7 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
             modes.run(times[lo:hi], *(out[lo:hi] for out in outs))
 
     if groups:
-        _run_pieces(run_groups, pieces)
+        _run_pieces(run_groups, times.size, rows, workers)
     del groups  # the offset table, before the series transform's tables
     # the series terms: harmonics m = 1 .. K of each series mode
     cols, m = np.nonzero(series[:, None] & (harmonics[:, None] > np.arange(_SERIES_HARMONICS)))

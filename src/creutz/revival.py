@@ -16,8 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, IncommensurateAngleError, InvalidQuenchTargetError, NoRevivalError
-from .model import commensurate_base, group_velocity, is_critical_flux
-from .quench import LESeries, QuenchSpec
+from .model import LESeries, QuenchSpec, commensurate_base, group_velocity, is_critical_flux
 
 __all__ = [
     "RevivalDetection",

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quench
 from .errors import DomainError
-from .model import LadderParams, _band_terms, allowed_modes, canonical_angle
-from .quench import QuenchSpec, mode_arrays
+from .model import (LadderParams, QuenchSpec, _band_terms, _run_pieces, _worker_count, allowed_modes,
+                    canonical_angle, mode_arrays)
 
 __all__ = [
     "WorkDistribution",
@@ -139,8 +138,8 @@ def scan_theta2(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
 
     Chunks of theta2 rows go through six float64 buffers of about
     ``_CHUNK_BYTES``, in one contiguous run of chunks per CPU on threads
-    (``quench._pieces``, ``quench._run_pieces``); a grid of one chunk
-    runs in the calling thread.  Each row is an elementwise pass and its
+    (``model._run_pieces``, as the echo kernel's blocks); a grid of one
+    chunk runs in the calling thread.  Each row is an elementwise pass and its
     own row sums, so the bits are the same for any number of CPUs.
     """
     n = params.n_rungs
@@ -184,5 +183,5 @@ def scan_theta2(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
             sums[0, r0:r1] = 2.0 * np.sum(np.subtract(dc, lin, out=x), axis=-1) + ends[r0:r1]
             sums[1, r0:r1] = 2.0 * np.sum(np.subtract(dc, dh, out=x), axis=-1) + ends[r0:r1]
 
-    quench._run_pieces(run, quench._pieces(len(theta2), rows, quench._worker_count()))
+    _run_pieces(run, len(theta2), rows, _worker_count())
     return sums

@@ -36,7 +36,7 @@ from creutz import (
     work_distribution,
     work_stats,
 )
-from creutz.quench import mode_arrays
+from creutz.model import mode_arrays
 from test_dqpt import critical_mode_residual
 
 NEAR_CRITICAL = 0.0016 * math.pi

@@ -27,7 +27,7 @@ from creutz import (
     loschmidt_echo,
     mode_data,
 )
-from creutz import __version__, cli, model, quench, thermo
+from creutz import __version__, cli, dqpt, model, quench, thermo
 from creutz.cli import MAX_TABLE_ROWS, MAX_TIME_POINTS, main
 from tables import format_float, read_table
 from test_quench import SRC, record_splits
@@ -317,6 +317,44 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("settings", [["n_points=10", "t_max=1e9"], ["n_points=10", "t_max=1e300"],
+                                          ["j=1e150"]])
+    def test_too_many_predicted_cusp_times_is_config_error(self, monkeypatch, capsys, tmp_path,
+                                                           settings):
+        # N 20, 0.25 -> -0.25: t_max 1e6 listed 1.9e6 times (170 MB RSS, a
+        # 17 MB file), and the list grows linearly in t_max / t*; the count
+        # must be refused before the list is built or the kernel runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("cusp times were listed or the echo was run")
+
+        monkeypatch.setattr(dqpt, "predict_dqpt_times", refuse)
+        monkeypatch.setattr(quench, "loschmidt_echo", refuse)
+        out = tmp_path / "dqpt.csv"
+        argv = ["dqpt", "--set", "n_rungs=20", "--set", "theta1=0.25", "--set", "theta2=-0.25"]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert run_cli(*argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "predicted cusp times" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_predicted_cusp_times_up_to_the_limit_write_the_same_bytes(self, monkeypatch, tmp_path):
+        # a limit equal to the count of the closed form leaves the output as
+        # it is, and one below it refuses
+        argv = ["dqpt", "--set", "n_rungs=20", "--set", "theta1=0.25", "--set", "theta2=-0.25",
+                "--set", "n_points=10", "--set", "t_max=1000"]
+        reference = tmp_path / "reference.csv"
+        assert run_cli(*argv, "--out", str(reference)) == 0
+        meta, _, _ = read_table(str(reference))
+        count = sum(math.floor(1000.0 / float(t) + 0.5) + 1 for t in meta["t_star"].split(";"))
+        assert len(meta["predicted_times"].split(";")) <= count
+        monkeypatch.setattr(cli, "MAX_TABLE_ROWS", count)
+        out = tmp_path / "at_limit.csv"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert out.read_bytes() == reference.read_bytes()
+        monkeypatch.setattr(cli, "MAX_TABLE_ROWS", count - 1)
+        assert run_cli(*argv, "--out", str(tmp_path / "over.csv")) == 1
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         missing_dir = tmp_path / "no" / "such" / "dir" / "o.csv"
@@ -697,7 +735,7 @@ def test_cli_run_leaves_no_spinning_blas_thread():
 
 
 @needs_openblas
-@pytest.mark.skipif(quench._worker_count() < 2, reason="the kernel starts no thread on one CPU")
+@pytest.mark.skipif(model._worker_count() < 2, reason="the kernel starts no thread on one CPU")
 def test_loschmidt_echo_leaves_no_spinning_blas_thread():
     # a plain library call after numpy's import: the kernel parks the pool
     # before it starts its threads (two threads and 0.08 s of CPU in a
@@ -779,14 +817,14 @@ def test_park_stops_each_mapped_openblas_once(monkeypatch):
 
 def test_outputs_are_the_same_bytes_with_and_without_the_park():
     # every command in a fresh process, once with both calls of the park
-    # (the CLI's and the kernel's) patched to a no-op: the BLAS pool's
+    # (the CLI's and the thread runner's) patched to a no-op: the BLAS pool's
     # state must not reach any output
     script = (
         "import hashlib, os, sys, tempfile\n"
         "import numpy as np\n"
-        "from creutz import cli, quench\n"
+        "from creutz import cli, model\n"
         "if sys.argv[1] == 'off':\n"
-        "    cli._park_blas_pool = quench._park_blas_pool = lambda: None\n"
+        "    cli._park_blas_pool = model._park_blas_pool = lambda: None\n"
         "runs = [['spectrum', '--set', 'n_rungs=40', '--set', 'theta=0.3'],\n"
         "        ['le', '--set', 'n_rungs=40', '--set', 'theta1=0.25', '--set', 'theta2=-0.25',\n"
         "         '--set', 't_max=5', '--set', 'n_points=501'],\n"

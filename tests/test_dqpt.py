@@ -259,6 +259,17 @@ class TestPredictedTimes:
     def test_tangent_mode_contributes_no_times(self):
         assert predict_dqpt_times(make_spec(0.25 * math.pi, 0.0), t_max=10.0) == []
 
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_t_max_outside_non_negative_finite(self, monkeypatch, t_max):
+        # nan and inf ended in ValueError and OverflowError; refused before
+        # any mode is solved
+        def refuse(spec):
+            raise AssertionError("critical modes were solved")
+
+        monkeypatch.setattr(dqpt, "solve_critical_modes", refuse)
+        with pytest.raises(DomainError, match="t_max"):
+            predict_dqpt_times(make_spec(*ACROSS), t_max=t_max)
+
 
 class TestFisherZeroLines:
     def test_structure(self):
@@ -304,6 +315,17 @@ class TestFisherZeroLines:
             assert cos2 == pytest.approx(0.5, abs=1e-10)
             re_z = math.log((1.0 - cos2) / cos2) / mode.gap_star
             assert re_z == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("k_samples", [2.5, math.nan, math.inf, 1, -3])
+    def test_rejects_k_samples_that_is_not_an_integer_from_2(self, k_samples):
+        # 2.5 ended in a TypeError from np.linspace
+        with pytest.raises(DomainError, match="k_samples"):
+            fisher_zero_lines(make_spec(*ACROSS), k_samples=k_samples)
+
+    def test_integral_float_k_samples_is_the_integer(self):
+        spec = make_spec(*ACROSS)
+        (line,) = fisher_zero_lines(spec, (0, 0), k_samples=64.0)
+        np.testing.assert_array_equal(line.points, fisher_zero_lines(spec, (0, 0), k_samples=64)[0].points)
 
     def test_no_quench_skips_every_sample(self):
         line = fisher_zero_lines(make_spec(0.3, 0.3), n_range=(0, 0), k_samples=64)[0]

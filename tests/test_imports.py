@@ -16,8 +16,8 @@ COMMANDS = {
     "le": {"quench"},
     "revival": {"quench", "revival"},
     "dqpt": {"quench", "dqpt"},
-    "work": {"quench", "thermo"},
-    "scan": {"quench", "thermo"},
+    "work": {"thermo"},
+    "scan": {"thermo"},
 }
 
 
@@ -55,6 +55,12 @@ def test_a_submodule_lookup_imports_nothing_else():
 def test_a_name_imports_its_module_and_what_that_imports():
     assert loaded_after("from creutz import LadderParams") == {"errors", "model"}
     assert loaded_after("from creutz import QuenchSpec, loschmidt_echo") == {"errors", "model", "quench"}
+
+
+def test_the_consumers_of_the_mode_table_do_not_load_the_kernel():
+    # dqpt, revival and thermo read the quench's types and table from model
+    loaded = loaded_after("from creutz import dqpt, revival, thermo")
+    assert loaded == {"errors", "model", "dqpt", "revival", "thermo"}
 
 
 def test_star_import_gives_every_public_name():

@@ -25,7 +25,7 @@ from creutz import (
     scan_theta2,
     work_stats,
 )
-from creutz import model, quench
+from creutz import model, quench, thermo
 from creutz.dqpt import predict_dqpt_times
 from creutz.quench import _uniform_step
 from tables import full_angle_per_element
@@ -34,14 +34,24 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def record_splits(monkeypatch) -> list:
-    """The piece count of every later ``quench._run_pieces`` call."""
-    counts, run_pieces = [], quench._run_pieces
+    """The piece count of every later ``model._run_pieces`` call of the echo
+    kernel or the work scan: the runs it made."""
+    counts, run_pieces = [], model._run_pieces
 
-    def recorded(run, pieces):
-        counts.append(len(pieces))
-        run_pieces(run, pieces)
+    def recorded(run, *split):
+        pieces = []
 
-    monkeypatch.setattr(quench, "_run_pieces", recorded)
+        def counted(lo, hi):
+            pieces.append((lo, hi))
+            run(lo, hi)
+
+        try:
+            run_pieces(counted, *split)
+        finally:
+            counts.append(len(pieces))
+
+    for module in (quench, thermo):
+        monkeypatch.setattr(module, "_run_pieces", recorded)
     return counts
 
 
@@ -548,7 +558,7 @@ class TestLoschmidtEcho:
         cos2 = 0.5 * (1.0 + np.sqrt(1.0 - amplitude))
         gap = np.pi / (0.01 * (np.arange(ks.size) % 7 + 1))
         ones = np.ones(ks.size)
-        table = quench.ModeArrays(ks, amplitude, cos2, gap, -ones, -ones - gap)
+        table = model.ModeArrays(ks, amplitude, cos2, gap, -ones, -ones - gap)
         # the table of the modes 0 < k < pi; the end modes k = 0 and k = pi
         # (their lower-band energies) from the closed form
         closed_form = quench.mode_arrays
@@ -791,8 +801,10 @@ class TestLoschmidtEcho:
         class Split(Exception):
             pass
 
-        def record(run, pieces):
-            raise Split(pieces)
+        def record(run, *split):
+            pieces = []
+            model._run_pieces(lambda lo, hi: pieces.append((lo, hi)), *split)
+            raise Split(sorted(pieces))
 
         monkeypatch.setattr(quench, "_worker_count", lambda: 64)
         monkeypatch.setattr(quench, "_run_pieces", record)
@@ -861,8 +873,9 @@ class TestLoschmidtEcho:
         # before the kernel and the scan start threads, and only while no
         # other thread has a Python frame, so that none can be inside BLAS
         parks = []
-        monkeypatch.setattr(quench, "_park_blas_pool", lambda: parks.append(threading.get_ident()))
-        monkeypatch.setattr(quench, "_worker_count", lambda: 2)
+        monkeypatch.setattr(model, "_park_blas_pool", lambda: parks.append(threading.get_ident()))
+        for module in (quench, thermo):
+            monkeypatch.setattr(module, "_worker_count", lambda: 2)
         splits = record_splits(monkeypatch)
         spec = make_spec(0.25 * np.pi, -0.25 * np.pi, n=300)
         times = np.linspace(0.0, 10.0, 401)

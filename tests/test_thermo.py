@@ -18,8 +18,8 @@ from creutz import (
     work_distribution,
     work_stats,
 )
-from creutz import quench, thermo
-from creutz.quench import mode_arrays
+from creutz import model, thermo
+from creutz.model import mode_arrays
 
 
 def ground_state_energy(p):
@@ -354,7 +354,7 @@ class TestScan:
     @pytest.mark.parametrize("workers", [2, 8])
     def test_scan_peak_memory_with_many_cpus(self, monkeypatch, workers):
         # each worker holds its own buffers; 8 of them peak at 12.4 MiB
-        monkeypatch.setattr(quench, "_worker_count", lambda: workers)
+        monkeypatch.setattr(thermo, "_worker_count", lambda: workers)
         self.test_scan_peak_memory_is_chunked()
 
     def test_same_bits_for_any_worker_count(self, monkeypatch):
@@ -370,10 +370,10 @@ class TestScan:
         sys.setswitchinterval(1e-6)
         try:
             for grid in grids:
-                monkeypatch.setattr(quench, "_worker_count", lambda: 1)
+                monkeypatch.setattr(thermo, "_worker_count", lambda: 1)
                 ref = thermo.scan_theta2(params, theta1, grid)
                 for workers in (2, 3, 5):
-                    monkeypatch.setattr(quench, "_worker_count", lambda: workers)
+                    monkeypatch.setattr(thermo, "_worker_count", lambda: workers)
                     assert np.array_equal(thermo.scan_theta2(params, theta1, grid), ref)
         finally:
             sys.setswitchinterval(interval)
@@ -384,7 +384,7 @@ class TestScan:
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(quench, "_worker_count", lambda: 4)
+        monkeypatch.setattr(thermo, "_worker_count", lambda: 4)
         monkeypatch.setattr(threading, "Thread", no_thread)
         params = LadderParams(1.0, 1.0, 1.0, 0.0, 20000)
         assert np.all(np.isfinite(thermo.scan_theta2(params, 0.25 * math.pi, [0.1, -0.5])))
@@ -393,18 +393,18 @@ class TestScan:
     @pytest.mark.parametrize("in_main", [True, False])
     def test_piece_failure_is_raised(self, monkeypatch, in_main):
         # an error in any piece reaches the caller after every thread stopped
-        monkeypatch.setattr(quench, "_worker_count", lambda: 2)
-        run_pieces = quench._run_pieces
+        monkeypatch.setattr(thermo, "_worker_count", lambda: 2)
+        run_pieces = model._run_pieces
 
-        def failing_pieces(run, pieces):
+        def failing_pieces(run, *split):
             def failing(*piece):
                 if (threading.current_thread() is threading.main_thread()) == in_main:
                     raise RuntimeError("injected")
                 return run(*piece)
 
-            run_pieces(failing, pieces)
+            run_pieces(failing, *split)
 
-        monkeypatch.setattr(quench, "_run_pieces", failing_pieces)
+        monkeypatch.setattr(thermo, "_run_pieces", failing_pieces)
         params = LadderParams(1.0, 1.0, 1.0, 0.0, 20000)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="injected"):
