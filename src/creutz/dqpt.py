@@ -148,9 +148,14 @@ def fisher_zero_lines(
 
     Wavenumbers are sampled strictly inside (0, pi); the mirror half of
     the zone traces the same lines.  Points where tan^2(eta) is zero or
-    undefined are omitted and counted per line.
+    undefined are omitted and counted per line.  Both ends of ``n_range``
+    must be integers; an integral float is its integer.
     """
-    if n_range[0] > n_range[1]:
+    first, last = n_range
+    # the chained comparison is False for nan and inf, so int() never sees them
+    if not all(-math.inf < n < math.inf and int(n) == n for n in n_range):
+        raise DomainError(f"n_range must be two integer branch indices, got {n_range}")
+    if first > last:
         raise DomainError(f"empty branch range {n_range}")
     ks = np.linspace(0.0, math.pi, _integer_count(k_samples, "k_samples") + 2)[1:-1]
     _, _, cos2, gap, _, _ = mode_arrays(spec, ks)
@@ -161,7 +166,7 @@ def fisher_zero_lines(
     valid = np.isfinite(log_tan2) & (gap > 0.0)
     n_skipped = int(np.count_nonzero(~valid))
     lines = []
-    for n in range(n_range[0], n_range[1] + 1):
+    for n in range(int(first), int(last) + 1):
         z = (1j * math.pi * (2 * n + 1) + log_tan2[valid]) / gap[valid]
         lines.append(FisherZeroLine(n=n, k=ks[valid], points=z, n_skipped=n_skipped))
     return lines

@@ -144,7 +144,8 @@ def allowed_modes(n_rungs: int) -> np.ndarray:
 def _band_terms(params: LadderParams, k: np.ndarray):
     """u = 2 j_h sin k, v = -2 j_h cos k and q = eps_qp at ``k``, the terms of
     every mode table."""
-    return 2.0 * params.j_h * np.sin(k), -2.0 * params.j_h * np.cos(k), 2.0 * params.j_d * np.cos(k) + params.j_v
+    cos_k = np.cos(k)
+    return 2.0 * params.j_h * np.sin(k), -2.0 * params.j_h * cos_k, 2.0 * params.j_d * cos_k + params.j_v
 
 
 def mode_data(params: LadderParams, k) -> ModeData:

@@ -7,12 +7,19 @@ the exact binary value, trailing zeros and a bare point dropped, in
 exponent form below 1e-4 and from 1e15.  JSON files mirror the same
 content with explicit field names.  Identical inputs produce
 byte-identical files; see docs/formats.md for the per-command schemas.
+
+Rows are formatted and written ``_CSV_BLOCK_ROWS`` values at a time.  An
+existing regular file is rewritten in place and truncated where the
+table ends, so a run killed mid-write can leave old bytes after the new
+ones.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
+import stat
 import sys
 from typing import Any, Iterator, Sequence
 
@@ -22,9 +29,9 @@ from . import __version__
 
 ARTIFACT = "creutz"
 # A table is formatted and written a block of ``_CSV_BLOCK_ROWS // columns``
-# rows at a time: a CSV block's temporaries take about 230 bytes a value,
-# under 1 MiB a block, and a JSON block's rows as floats and text less.
-_CSV_BLOCK_ROWS = 4096
+# rows at a time: a CSV block peaks at its text slots, its text and a few
+# 8-byte arrays, about 1.5 MiB, and a JSON block at about 1.7 MiB.
+_CSV_BLOCK_ROWS = 16384
 
 # Exact doubles 10**0 .. 10**19, each split into two 26-bit halves for
 # Dekker's exact product, and the same powers as integers.
@@ -71,21 +78,20 @@ def _as_rows(rows: np.ndarray) -> np.ndarray:
     return np.atleast_2d(rows) if len(rows) else np.empty((0, 0))
 
 
-def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a * 10**(14 - x)`` as ``hi + lo`` exactly: Dekker's product, no FMA."""
-    k = 14 - x
+def _product_error(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``a * 10**k`` less its rounded product, exactly: Dekker's product, no FMA."""
     hi = a * _POW10[k]
     c = a * _SPLIT
     a_hi = c - (c - a)
     a_lo = a - a_hi
     p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
-    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-    return hi, lo
+    return ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
 
 
 def _split(x: np.ndarray, unit: int) -> tuple[np.ndarray, np.ndarray]:
     quotient = x // unit  # a scalar divisor: faster than np.divmod
-    return quotient, x - quotient * unit
+    rest = quotient * unit
+    return quotient, np.subtract(x, rest, out=rest)
 
 
 def _format_values(values: np.ndarray) -> np.ndarray:
@@ -94,44 +100,61 @@ def _format_values(values: np.ndarray) -> np.ndarray:
     Each text is NUL-padded within its slot, whose last byte is left for
     the separator.  Zero and the values printed in fixed notation (|v|
     rounds to [1e-4, 1e15)) are formatted here; the rest take the ``%``
-    operator.  |v| rounds to r * 10**(X - 14) with r a 15-digit integer:
-    r is |v| * 10**(14 - X) rounded half to even, where the exponent X
-    is floor(log10 |v|), moved by one where that is off near a power of
-    ten, and by one more where r rounds up to 1e15.
+    operator.  |v| rounds to r * 10**(-k) with r a 15-digit integer: r
+    is |v| * 10**k rounded half to even, where k = 14 - floor(log10 |v|),
+    moved by one where that is off near a power of ten, and by one more
+    where r rounds up to 1e15.  Each temporary is freed once spent, so a
+    block's peak is its ``_SLOT`` bytes a value and a few arrays more.
     """
     n = values.size
     a = np.abs(values)
     zero = a == 0
     # every value printed in fixed notation, and some not; no inf or nan
     fast = zero | ((a >= 1e-5) & (a < 1e15))
-    a = np.where(fast & ~zero, a, 1.0)
-    x = np.floor(np.log10(a)).astype(np.intp)
-    np.clip(x, -5, 14, out=x)  # the powers of ten stay exact
-    hi, lo = _scaled(a, x)
-    # Where floor(log10) is one off near a power of ten, move x and scale
+    np.copyto(a, 1.0, where=fast == zero)  # zero and the % values: log10 is 0
+    e = np.log10(a)
+    np.subtract(14.0, np.floor(e, out=e), out=e)
+    k = e.astype(np.intp)
+    del e
+    np.clip(k, 0, 19, out=k)  # the powers of ten stay exact
+    hi = _POW10.take(k)
+    hi *= a
+    # Where floor(log10) is one off near a power of ten, move k and scale
     # again.  hi == 1e15 needs no move: it rounds to 1e15, a carry below.
-    error = (hi > 1e15).astype(np.intp) - (hi < 1e14)
-    redo = np.flatnonzero(error)
+    redo = np.flatnonzero((hi < 1e14) | (hi > 1e15))
     if redo.size:
-        x[redo] = np.clip(x[redo] + error[redo], -5, 14)
-        hi[redo], lo[redo] = _scaled(a[redo], x[redo])
-        fast[redo] &= (hi[redo] >= 1e14) & (hi[redo] <= 1e15)
-    # Round half to even: hi's fraction d is a multiple of ulp(hi), and
-    # |lo| <= ulp(hi) / 2, so lo only matters at d == 1/2.
-    r = np.floor(hi)
-    d = hi - r
-    odd = r - 2.0 * np.floor(0.5 * r) == 1.0
-    r += (d > 0.5) | ((d == 0.5) & ((lo > 0) | ((lo == 0) & odd)))
-    carry = r == 1e15
+        h = hi[redo]
+        k[redo] = np.clip(k[redo] + (h < 1e14) - (h > 1e15), 0, 19)
+        hi[redo] = h = a[redo] * _POW10[k[redo]]
+        fast[redo] &= (h >= 1e14) & (h <= 1e15)
+    # Round half to even: hi's fraction is a multiple of ulp(hi), and the
+    # exact product is hi + lo with |lo| <= ulp(hi) / 2, so lo only
+    # decides where hi is half way between two integers.
+    r = np.rint(hi)
+    d = r - hi
+    tie = np.flatnonzero(np.abs(d, out=d) == 0.5)
+    del d
+    if tie.size:
+        lo = _product_error(a[tie], k[tie])
+        r[tie] = np.where(lo == 0.0, r[tie], hi[tie] + np.copysign(0.5, lo))
+    del a, hi
+    carry = np.flatnonzero(r == 1e15)
     r[carry] = 1e14
-    x += carry
+    k[carry] -= 1
     r[zero] = 0.0
-    fast &= (x >= -4) & (x <= 14)
+    del zero
+    fast &= (k >= 0) & (k <= 18)
     # Integer part r // 10**k and fraction digits, 18 places left-aligned.
-    k = np.clip(14 - x, 0, 18)
-    power = _POW10[k]
-    whole = np.floor(r / power)  # exact: r < 2**53
-    fraction = (r - whole * power).astype(np.int64) * _POW10_INT[18 - k]
+    np.clip(k, 0, 18, out=k)
+    power = _POW10.take(k)
+    whole = r / power
+    np.floor(whole, out=whole)  # exact: r < 2**53
+    r -= np.multiply(whole, power, out=power)
+    del power
+    fraction = r.astype(np.int64)
+    del r
+    fraction *= _POW10_INT.take(np.subtract(18, k, out=k))
+    del k
     whole = whole.astype(np.int64)
     # Four digits a word, leading zeros of the integer part and trailing
     # zeros of the fraction as NUL: words 0-3 hold the sign and the
@@ -139,26 +162,28 @@ def _format_values(values: np.ndarray) -> np.ndarray:
     # (3, 4, 4, 4, 3 digits) and the separator.
     table = _digit_words()
     words = np.empty((n, _SLOT // 4), table.dtype)  # little-endian, as the text
-    g0, rest = _split(whole, 10**12)
-    g1, rest = _split(rest, 10**8)
-    g2, g3 = _split(rest, 10**4)
-    words[:, 0] = table[g0 + _LEAD]
-    words[:, 1] = table[g1 + _LEAD * (whole < 10**12)]
-    words[:, 2] = table[g2 + _LEAD * (whole < 10**8)]
-    words[:, 3] = table[g3 + _LEAD * (whole < 10**4)]
-    h0, rest = _split(fraction, 10**15)
-    words[:, 4] = table[h0 + _TRAIL * (rest == 0)]
-    h1, rest = _split(rest, 10**11)
-    words[:, 5] = table[h1 + _TRAIL * (rest == 0)]
-    h2, rest = _split(rest, 10**7)
-    words[:, 6] = table[h2 + _TRAIL * (rest == 0)]
-    h3, h4 = _split(rest, 10**3)
-    words[:, 7] = table[h3 + _TRAIL * (h4 == 0)]
-    words[:, 8] = table[h4 * 10 + _TRAIL]
+    rest = whole
+    for i, unit in enumerate((10**12, 10**8, 10**4)):
+        g, rest = _split(rest, unit)
+        np.add(g, _LEAD, out=g, where=whole < 10**4 * unit)  # the words before are zero
+        words[:, i] = table.take(g)
+    np.add(rest, _LEAD, out=rest, where=whole < 10**4)
+    words[:, 3] = table.take(rest)
+    del whole, g, rest
+    for i, unit in enumerate((10**15, 10**11, 10**7, 10**3), 4):
+        g, fraction = _split(fraction, unit)
+        np.add(g, _TRAIL, out=g, where=fraction == 0)  # the digits after are zero
+        words[:, i] = table.take(g)
+    del g
+    fraction *= 10
+    fraction += _TRAIL
+    words[:, 8] = table.take(fraction)
+    del fraction
     text = words.view(np.uint8)
     text[:, 0] = np.signbit(values) * np.uint8(ord("-"))
     text[:, 15] |= ord("0")  # the units digit, NUL when the integer part is 0
-    text[:, 16] = (fraction != 0) * np.uint8(ord("."))
+    # the point where a fraction digit is; word 4 is NUL where none is
+    text[:, 16] = (words[:, 4] != 0) * np.uint8(ord("."))
     slow = np.flatnonzero(~fast)
     if slow.size:
         text[slow] = 0
@@ -167,8 +192,19 @@ def _format_values(values: np.ndarray) -> np.ndarray:
     return text
 
 
+def _csv_rows(block: np.ndarray) -> bytes:
+    """The CSV lines of a 2-D ``block`` of rows."""
+    slots = _format_values(block.ravel()).reshape(*block.shape, _SLOT)
+    slots[:, :, -1] = ord(",")
+    slots[:, -1, -1] = ord("\n")
+    return slots[slots != 0].tobytes()
+
+
 def _csv_blocks(metadata: dict, columns: Sequence[str], rows: np.ndarray) -> Iterator[bytes]:
-    """The CSV text as bytes: the metadata and header lines, then each block of rows."""
+    """The CSV text as bytes: the metadata and header lines, then each block of rows.
+
+    A block's arrays are freed before the next is made: only the caller
+    holds its text."""
     lines = [f"# {ARTIFACT} v{__version__}"]
     lines += [f"# {key} = {_meta_str(value)}" for key, value in metadata.items()]
     yield "\n".join([*lines, ",".join(columns), ""]).encode()
@@ -179,11 +215,20 @@ def _csv_blocks(metadata: dict, columns: Sequence[str], rows: np.ndarray) -> Ite
         return
     step = max(1, _CSV_BLOCK_ROWS // n_columns)
     for lo in range(0, n_rows, step):
-        block = rows[lo : lo + step]
-        slots = _format_values(block.ravel()).reshape(block.shape[0], n_columns, _SLOT)
-        slots[:, :, -1] = ord(",")
-        slots[:, -1, -1] = ord("\n")
-        yield slots[slots != 0].tobytes()
+        yield _csv_rows(rows[lo : lo + step])
+
+
+def _json_rows(block: np.ndarray) -> bytes:
+    """The rows of a 2-D ``block`` as in ``json.dumps`` at indent 2, one value a line."""
+    # float.__repr__ is what json.dumps writes for a finite float
+    cells = list(map(float.__repr__, block.ravel().tolist()))
+    for i in np.flatnonzero(~np.isfinite(block.ravel())):
+        cells[i] = '"%.15g"' % block.flat[i]
+    width = block.shape[1]
+    texts = (["    [\n      " + ",\n      ".join(cells[i : i + width]) + "\n    ]"
+              for i in range(0, len(cells), width)] if width else ["    []"] * len(block))
+    del cells
+    return ",\n".join(texts).encode()
 
 
 def _json_blocks(metadata: dict, columns: Sequence[str], rows: np.ndarray) -> Iterator[bytes]:
@@ -201,15 +246,9 @@ def _json_blocks(metadata: dict, columns: Sequence[str], rows: np.ndarray) -> It
     width = rows.shape[1]
     step = max(1, _CSV_BLOCK_ROWS // max(1, width))
     for lo in range(0, len(rows), step):
-        block = rows[lo : lo + step]
-        # float.__repr__ is what json.dumps writes for a finite float
-        cells = list(map(float.__repr__, block.ravel().tolist()))
-        for i in np.flatnonzero(~np.isfinite(block.ravel())):
-            cells[i] = '"%.15g"' % block.flat[i]
-        # each row as in the payload at indent 2: one value a line, six spaces in
-        texts = (["    [\n      " + ",\n      ".join(cells[i : i + width]) + "\n    ]"
-                  for i in range(0, len(cells), width)] if width else ["    []"] * len(block))
-        yield ((",\n" if lo else "") + ",\n".join(texts)).encode()
+        if lo:
+            yield b",\n"
+        yield _json_rows(rows[lo : lo + step])
     yield b"\n  ]\n}\n"
 
 
@@ -229,6 +268,12 @@ def write_table(
         raise ValueError(f"unknown format {fmt!r}")
     if path == "-":
         sys.stdout.writelines(block.decode() for block in blocks)
-    else:
-        with open(path, "wb") as handle:
+        return
+    # An existing file is rewritten in place and cut at the end: truncating
+    # it on open waits for the writeback of its old blocks.
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+        try:
             handle.writelines(blocks)  # each block as soon as it is formatted
+        finally:  # also after a failed block: the new prefix, none of the old bytes
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):  # not /dev/null or a FIFO
+                handle.truncate()

@@ -95,6 +95,12 @@ class TestSpectrum:
                 tracemalloc.stop()
             assert peak < n * len(cli._SPECTRUM_COLUMNS) * 8 + 4 * 2**20, fmt
 
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_to_the_null_device(self, fmt):
+        # a target that is not a regular file is written, not truncated
+        assert run_cli("spectrum", "--set", "n_rungs=9", "--format", fmt, "--out", os.devnull) == 0
+
     def test_headers_carry_package_version(self, tmp_path):
         csv_path, json_path = tmp_path / "o.csv", tmp_path / "o.json"
         assert run_cli("spectrum", "--set", "n_rungs=4", "--out", str(csv_path)) == 0

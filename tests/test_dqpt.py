@@ -327,6 +327,20 @@ class TestFisherZeroLines:
         (line,) = fisher_zero_lines(spec, (0, 0), k_samples=64.0)
         np.testing.assert_array_equal(line.points, fisher_zero_lines(spec, (0, 0), k_samples=64)[0].points)
 
+    @pytest.mark.parametrize("n_range", [(0, 2.5), (0, math.nan), (0.5, 2)])
+    def test_rejects_a_branch_range_that_is_not_two_integers(self, n_range):
+        # each ended in a TypeError from range
+        with pytest.raises(DomainError, match="n_range"):
+            fisher_zero_lines(make_spec(*ACROSS), n_range=n_range, k_samples=64)
+
+    def test_integral_float_branch_range_is_the_integers(self):
+        spec = make_spec(*ACROSS)
+        lines = fisher_zero_lines(spec, (0.0, 2.0), k_samples=64)
+        assert [line.n for line in lines] == [0, 1, 2]
+        assert all(type(line.n) is int for line in lines)
+        for line, ref in zip(lines, fisher_zero_lines(spec, (0, 2), k_samples=64)):
+            np.testing.assert_array_equal(line.points, ref.points)
+
     def test_no_quench_skips_every_sample(self):
         line = fisher_zero_lines(make_spec(0.3, 0.3), n_range=(0, 0), k_samples=64)[0]
         assert line.n_skipped == 64

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from creutz import LadderParams, __version__, allowed_modes, mode_data
+from creutz import LadderParams, __version__, allowed_modes, mode_data, serialize
 from creutz.serialize import _CSV_BLOCK_ROWS, write_table
 from tables import format_float, render_csv, render_json
 
@@ -92,6 +92,10 @@ class TestRenderCsv:
             lo, hi = 10.0 ** (15 - j) * 2.0**j, 10.0 ** (16 - j) * 2.0**j
             f = rng.integers(int(lo) // 2, int(hi) // 2, 2000) * 2 + 1
             ties.extend(f / 2.0**j)
+        # values whose product with 10**14 rounds to a tie that the exact
+        # product is not: its low part decides the rounding
+        v = rng.uniform(1.0, 10.0, 20000)
+        ties.extend(v[np.abs(np.rint(v * 1e14) - v * 1e14) == 0.5])
         ties = np.array(ties)
         values = np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)])
         values = np.concatenate([values, -values]).reshape(-1, 2)
@@ -135,6 +139,48 @@ class TestWriteTable:
         assert_same_text(path.read_bytes().decode(), expected)
         write_table("-", meta, columns, rows)
         assert_same_text(capsys.readouterr().out, expected)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_short_table_over_a_longer_file_leaves_the_new_bytes(self, tmp_path, fmt):
+        # an existing file is rewritten in place and cut where the table ends
+        path = tmp_path / f"t.{fmt}"
+        path.write_bytes(b"x" * 100_000)
+        rows = table(3)
+        write_table(str(path), {"n": 3}, list("abc"), rows, fmt=fmt)
+        render = render_csv if fmt == "csv" else render_json
+        assert path.read_bytes() == render({"n": 3}, list("abc"), rows).encode()
+
+    def test_failed_block_leaves_the_new_prefix_and_no_old_bytes(self, tmp_path, monkeypatch):
+        step = _CSV_BLOCK_ROWS // 3
+        rows = table(2 * step + 1)
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"x" * 4 * len(render_csv({}, list("abc"), rows)))
+        format_values, calls = serialize._format_values, []
+
+        def second_block_raises(values):
+            calls.append(values.size)
+            if len(calls) == 2:
+                raise MemoryError("second block")
+            return format_values(values)
+
+        monkeypatch.setattr(serialize, "_format_values", second_block_raises)
+        with pytest.raises(MemoryError):
+            write_table(str(path), {}, list("abc"), rows)
+        assert path.read_bytes() == render_csv({}, list("abc"), rows[:step]).encode()
+
+    def test_existing_file_keeps_its_inode_and_mode(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"x" * 100_000)
+        path.chmod(0o640)
+        before = path.stat()
+        write_table(str(path), {}, list("abc"), table(5))
+        after = path.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        # a new file gets the mode that open(path, "wb") gives it
+        fresh, opened = tmp_path / "fresh.csv", tmp_path / "opened.csv"
+        write_table(str(fresh), {}, list("abc"), table(5))
+        opened.open("wb").close()
+        assert fresh.stat().st_mode == opened.stat().st_mode
 
     def test_memory_is_a_block_not_the_text(self, tmp_path):
         # the 200000 x 8 table's text is 29 MB; holding it as a whole, and
