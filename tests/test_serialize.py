@@ -47,7 +47,8 @@ def table(n_rows, n_cols=3, seed=0):
 
 class TestRenderCsv:
     @pytest.mark.parametrize(
-        "n_rows", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1]
+        "n_rows",
+        sorted({0, 1, 4095, 4096, 4097, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1}),
     )
     def test_byte_identical_to_per_value_format(self, n_rows):
         columns = ["a", "b", "c"]
