@@ -35,17 +35,21 @@ _EPS = float(np.finfo(float).eps)
 # Modes whose amplitude A has 1 - A at most this keep the half-angle echo
 # factor: the full-angle factor p + q cos phi can round to <= 0 there.
 _NEAR_UNIT = 8 * _EPS
-# Most harmonics a mode may take in the series form of ``loschmidt_echo``.
-_SERIES_HARMONICS = 5
+# The series form of ``loschmidt_echo``: most harmonics a mode may take
+# (its accuracy ceiling), fewest it may always take, and the per-element
+# factors that one harmonic costs as much as on each segment.
+_SERIES_HARMONICS = 32
+_SERIES_FLOOR = 5
+_TERM_COST = 400
 # The series transform (``_harmonic_sums``): times per segment, the
 # Gaussian's half-width in grid points and its exponent exp(-_GAUSS k^2),
 # e^-37.7 at the half-width (Greengard & Lee's choice for oversampling 2),
-# and the terms spread at a time, their tables (56 bytes a term and grid
-# point) within _CHUNK_BYTES.
-_SEGMENT = 1 << 13
+# and the terms spread at a time, their tables (32 bytes a term and grid
+# point) within 1 MiB.
+_SEGMENT = 1 << 14
 _SPREAD = 16
 _GAUSS = 0.75 * math.pi / _SPREAD
-_TERMS = _CHUNK_BYTES // (64 * (2 * _SPREAD + 1))
+_TERMS = (1 << 20) // (32 * (2 * _SPREAD + 1))
 
 
 def _uniform_step(times: np.ndarray) -> Optional[float]:
@@ -104,46 +108,81 @@ def _harmonic_sums(times: np.ndarray, step: float, omega: np.ndarray, coefs, out
     with t_0 the grid's first time, is folded into the coefficients,
     d_j = coef_j exp(i (omega_j t_0 + x_j c)), so its sums are
     sum_j d_j exp(i x_j u) for u = l - c.  Each term is spread over the
-    ``2 _SPREAD + 1`` nearest of G points with a Gaussian, one FFT sums
-    the grid for every u, and dividing by the Gaussian's transform undoes
-    the spreading (Greengard & Lee, SIAM Review 46(3), 2004).  x_j c is
-    taken mod 2 pi from an exact product, so the fold and the transform
-    turn each term alike: the phase at time t is off by about eps omega t
-    at most, however long the segment.  Terms are spread ``_TERMS`` at a
-    time, one transform each.
+    ``2 _SPREAD + 1`` nearest of G points with a Gaussian, ``_TERMS`` terms
+    at a time into one grid per output, each chunk by ``bincount`` over
+    the points it reaches only (with |y_j| <= G / 2, the points within
+    _SPREAD of the grid, wrapped in mod G once per segment); then one FFT
+    per segment and output sums the grid for every u, and dividing by the
+    Gaussian's transform undoes the spreading (Greengard & Lee, SIAM
+    Review 46(3), 2004).  x_j c is taken mod 2 pi from an exact product,
+    so the fold and the transform turn each term alike: the phase at time
+    t is off by about eps omega t at most, however long the segment.
     """
+    if not omega.size:
+        return
     size = min(times.size, _SEGMENT)
     grid = 1 << (max(2 * size, 2 * _SPREAD + 1) - 1).bit_length()
-    offsets = np.arange(-_SPREAD, _SPREAD + 1)
-    u = np.arange(size) - size // 2
-    deconv = math.sqrt(0.25 * _GAUSS / math.pi) * np.exp((math.pi / grid) ** 2 / _GAUSS * u * u)
-    for lo in range(0, omega.size, _TERMS):
-        terms = slice(lo, lo + _TERMS)
-        y = omega[terms] * (step * grid / (2.0 * math.pi))
-        y -= grid * np.rint(y / grid)
-        near = np.rint(y)
-        weights = np.exp(-_GAUSS * np.square(offsets - (y - near)[:, None]))
-        # the real and imaginary part of grid point m at 2 m and 2 m + 1
-        index = 2 * ((near.astype(int)[:, None] + offsets) % grid)
-        index = np.stack((index, index + 1), axis=-1).ravel()
-        # y = high + low, high of 21 bits: high * c is exact for c < 2^32
-        high = y * (2.0**32 + 1.0)
-        high -= high - y
-        low = (y - high) * (2.0 * math.pi / grid)
-        for first in range(0, times.size, _SEGMENT):
-            n = min(_SEGMENT, times.size - first)
-            half = n // 2
+    deconv = np.exp((math.pi / grid) ** 2 / _GAUSS * np.square(np.arange(size) - size // 2))
+    deconv *= math.sqrt(0.25 * _GAUSS / math.pi)
+    # the chunk tables, one row of 2 _SPREAD + 1 grid points a term: the
+    # points' offsets from the nearest, then their weights, their indices
+    # and a product, each written in place, once per call: numpy would
+    # buffer a product with a repeated row, and fresh tables page-fault
+    offsets = np.tile(np.arange(-_SPREAD, _SPREAD + 1.0), (min(_TERMS, omega.size), 1))
+    weights, product = np.empty_like(offsets), np.empty_like(offsets)
+    index = np.empty(offsets.shape, dtype=np.intp)
+    # per output, grid point x, |x| <= G/2 + _SPREAD before it wraps mod G,
+    # at x + G/2 + _SPREAD; and the Hermitian part of the grid, G/2 + 1 points
+    spans = [np.zeros(grid + 2 * _SPREAD + 1, dtype=complex) for _ in outs]
+    spread = np.empty(grid // 2 + 1, dtype=complex)
+    for first in range(0, times.size, _SEGMENT):
+        n = min(_SEGMENT, times.size - first)
+        half = n // 2
+        for lo in range(0, omega.size, _TERMS):
+            terms = slice(lo, lo + _TERMS)
+            y = omega[terms] * (step * grid / (2.0 * math.pi))
+            y -= grid * np.rint(y / grid)
+            near = np.rint(y)
+            w, p, at = weights[: y.size], product[: y.size], index[: y.size]
+            np.copyto(w, (y - near)[:, None])
+            np.subtract(offsets[: y.size], w, out=w)
+            np.square(w, out=w)
+            w *= -_GAUSS
+            np.exp(w, out=w)
+            # the chunk's points from x = min(near) - _SPREAD on
+            base = int(near.min())
+            np.copyto(p, (near - (base - _SPREAD))[:, None])
+            p += offsets[: y.size]
+            np.copyto(at, p, casting="unsafe")
+            width = int(near.max()) - base + 2 * _SPREAD + 1
+            # y = high + low, high of 21 bits: high * c is exact for c < 2^32
+            high = y * (2.0**32 + 1.0)
+            high -= high - y
+            low = (y - high) * (2.0 * math.pi / grid)
             turns = high * (first + half) / grid
             turns -= np.rint(turns)
             phase = np.exp(1j * (2.0 * math.pi * turns + (low * (first + half) + omega[terms] * times[0])))
-            for coef, out in zip(coefs, outs):
-                spread = (coef[terms] * phase)[:, None] * weights
-                spread = np.bincount(index, spread.view(float).ravel(), 2 * grid).view(complex)
-                # Re sum_m g_m exp(2 pi i u m / G) is half the real transform of g_m + conj(g_-m)
-                spread = spread[: grid // 2 + 1] + np.conj(spread[-np.arange(grid // 2 + 1)])
-                sums = np.fft.irfft(spread, grid, norm="forward")
-                sums = np.concatenate((sums[grid - half :], sums[: n - half]))
-                out[first : first + n] += sums * deconv[size // 2 - half : size // 2 - half + n]
+            for coef, span in zip(coefs, spans):
+                folded, part = coef[terms] * phase, span[base + grid // 2 : base + grid // 2 + width]
+                for values, target in ((folded.real, part.real), (folded.imag, part.imag)):
+                    np.copyto(p, values[:, None])
+                    p *= w
+                    target += np.bincount(at.ravel(), p.ravel(), width)
+        for span, out in zip(spans, outs):
+            points = span[_SPREAD : _SPREAD + grid]  # x = -G/2 .. G/2 - 1, the ends wrapped in
+            points[-_SPREAD:] += span[:_SPREAD]
+            points[: _SPREAD + 1] += span[_SPREAD + grid :]
+            # Re sum_m g_m exp(2 pi i u m / G) is half the real transform of
+            # g_m + conj(g_-m), 0 <= m <= G/2: g_m at x = m, x = -G/2 for m = G/2
+            mirror = points[grid // 2 :: -1]
+            np.concatenate((points[grid // 2 :], points[:1]), out=spread)
+            spread.real += mirror.real
+            spread.imag -= mirror.imag
+            span.fill(0.0)  # for the next segment
+            sums = np.fft.irfft(spread, grid, norm="forward")
+            sums = np.concatenate((sums[grid - half :], sums[: n - half]))
+            sums *= deconv[size // 2 - half : size // 2 - half + n]
+            out[first : first + n] += sums
 
 
 class _DirectModes:
@@ -154,18 +193,21 @@ class _DirectModes:
     ``rows`` rows, and each form is numpy expressions on a slab of up to
     ``_SLAB_ELEMENTS`` elements: some rows of one block, or those rows of
     several blocks when a whole block holds fewer elements.  The forms
-    write into arrays that ``run`` allocates once: a complex and, but for
-    the half-angle echo, a float array of the largest slab, and the start
-    rows.
+    write into arrays that ``run`` allocates once: a complex array of the
+    largest slab, followed by the full angle's start rows, and, but for the
+    half-angle echo, a float array of the largest slab.
     """
 
-    def __init__(self, amplitude, cos2, gap, step, rows, workers, fold):
-        self.modes, self.full = gap.size, step is not None
-        if self.full and fold:  # to a multiple of 4 modes, with A = 0, cos^2 eta = 1, gap 0: factor 1
+    def __init__(self, amplitude, cos2, gap, step, rows, workers):
+        self.full = step is not None
+        if self.full:  # to a multiple of 4 modes, with A = 0, cos^2 eta = 1, gap 0: factor 1
             pad = -gap.size % 4
             amplitude, cos2, gap = (np.append(x, [fill] * pad)
                                     for x, fill in ((amplitude, 0.0), (cos2, 1.0), (gap, 0.0)))
-        self.rows, self.gap = rows, gap
+        # numpy buffers an operand that repeats one row when two rows fit in
+        # its ufunc buffer (8192 elements), through up to 128 KiB each call;
+        # for such short rows the full angle copies the row into the slab
+        self.rows, self.gap, self.short = rows, gap, 2 * gap.size <= np.getbufsize()
         # rows of one block in a slab: with its start row, at most half of a
         # thread's share of a block, so all threads' slabs hold half a block
         self.strip = max(1, min(_SLAB_ELEMENTS // gap.size, rows // workers // 2 - 1))
@@ -184,10 +226,11 @@ class _DirectModes:
         the argument); every element and row sum is the same for any split."""
         form = self._full_angle if self.full else self._half_angle
         # the run's arrays: the slab's, of up to ``per`` blocks of ``strip``
-        # rows, and the full angle's start rows
+        # rows, with the full angle's start rows after the complex one's
         most = self.per * self.strip * self.gap.size
-        slab = np.empty(most, dtype=complex), np.empty(most) if self.full or len(outs) > 1 else None
-        starts = np.empty((self.per, self.gap.size), dtype=complex) if self.full else None
+        wide = np.empty(most + self.per * self.gap.size * self.full, dtype=complex)
+        slab = wide[:most], np.empty(most) if self.full or len(outs) > 1 else None
+        starts = wide[most:].reshape(-1, self.gap.size)
         with np.errstate(divide="ignore"):
             for lo, hi, width in _runs(times.size, self.rows, self.per):
                 blocks = -(-(hi - lo) // width)
@@ -230,16 +273,26 @@ class _DirectModes:
         shape = (start.shape[0], b - a, self.gap.size)
         n = math.prod(shape)
         z, f = wide[:n].reshape(shape), narrow[:n].reshape(shape)
-        np.multiply(self.offsets[a:b], start, out=z)  # q exp(-i phi), phi = phi_I + tau_j
-        np.add(z.real, self.p, out=f)  # p + q cos(phi)
-        log_le += 2.0 * np.sum(np.log(f, out=f)[..., : self.modes], axis=-1)
+        if self.short:  # the per-mode rows into the slab first, then the product
+            np.copyto(z, start)
+            np.multiply(z, self.offsets[a:b], out=z)
+            np.copyto(f, self.p)
+            f += z.real
+        else:
+            np.multiply(self.offsets[a:b], start, out=z)  # q exp(-i phi), phi = phi_I + tau_j
+            np.add(z.real, self.p, out=f)  # p + q cos(phi)
+        log_le += 2.0 * np.sum(np.log(f, out=f), axis=-1)
         if arg is not None:
             # w = 2 cos^4(eta) + z is cos^2(eta) + sin^2(eta) exp(-i phi) times
             # 2 cos^2(eta) > 0 (q = 2 sin^2(eta) cos^2(eta)); la needs the sum
             # of the arguments mod 2 pi only, so one arctan2 per product of
             # four neighbouring modes: w in pairs into the float array, those
             # in pairs into the complex one
-            np.add(z.real, self.r, out=z.real)
+            if self.short:
+                np.copyto(f, self.r)
+                z.real += f
+            else:
+                np.add(z.real, self.r, out=z.real)
             pair, quad = narrow[:n].view(complex), wide[: n // 4]
             np.multiply(wide[:n:2], wide[1:n:2], out=pair)
             np.multiply(pair[0::2], pair[1::2], out=quad)
@@ -270,21 +323,27 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
       cos^2 eta + sin^2 eta exp(-i phi) times 2 cos^2 eta > 0, and as
       ``la`` needs the sum of the arguments mod 2 pi only, the argument
       is one atan2 per product of the w of four neighbouring modes; the
-      modes are padded to a multiple of 4 with factors 1 for that.
+      modes are padded to a multiple of 4 with factors 1 for that, with
+      or without ``la``, and ln le sums whole rows, pads too.
     * Series: with c = cos 2 eta and rho = A / (1 + |c|)^2 (tan^2 eta or
       cot^2 eta, below 1), ln(p + q cos phi) =
       2 ln((1 + |c|) / 2) + 2 sum_m (-1)^(m+1) rho^m cos(m phi) / m, and
       the argument is -/+ sum_m (-1)^(m+1) rho^m sin(m phi) / m (- for
       c >= 0), minus phi for c < 0, which joins the lower-band phase.  A
-      mode takes the series when some K <= ``_SERIES_HARMONICS`` has
+      mode takes the series when some K <= H has
       2 rho^(K+1) / ((K + 1)(1 - rho)) <= eps / 4, the bound on the
-      series tail after K terms; it takes the least such K.
+      series tail after K terms; it takes the least such K.  The budget H
+      depends on the grid's T times alone: a harmonic costs about as much
+      as ``_TERM_COST`` per-element factors on each of the S segments, so
+      H = T // (``_TERM_COST`` S), at least ``_SERIES_FLOOR`` and at most
+      ``_SERIES_HARMONICS``, where the transform's rounding sets the limit.
 
     On a uniform grid the series sums over all (mode, harmonic) terms,
     Re sum coef exp(i m gap t), are one type-1 non-uniform FFT per
-    segment of ``_SEGMENT`` times (``_harmonic_sums``), in the calling
-    thread; ``le`` and ``rate`` are the same bits with or without
-    ``include_la``, since ln le and the argument are transformed apart.
+    segment of ``_SEGMENT`` times and output (``_harmonic_sums``), in the
+    calling thread; ``le`` and ``rate`` are the same bits with or without
+    ``include_la``, since the split does not depend on it and ln le and
+    the argument are transformed apart.
     The other forms run per element, in blocks of B rows,
     B = min(floor(sqrt(T)), ``_CHUNK_BYTES`` / (16 M)) for M modes.  On a
     uniform grid t = t_I + tau_j with t_I a block's first time and
@@ -321,10 +380,12 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     step = _uniform_step(times)
     unit = amplitude > 1.0 - _NEAR_UNIT if step is not None else np.ones(gap.size, dtype=bool)
     rho = amplitude / (1.0 + np.sqrt(1.0 - amplitude)) ** 2
-    harmonics = np.full(gap.size, _SERIES_HARMONICS + 1)
-    for k in range(_SERIES_HARMONICS, -1, -1):
+    segments = max(1, -(-times.size // _SEGMENT))
+    budget = max(_SERIES_FLOOR, min(_SERIES_HARMONICS, times.size // (_TERM_COST * segments)))
+    harmonics = np.full(gap.size, budget + 1)
+    for k in range(budget, -1, -1):
         harmonics[2.0 * rho ** (k + 1) <= 0.25 * _EPS * (k + 1) * (1.0 - rho)] = k
-    series = ~unit & (harmonics <= _SERIES_HARMONICS)
+    series = ~unit & (harmonics <= budget)
     rows = max(1, min(math.isqrt(times.size), _CHUNK_BYTES // (16 * max(1, gap.size))))
     # ln le starts at the series constants 2 * 2 ln((1 + |c|) / 2)
     amp_s = amplitude[series]
@@ -340,7 +401,7 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     # one run of whole blocks per thread (T > 0 times make at least rows blocks),
     # at most one thread per 4 rows of a block, so that each strip has a row
     workers = max(1, min(_worker_count(), rows // 4))
-    groups = [_DirectModes(amplitude[group], cos2[group], gap[group], group_step, rows, workers, include_la)
+    groups = [_DirectModes(amplitude[group], cos2[group], gap[group], group_step, rows, workers)
               for group, group_step in ((unit, None), (~unit & ~series, step)) if group.any()]
 
     def run_groups(lo, hi) -> None:  # a piece's rows: the half-angle modes, then the full-angle ones
@@ -350,11 +411,12 @@ def loschmidt_echo(spec: QuenchSpec, times, include_la: bool = True) -> LESeries
     if groups:
         _run_pieces(run_groups, times.size, rows, workers)
     del groups  # the offset table, before the series transform's tables
-    # the series terms: harmonics m = 1 .. K of each series mode
-    cols, m = np.nonzero(series[:, None] & (harmonics[:, None] > np.arange(_SERIES_HARMONICS)))
+    # the series terms: harmonics m = 1 .. K of each series mode; the
+    # argument's coefficients are +/- 2i coef (+ for c >= 0), its -/+ sines
+    cols, m = np.nonzero(series[:, None] & (harmonics[:, None] > np.arange(budget)))
     m += 1
     coef = (-1.0) ** (m + 1) * rho[cols] ** m / m
-    sign = np.where(cos2[cols] >= 0.5, -2.0, 2.0)
-    _harmonic_sums(times, step, m * gap[cols], (4.0 * coef, -1j * sign * coef), outs)
+    coefs = (4.0 * coef, np.where(cos2[cols] >= 0.5, 2j, -2j) * coef) if include_la else (4.0 * coef,)
+    _harmonic_sums(times, step, m * gap[cols], coefs, outs)
     la = np.exp(0.5 * log_le + 1j * (outs[1] - times * lower_band)) if include_la else None
     return LESeries(times=times, le=np.exp(log_le), la=la, rate=-log_le / n, n_rungs=n)

@@ -36,11 +36,12 @@ def render_json(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarr
 def full_angle_per_element(modes, start, a, b, wide, narrow, log_le, arg=None) -> None:
     """``creutz.quench._DirectModes._full_angle`` on fresh arrays, with the
     amplitude's argument as one ``arctan2`` per mode and time, the reference
-    for its products of four factors."""
+    for its products of four factors.  Both sums run over whole rows, the
+    modes that pad the group to a multiple of 4 with factors 1 too."""
     z = modes.offsets[a:b] * start
-    log_le += 2.0 * np.sum(np.log(z.real + modes.p)[..., : modes.modes], axis=-1)
+    log_le += 2.0 * np.sum(np.log(z.real + modes.p), axis=-1)
     if arg is not None:
-        arg += 2.0 * np.sum(np.arctan2(z.imag, z.real + modes.r)[..., : modes.modes], axis=-1)
+        arg += 2.0 * np.sum(np.arctan2(z.imag, z.real + modes.r), axis=-1)
 
 
 def _parse_meta(value: str) -> Any:

@@ -541,19 +541,22 @@ class TestDqptCommand:
         assert run_cli("revival", *args, "--out", str(tmp_path / "revival.csv")) == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["dqpt", "--set", "n_rungs=2000", "--set", "theta1=0.25", "--set", "theta2=-0.25",
-     "--set", "t_max=3.5", "--set", "n_points=3501"],
-    ["revival", "--set", "n_rungs=100"],
+@pytest.mark.parametrize("argv, per_element", [
+    pytest.param(["dqpt", "--set", "n_rungs=2000", "--set", "theta1=0.25", "--set", "theta2=-0.25",
+                  "--set", "t_max=3.5", "--set", "n_points=3501"], True, id="argv0"),
+    # every mode of the N 100 ladder takes the series: no per-element split
+    pytest.param(["revival", "--set", "n_rungs=100"], False, id="argv1"),
+    # 1 of the 499 modes of the revival grid stays per element
+    pytest.param(["revival", "--set", "n_rungs=1000", "--set", "theta1=0.0016"], True, id="revival-n1000"),
 ])
-def test_output_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, argv):
+def test_output_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, argv, per_element):
     outputs, splits = [], record_splits(monkeypatch)
     for workers in (1, 2):
         monkeypatch.setattr(quench, "_worker_count", lambda: workers)
         splits.clear()
         out = tmp_path / f"{workers}.csv"
         assert run_cli(*argv, "--out", str(out)) == 0
-        assert splits and set(splits) == {workers}  # N = 100 is split too
+        assert splits == ([workers] if per_element else [])  # one split of the blocks, or none
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
 
@@ -774,6 +777,15 @@ def test_blas_results_are_the_same_after_the_park():
     assert [np.asarray(x).tobytes() for x in before] == [np.asarray(x).tobytes() for x in after]
 
 
+@pytest.fixture
+def fresh_park():
+    """The park's routines found anew in the test, and again after it."""
+    model._blas_shutdowns.cache_clear()
+    yield
+    model._blas_shutdowns.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_park")
 @pytest.mark.parametrize("maps, cdll_result", [
     (PermissionError, None),
     ("7f0-7f1 r-xp 00000000 08:01 42 /usr/lib/libm.so.6\n", None),
@@ -804,6 +816,7 @@ def test_park_returns_quietly_without_a_pool(monkeypatch, maps, cdll_result):
     assert loaded == ([] if cdll_result is None else [maps.split(maxsplit=5)[-1].strip()])
 
 
+@pytest.mark.usefixtures("fresh_park")
 def test_park_stops_each_mapped_openblas_once(monkeypatch):
     maps = "".join(f"7f{i}-7f{i + 1} r-xp 00000000 08:01 42 {path}\n" for i, path in enumerate(
         ["/opt/numpy.libs/libscipy_openblas64_-1a.so"] * 3 + ["/usr/lib/libopenblas.so.0"]))
@@ -819,6 +832,31 @@ def test_park_stops_each_mapped_openblas_once(monkeypatch):
     monkeypatch.setattr(model.ctypes, "CDLL", fake_cdll)
     model._park_blas_pool()
     assert stopped == ["/opt/numpy.libs/libscipy_openblas64_-1a.so", "/usr/lib/libopenblas.so.0"]
+
+
+@pytest.mark.usefixtures("fresh_park")
+@pytest.mark.parametrize("maps", [PermissionError,
+                                  "7f0-7f1 r-xp 00000000 08:01 42 /usr/lib/libopenblas.so.0\n"])
+def test_park_reads_the_maps_once_per_process(monkeypatch, maps):
+    # the second and later parks stop the routines the first one found,
+    # and a process without /proc looks once too
+    reads, stopped = [], []
+
+    def fake_open(path, *args, **kwargs):
+        reads.append(path)
+        if isinstance(maps, type):
+            raise maps(path)
+        return io.StringIO(maps)
+
+    def fake_cdll(path):
+        return type("Library", (), {"blas_thread_shutdown_": staticmethod(lambda: stopped.append(path))})()
+
+    monkeypatch.setattr(model, "open", fake_open, raising=False)
+    monkeypatch.setattr(model.ctypes, "CDLL", fake_cdll)
+    for _ in range(3):
+        model._park_blas_pool()
+    assert reads == ["/proc/self/maps"]
+    assert stopped == ([] if isinstance(maps, type) else ["/usr/lib/libopenblas.so.0"] * 3)
 
 
 def test_outputs_are_the_same_bytes_with_and_without_the_park():

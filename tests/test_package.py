@@ -1,6 +1,9 @@
-"""The public surface of the package: the union of the modules' ``__all__`` lists."""
+"""The public surface of the package: the union of the modules' ``__all__``
+lists; and the size of each module's source."""
 
 import importlib
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,3 +47,18 @@ def test_removed_members():
     assert not hasattr(creutz.WorkDistribution, "outcomes")
     ks = creutz.allowed_modes(5)
     assert type(ks) is np.ndarray and ks.shape == (5,)
+
+
+PACKAGE = Path(creutz.__file__).resolve().parent
+# CPython's parser preallocates its tokens in doubling steps: a module of
+# more than 4096 tokens takes another step when it is compiled, about 230 KB
+# of peak memory in every process that compiles it from source
+PARSER_TOKENS = 4096
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_module_stays_under_the_parser_token_step(path):
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    with path.open("rb") as source:
+        count = sum(token.type not in skipped for token in tokenize.tokenize(source.readline))
+    assert count < PARSER_TOKENS

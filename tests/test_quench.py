@@ -952,6 +952,60 @@ class TestLoschmidtEcho:
         assert np.all((amplitude >= 0.0) & (amplitude <= 1.0 + 1e-14))
 
 
+def mode_split(monkeypatch, spec, times, include_la):
+    """(per-element group sizes, series terms) of one ``loschmidt_echo`` call."""
+    groups, terms = [], []
+    direct, sums = quench._DirectModes.__init__, quench._harmonic_sums
+
+    def recorded_direct(self, amplitude, *args):
+        groups.append(amplitude.size)
+        direct(self, amplitude, *args)
+
+    def recorded_sums(times, step, omega, coefs, outs):
+        terms.append(omega.size)
+        sums(times, step, omega, coefs, outs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quench._DirectModes, "__init__", recorded_direct)
+        patch.setattr(quench, "_harmonic_sums", recorded_sums)
+        loschmidt_echo(spec, times, include_la=include_la)
+    return groups, terms
+
+
+class TestModeSplit:
+    """Which modes ``loschmidt_echo`` takes as a series: those whose
+    harmonics fit a budget set by the number of times alone."""
+
+    @pytest.mark.parametrize(
+        "n, theta1, theta2, times, groups, terms",
+        [
+            # the amplitude bench grid: budget 5, the split of the fixed cap of 5
+            (9000, 0.25, -0.25, np.linspace(0.0, 10.0, 2001), [4207], 1227),
+            # the dqpt grid: budget 25, 2774 of the 4499 modes in the series
+            (9000, 0.25, -0.25, np.linspace(0.0, 10.0, 10001), [1725], 35008),
+            # the same number of times elsewhere: the same split
+            (9000, 0.25, -0.25, np.linspace(3.0, 4.0, 10001), [1725], 35008),
+            # the revival grid: six segments, budget 32
+            (1000, 0.0016, 0.0, np.linspace(0.0, 1732.0508075688774, 86604), [1], 1430),
+        ],
+        ids=["amplitude", "dqpt", "dqpt-shifted", "revival"],
+    )
+    def test_split_depends_on_the_grid_only(self, monkeypatch, n, theta1, theta2, times, groups, terms):
+        spec = make_spec(theta1 * np.pi, theta2 * np.pi, n=n)
+        for include_la in (False, True):
+            assert mode_split(monkeypatch, spec, times, include_la) == (groups, [terms])
+
+    def test_echo_is_the_same_bits_without_the_amplitude(self, monkeypatch):
+        # on the dqpt grid, whose budget of 25 harmonics is above the floor
+        # of 5: le and rate do not depend on include_la
+        spec = make_spec(0.25 * np.pi, -0.25 * np.pi, n=9000)
+        times = np.linspace(0.0, 10.0, 10001)
+        echo = loschmidt_echo(spec, times, include_la=False)
+        full = loschmidt_echo(spec, times)
+        np.testing.assert_array_equal(echo.le, full.le)
+        np.testing.assert_array_equal(echo.rate, full.rate)
+
+
 class TestHarmonicSums:
     """The series transform ``quench._harmonic_sums`` against direct sums."""
 
@@ -962,23 +1016,33 @@ class TestHarmonicSums:
          (quench._SEGMENT, 0.0, 1.0)],  # omega * step past pi
     )
     def test_matches_longdouble_sum(self, size, t0, step):
-        # coefficients over six decades, frequencies up to 30: within
+        # coefficients over six decades, frequencies up to 30, and the
+        # harmonics m gap, m = 1 .. 32, of 20 gaps up to 6: within
         # 64 eps * sum_j |c_j| (1 + omega_j t) of the long-double sum
-        # (measured: at most 29 over 20 seeds, at the far edge of a segment)
+        # (measured: at most 29 over 20 seeds, at the far edge of a segment).
+        # The last two sets take more than ``_TERMS`` terms, so each segment
+        # adds two chunks to one grid; they are checked on every 11th time and
+        # the 8 times at each end of every segment, the others on every time.
         rng = np.random.default_rng(size)
         times = t0 + step * np.arange(size)
-        for terms in (1, 13, 400):
+        ends = [i for lo in range(0, size, quench._SEGMENT)
+                for i in range(lo - 8, lo + 8) if 0 <= i < size] + [*range(max(0, size - 8), size)]
+        harmonics = np.arange(1, 33)
+        for terms in (1, 13, 400, quench._TERMS + 100, 20 * harmonics.size):
             omega = rng.uniform(0.0, 30.0, terms)
+            if terms == 20 * harmonics.size:
+                omega = np.outer(rng.uniform(0.0, 6.0, 20), harmonics).ravel()
             coef = rng.normal(size=terms) + 1j * rng.normal(size=terms)
             coef *= 10.0 ** rng.uniform(-6.0, 0.0, terms)
             out, pair = np.zeros(size), np.zeros((2, size))
             quench._harmonic_sums(times, step, omega, (coef,), (out,))
             quench._harmonic_sums(times, step, omega, (coef, 1j * coef), tuple(pair))
             np.testing.assert_array_equal(pair[0], out)  # each sum is transformed apart
-            phase = omega.astype(np.longdouble) * times.astype(np.longdouble)[:, None]
+            pick = np.arange(size) if terms <= 400 else np.unique(np.r_[0:size:11, ends]).astype(int)
+            phase = omega.astype(np.longdouble) * times[pick].astype(np.longdouble)[:, None]
             exact = np.sum(coef.real * np.cos(phase) - coef.imag * np.sin(phase), axis=1)
-            scale = np.sum(np.abs(coef) * (1.0 + omega * times[:, None]), axis=1)
-            assert np.all(np.abs(out - exact) <= 64 * np.finfo(float).eps * scale)
+            scale = np.sum(np.abs(coef) * (1.0 + omega * times[pick, None]), axis=1)
+            assert np.all(np.abs(out[pick] - exact) <= 64 * np.finfo(float).eps * scale)
 
     def test_series_modes_without_terms(self, monkeypatch):
         # at theta1 = 1e-9 every mode takes the series with K = 0: the
