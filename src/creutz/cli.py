@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import inf, isfinite, pi
 from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, CreutzError, DomainError
-from .model import LadderParams, QuenchSpec, _park_blas_pool, allowed_modes, is_critical_flux, mode_data
+from .errors import ConfigError, DomainError
+from .model import (LadderParams, ModeData, QuenchSpec, _park_blas_pool, allowed_modes, is_critical_flux,
+                    mode_data)
 from .serialize import write_table  # the runners import quench, dqpt, revival and thermo
 
 # Most points a time grid may have: 10^8 float64 times are 800 MB before
@@ -89,32 +90,33 @@ class RunConfig:
         )
 
 
-def _parse_value(key: str, raw: str, where: str) -> Any:
+def _read_assignment(body: str, where: str, expected: str) -> tuple[str, Any]:
+    """Key and parsed value of one ``key = value`` assignment; an error names ``where``."""
+    key, eq, raw = body.partition("=")
+    if not eq:
+        raise ConfigError(f"{where}: expected {expected}")
+    key, raw = key.strip(), raw.strip()
     if key != "j" and key not in _KEYS:
         raise ConfigError(f"{where}: unknown key {key!r}")
     try:
-        return float(raw) if key == "j" else _KEYS[key][0](raw)
+        return key, float(raw) if key == "j" else _KEYS[key][0](raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: cannot parse value {raw!r} for key {key!r}") from None
 
 
 def load_config_file(path: str) -> dict[str, Any]:
-    """Parse a flat ``key = value`` file; '#' starts a comment."""
+    """Parse a flat ``key = value`` file; '#' starts a comment, and a UTF-8
+    byte-order mark is skipped."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, Any] = {}
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {body!r}")
-        key, _, raw = body.partition("=")
-        key = key.strip()
-        values[key] = _parse_value(key, raw.strip(), f"{path}:{lineno}")
+        if body:
+            key, values[key] = _read_assignment(body, f"{path}:{lineno}", f"'key = value', got {body!r}")
     return values
 
 
@@ -124,10 +126,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         overrides.update(load_config_file(args.config))
     for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set {item!r}: expected key=value")
-        key, _, raw = item.partition("=")
-        overrides[key.strip()] = _parse_value(key.strip(), raw.strip(), f"--set {item!r}")
+        key, overrides[key] = _read_assignment(item, f"--set {item!r}", "key=value")
     if "j" in overrides:
         j = overrides.pop("j")
         overrides.setdefault("j_h", j)
@@ -178,7 +177,7 @@ def _base_metadata(cfg: RunConfig, angle_keys: tuple[str, ...]) -> dict[str, Any
     return meta
 
 
-_SPECTRUM_COLUMNS = ["k", "eps_q", "eps_p", "eps_qp", "gamma", "e_alpha", "e_beta", "gap"]
+_SPECTRUM_COLUMNS = [field.name for field in fields(ModeData)]
 _SPECTRUM_BLOCK_MODES = 8192  # modes per mode_data call, which peaks at 80 bytes a mode
 
 
@@ -366,9 +365,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except DomainError as exc:
         print(f"creutz: domain error: {exc}", file=sys.stderr)
-        return 2
-    except CreutzError as exc:
-        print(f"creutz: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"creutz: I/O error: {exc}", file=sys.stderr)

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidQuenchTargetError, NoDqptError
-from .model import (LESeries, QuenchSpec, _integer_count, _require_equal_hoppings, commensurate_base,
-                    is_critical_flux, mode_arrays)
+from .errors import DomainError, NoDqptError
+from .model import (LESeries, QuenchSpec, _critical_target_base, _integer_count, _require_equal_hoppings,
+                    _require_uniform_grid, is_critical_flux, mode_arrays)
 
 __all__ = [
     "CriticalMode",
@@ -187,9 +187,7 @@ def detect_cusps(series: LESeries, sensitivity: float = 20.0) -> list[float]:
     rate = np.asarray(series.rate, dtype=float)
     if times.size < 8:
         return []
-    steps = np.diff(times)
-    if not np.allclose(steps, steps[0], rtol=1e-8, atol=0.0):
-        raise DomainError("cusp detection requires a uniform time grid")
+    _require_uniform_grid(times, "cusp detection")
 
     with np.errstate(invalid="ignore"):
         d2 = np.abs(np.diff(rate, 2))
@@ -221,9 +219,5 @@ def finite_size_dqpt_gate(spec: QuenchSpec, q_max: int = 64, tol: float = 1e-9) 
     gap-closing wavenumbers lie on the mode grid; False when the angle
     is incommensurate at this resolution.
     """
-    if not is_critical_flux(spec.theta_post):
-        raise InvalidQuenchTargetError(
-            f"gate defined only for quenches to a critical flux, got theta_post={spec.theta_post}"
-        )
-    base = commensurate_base(spec.params, q_max=q_max, tol=tol)
+    base = _critical_target_base(spec, q_max, tol)
     return base is not None and spec.params.n_rungs % base == 0

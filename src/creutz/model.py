@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InvalidQuenchTargetError
 
 __all__ = [
     "LESeries",
@@ -233,6 +233,17 @@ def commensurate_base(params: LadderParams, q_max: int = 64, tol: float = 1e-9) 
     return q if (q - p) % 2 == 0 else 2 * q
 
 
+def _critical_target_base(spec: QuenchSpec, q_max: int, tol: float) -> Optional[int]:
+    """``commensurate_base(spec.params, q_max, tol)`` of a quench to a
+    critical flux, the zero-mode decision of revival prediction and of the
+    finite-size gate; any other target is refused."""
+    if not is_critical_flux(spec.theta_post):
+        raise InvalidQuenchTargetError(
+            f"zero-mode analysis needs theta_post at a critical flux (0 or pi), got {spec.theta_post}"
+        )
+    return commensurate_base(spec.params, q_max=q_max, tol=tol)
+
+
 def group_velocity(params: LadderParams) -> float:
     """|d(gap)/dk| at the gap-closing wavenumbers, for a critical flux.
 
@@ -282,6 +293,15 @@ class LESeries:
     la: Optional[np.ndarray]
     rate: np.ndarray
     n_rungs: int
+
+
+def _require_uniform_grid(times: np.ndarray, what: str) -> None:
+    """Refuse ``times`` unless their steps agree to 1e-8 relative, the grid
+    rule of the cusp and revival detectors (times read back from a CSV
+    table of 15 digits pass it)."""
+    steps = np.diff(times)
+    if not np.allclose(steps, steps[0], rtol=1e-8, atol=0.0):
+        raise DomainError(f"{what} requires a uniform time grid")
 
 
 class ModeArrays(NamedTuple):
@@ -435,24 +455,17 @@ def _run_pieces(run, size: int, unit: int, workers: int) -> None:
 def _single_particle_matrix(params: LadderParams) -> np.ndarray:
     """Full 2N x 2N hopping matrix of the ladder, shifted by -j_v.
 
-    Basis ordering: upper-leg sites 0..N-1, then lower-leg sites.
+    Basis ordering: upper-leg sites 0..N-1, then lower-leg sites.  With s
+    the cyclic shift m -> m + 1, each leg hops by f s + conj(f) s^T, with
+    f = -j_h exp(-i theta) on the upper and -j_h exp(i theta) on the lower
+    leg, and the legs couple by -j_d (s + s^T) - j_v.
     """
     n = params.n_rungs
-    h = np.zeros((2 * n, 2 * n), dtype=complex)
-    fwd_q = -params.j_h * np.exp(-1j * params.theta)
-    fwd_p = -params.j_h * np.exp(1j * params.theta)
-    for m in range(n):
-        nxt = (m + 1) % n
-        h[nxt, m] += fwd_q
-        h[m, nxt] += np.conj(fwd_q)
-        h[n + nxt, n + m] += fwd_p
-        h[n + m, n + nxt] += np.conj(fwd_p)
-        h[n + nxt, m] += -params.j_d
-        h[m, n + nxt] += -params.j_d
-        h[nxt, n + m] += -params.j_d
-        h[n + m, nxt] += -params.j_d
-        h[m, n + m] += -params.j_v
-        h[n + m, m] += -params.j_v
+    s = np.roll(np.eye(n), 1, axis=0)  # s[m + 1, m] = 1
+    fwd = -params.j_h * np.exp(-1j * params.theta), -params.j_h * np.exp(1j * params.theta)
+    upper, lower = (f * s + np.conj(f) * s.T for f in fwd)
+    rungs = -params.j_d * (s + s.T) - params.j_v * np.eye(n)
+    h = np.block([[upper, rungs], [rungs, lower]])
     h -= params.j_v * np.eye(2 * n)
     return h
 

@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, IncommensurateAngleError, InvalidQuenchTargetError, NoRevivalError
-from .model import LESeries, QuenchSpec, commensurate_base, group_velocity, is_critical_flux
+from .errors import DomainError, IncommensurateAngleError, NoRevivalError
+from .model import LESeries, QuenchSpec, _critical_target_base, _require_uniform_grid, group_velocity
 
 __all__ = [
     "RevivalDetection",
@@ -66,11 +66,7 @@ def predict_revival(spec: QuenchSpec, q_max: int = 64, tol: float = 1e-9) -> Rev
     The post-quench flux must be 0 or pi and the gap-closing angle must
     be recognizably rational (see ``commensurate_base``).
     """
-    if not is_critical_flux(spec.theta_post):
-        raise InvalidQuenchTargetError(
-            f"revival prediction needs theta_post at a critical flux (0 or pi), got {spec.theta_post}"
-        )
-    base = commensurate_base(spec.params, q_max=q_max, tol=tol)
+    base = _critical_target_base(spec, q_max, tol)
     if base is None:
         raise IncommensurateAngleError(
             f"arccos(j_v/2j)/pi not rational within tol={tol} for q <= {q_max}"
@@ -114,9 +110,7 @@ def detect_revivals(
         raise DomainError(f"window must be a positive integer, got {window}")
     if margin is not None and not 0.0 < margin < math.inf:  # also refuses nan
         raise DomainError(f"margin must be positive and finite, got {margin}")
-    steps = np.diff(times)
-    if steps.size and not np.allclose(steps, steps[0], rtol=1e-8, atol=0.0):
-        raise DomainError("revival detection requires a uniform time grid")
+    _require_uniform_grid(times, "revival detection")
 
     lo = int(0.1 * times.size)
     hi = int(0.4 * times.size)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import string
 import subprocess
 import sys
@@ -188,14 +189,34 @@ class TestConfigHandling:
             assert run_cli("spectrum", "--set", setting) == 1
         assert not out.exists()
 
-    def test_unparsable_value_is_config_error(self):
-        assert run_cli("spectrum", "--set", "n_rungs=many") == 1
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        # as Notepad and Windows PowerShell save UTF-8; the mark read as part
+        # of the first key, an unknown key '\ufeffn_rungs'
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfn_rungs = 6\ntheta = 0.25\n")
+        out = tmp_path / "o.csv"
+        assert run_cli("spectrum", "--config", str(cfg), "--out", str(out)) == 0
+        meta, _, rows = read_table(str(out))
+        assert meta["n_rungs"] == 6 and meta["theta_over_pi"] == 0.25
+        assert rows.shape[0] == 6
 
-    def test_bad_config_line_reports_position(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("n_rungs = 12\nnot a pair\n")
-        assert run_cli("spectrum", "--config", str(cfg)) == 1
-        assert "bad.cfg:2" in capsys.readouterr().err
+    @pytest.mark.parametrize("body, message", [
+        ("n_rungs 12", "expected {expected}"),
+        ("bogus = 1", "unknown key 'bogus'"),
+        ("n_rungs = many", "cannot parse value 'many' for key 'n_rungs'"),
+    ], ids=["missing-equals", "unknown-key", "unparsable-value"])
+    @pytest.mark.parametrize("source", ["config", "set"])
+    def test_malformed_assignment_names_its_position(self, tmp_path, capsys, source, body, message):
+        if source == "config":
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"theta = 0.1\n{body}  # second line\n")
+            argv, where, expected = ["--config", str(cfg)], f"{cfg}:2", f"'key = value', got {body!r}"
+        else:
+            argv, where, expected = ["--set", body], f"--set {body!r}", "key=value"
+        assert run_cli("spectrum", *argv, "--out", str(tmp_path / "o.csv")) == 1
+        err = capsys.readouterr().err
+        assert err == f"creutz: configuration error: {where}: {message.format(expected=expected)}\n"
+        assert not (tmp_path / "o.csv").exists()
 
     def test_config_file_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
         # the decode error escaped main as a traceback
@@ -387,6 +408,15 @@ class TestConfigHandling:
             assert run_cli(*argv, "--out", str(out), "--format", fmt) == code
             assert "Traceback" not in capsys.readouterr().err
             assert not out.exists()
+
+
+def test_documented_config_table_names_exactly_the_keys():
+    # the first column of the table in docs/formats.md, one or more `key`s a row
+    with open(os.path.join(SRC, os.pardir, "docs", "formats.md"), encoding="utf-8") as docs:
+        section = docs.read().split("## Configuration keys\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    documented = [name for cell in rows for name in re.findall(r"`([^`]+)`", cell)]
+    assert sorted(documented) == sorted([*cli._KEYS, "j"])
 
 
 class TestLeRevivalRoundTrip:

@@ -18,6 +18,7 @@ from creutz import (
     is_critical_flux,
     mode_data,
 )
+from creutz import model
 
 
 def params(j=1.0, jv=1.0, jd=None, theta=0.0, n=100):
@@ -133,6 +134,22 @@ class TestModeData:
             ea_plus = mode_data(p, k).e_alpha
             ea_minus = mode_data(p.with_theta(-p.theta), k).e_alpha
             assert ea_plus == pytest.approx(ea_minus, abs=1e-12)
+
+
+class TestOracleHamiltonian:
+    """The real-space matrix that the determinant oracle diagonalizes."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
+    @pytest.mark.parametrize("j_h, theta", [(1.3, 0.7), (-0.8, 2.1), (0.6, -1.9)])
+    def test_spectrum_is_the_mode_table(self, n, j_h, theta):
+        # N = 2 doubles every bond: both neighbours of a site are the same site
+        p = LadderParams(j_h=j_h, j_v=0.9, j_d=1.1, theta=theta, n_rungs=n)
+        h = model._single_particle_matrix(p)
+        assert h.shape == (2 * n, 2 * n)
+        np.testing.assert_array_equal(h, h.conj().T)
+        m = mode_data(p, allowed_modes(n))
+        bands = np.sort(np.concatenate([m.e_alpha, m.e_beta]))
+        np.testing.assert_allclose(np.linalg.eigvalsh(h), bands, rtol=0.0, atol=1e-12)
 
 
 class TestCriticalStructure:
