@@ -14,22 +14,30 @@ from importlib.util import find_spec
 # output headers read it from here.
 __version__ = "0.1.0"
 
-# The modules whose ``__all__`` lists make up the public names, each after
-# the ones it imports, so that looking a name up imports no module its
-# owner does not need.
-_PUBLIC_MODULES = ("errors", "model", "quench", "thermo", "dqpt", "revival")
+# Each module's ``__all__`` list (a test ties the two): looking a public
+# name up imports its owner alone, and with it only the modules the owner
+# imports.
+_PUBLIC = {
+    "errors": "ConfigError CreutzError DomainError IncommensurateAngleError InvalidQuenchTargetError NoDqptError "
+              "NoRevivalError",
+    "model": "LESeries LadderParams ModeArrays ModeData QuenchSpec allowed_modes canonical_angle commensurate_base "
+             "critical_wavenumbers exact_le_oracle group_velocity is_critical_flux mode_arrays mode_data",
+    "quench": "loschmidt_echo",
+    "thermo": "WorkDistribution WorkStats scan_theta2 work_distribution work_stats",
+    "dqpt": "CriticalMode FisherZeroLine detect_cusps dqpt_possible finite_size_dqpt_gate fisher_zero_lines "
+            "predict_dqpt_times solve_critical_modes",
+    "revival": "RevivalDetection RevivalPrediction detect_revivals predict_revival",
+}
+_OWNERS = {name: module for module, names in _PUBLIC.items() for name in names.split()}
 
 
 def __getattr__(name: str):
     """Submodules and public names, each module imported on first use (PEP 562)."""
     if name == "__all__":
-        return sorted(n for module in _PUBLIC_MODULES for n in importlib.import_module(f".{module}", __name__).__all__)
-    # a submodule (``from creutz import cli`` asks here first): no search
+        return sorted(_OWNERS)
+    if name in _OWNERS:
+        return getattr(importlib.import_module(f".{_OWNERS[name]}", __name__), name)
+    # a submodule (``from creutz import cli`` asks here first)
     if name.isidentifier() and find_spec(f"{__name__}.{name}"):
         return importlib.import_module(f".{name}", __name__)
-    if not name.startswith("_"):
-        for module in _PUBLIC_MODULES:
-            owner = importlib.import_module(f".{module}", __name__)
-            if name in owner.__all__:
-                return getattr(owner, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -41,7 +41,7 @@ MAX_TABLE_ROWS = 10**7
 _KEYS: dict[str, tuple[Callable[[str], Any], Any]] = {
     "j_h": (float, 1.0),
     "j_v": (float, 1.0),
-    "j_d": (float, None),  # falls back to j_h
+    "j_d": (float, None),  # falls back to j_h, in build_config
     "n_rungs": (int, 100),
     "theta": (float, 0.0),
     "theta1": (float, 0.0016),
@@ -75,9 +75,8 @@ class RunConfig:
     @property
     def params(self) -> LadderParams:
         v = self.values
-        j_d = v["j_d"] if v["j_d"] is not None else v["j_h"]
         return LadderParams(
-            j_h=v["j_h"], j_v=v["j_v"], j_d=j_d,
+            j_h=v["j_h"], j_v=v["j_v"], j_d=v["j_d"],
             theta=v["theta"] * pi, n_rungs=v["n_rungs"],
         )
 
@@ -132,6 +131,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         overrides.setdefault("j_h", j)
         overrides.setdefault("j_d", j)
     values.update(overrides)
+    if values["j_d"] is None:
+        values["j_d"] = values["j_h"]
     _validate(args.command, values)
     return RunConfig(command=args.command, values=values, out=args.out, fmt=args.format)
 
@@ -168,15 +169,6 @@ def _time_grid(cfg: RunConfig, default_t_max: float, default_dt: float) -> np.nd
     return np.linspace(0.0, t_max, n_points)
 
 
-def _base_metadata(cfg: RunConfig, angle_keys: tuple[str, ...]) -> dict[str, Any]:
-    p = cfg.params
-    meta: dict[str, Any] = {"command": cfg.command}
-    meta.update(j_h=p.j_h, j_v=p.j_v, j_d=p.j_d, n_rungs=p.n_rungs)
-    for key in angle_keys:
-        meta[f"{key}_over_pi"] = cfg[key]
-    return meta
-
-
 _SPECTRUM_COLUMNS = [field.name for field in fields(ModeData)]
 _SPECTRUM_BLOCK_MODES = 8192  # modes per mode_data call, which peaks at 80 bytes a mode
 
@@ -189,7 +181,7 @@ def _cmd_spectrum(cfg: RunConfig):
         m = mode_data(params, k[lo : lo + _SPECTRUM_BLOCK_MODES])
         for j, name in enumerate(_SPECTRUM_COLUMNS):
             rows[lo : lo + _SPECTRUM_BLOCK_MODES, j] = getattr(m, name)
-    return _base_metadata(cfg, ("theta",)), _SPECTRUM_COLUMNS, rows
+    return {}, _SPECTRUM_COLUMNS, rows
 
 
 def _cmd_le(cfg: RunConfig):
@@ -197,10 +189,8 @@ def _cmd_le(cfg: RunConfig):
 
     times = _time_grid(cfg, default_t_max=100.0, default_dt=0.02)
     series = loschmidt_echo(cfg.quench, times, include_la=False)
-    meta = _base_metadata(cfg, ("theta1", "theta2"))
-    meta.update(t_max=float(times[-1]), n_points=int(times.size))
     rows = np.column_stack([series.times, series.le, series.rate])
-    return meta, ["t", "le", "rate"], rows
+    return dict(t_max=float(times[-1]), n_points=int(times.size)), ["t", "le", "rate"], rows
 
 
 def _cmd_revival(cfg: RunConfig):
@@ -213,12 +203,7 @@ def _cmd_revival(cfg: RunConfig):
     series = loschmidt_echo(spec, times, include_la=False)
     detection = revival.detect_revivals(series, margin=cfg["margin"], window=cfg["window"],
                                         peak_fraction=cfg["peak_fraction"])
-    meta = _base_metadata(cfg, ("theta1", "theta2"))
-    meta.update(q_max=cfg["q_max"], tol=cfg["tol"], window=cfg["window"],
-                peak_fraction=cfg["peak_fraction"])
-    if cfg["margin"] is not None:
-        meta["margin"] = cfg["margin"]
-    meta.update(
+    results = dict(
         base=prediction.base,
         effective_n=prediction.effective_n,
         predicted_period=prediction.period,
@@ -232,7 +217,7 @@ def _cmd_revival(cfg: RunConfig):
     )
     grid_le = np.interp(detection.revival_times, series.times, series.le)
     rows = np.column_stack([np.arange(grid_le.size), detection.revival_times, grid_le])
-    return meta, ["revival_index", "t_revival", "le_at_revival"], rows
+    return results, ["revival_index", "t_revival", "le_at_revival"], rows
 
 
 def _cmd_dqpt(cfg: RunConfig):
@@ -244,20 +229,14 @@ def _cmd_dqpt(cfg: RunConfig):
     gate = None  # decided before the kernel runs, so a bad q_max or tol fails fast
     if is_critical_flux(spec.theta_post):
         gate = dqpt.finite_size_dqpt_gate(spec, q_max=cfg["q_max"], tol=cfg["tol"])
-    possible = dqpt.dqpt_possible(spec)
     modes = dqpt.solve_critical_modes(spec)
     t_max = float(times[-1])
-    # predict_dqpt_times lists at most floor(t_max / t* + 1/2) + 1 times per
-    # finite t*, counted first (a float division that overflows gives inf)
-    count = float(np.sum(np.floor([t_max / m.t_star + 0.5 for m in modes if isfinite(m.t_star)]) + 1.0))
-    if not count <= MAX_TABLE_ROWS:
-        raise ConfigError(f"{count:.12g} predicted cusp times exceed the limit of {MAX_TABLE_ROWS:g}; lower t_max")
+    dqpt._refuse_many_times(modes, t_max, MAX_TABLE_ROWS, ConfigError)  # before any time is listed
     predicted = dqpt.predict_dqpt_times(spec, t_max=t_max) if modes else []
     series = loschmidt_echo(spec, times, include_la=False)
     cusps = dqpt.detect_cusps(series, sensitivity=cfg["sensitivity"])
-    meta = _base_metadata(cfg, ("theta1", "theta2"))
-    meta.update(
-        possible=possible,
+    results = dict(
+        possible=dqpt.dqpt_possible(spec),
         n_critical_modes=len(modes),
         k_star=";".join(repr(m.k_star) for m in modes),
         t_star=";".join(repr(m.t_star) for m in modes),
@@ -267,7 +246,7 @@ def _cmd_dqpt(cfg: RunConfig):
         n_points=int(times.size),
     )
     if gate is not None:
-        meta.update(q_max=cfg["q_max"], tol=cfg["tol"], zero_mode_gate=gate)
+        results.update(q_max=cfg["q_max"], tol=cfg["tol"], zero_mode_gate=gate)
     cusps = np.asarray(cusps, dtype=float)
     nearest = np.full(cusps.size, np.inf)  # no finite cusp time predicted
     if predicted:  # sorted; the neighbours of each cusp, the earlier one on a tie
@@ -276,7 +255,7 @@ def _cmd_dqpt(cfg: RunConfig):
         left, right = predicted[np.maximum(i - 1, 0)], predicted[np.minimum(i, predicted.size - 1)]
         nearest = np.where(np.abs(left - cusps) <= np.abs(right - cusps), left, right)
     data = np.column_stack([np.arange(cusps.size), cusps, nearest, np.abs(cusps - nearest)])
-    return meta, ["cusp_index", "t_cusp", "t_predicted_nearest", "abs_diff"], data
+    return results, ["cusp_index", "t_cusp", "t_predicted_nearest", "abs_diff"], data
 
 
 _WORK_COLUMNS = [
@@ -290,37 +269,41 @@ def _cmd_work(cfg: RunConfig):
     """``work`` and ``scan``: one row per theta2, ``work`` having the one angle."""
     from . import thermo
 
-    if cfg.command == "scan":
-        theta2 = np.linspace(cfg["theta2_min"], cfg["theta2_max"], cfg["n_theta2"])
-        meta = _base_metadata(cfg, ("theta1",))
-        meta.update(
-            theta2_min_over_pi=cfg["theta2_min"],
-            theta2_max_over_pi=cfg["theta2_max"],
-            n_theta2=cfg["n_theta2"],
-        )
-    else:
-        theta2 = np.array([cfg["theta2"]])
-        meta = _base_metadata(cfg, ("theta1", "theta2"))
+    scan = cfg.command == "scan"
+    theta2 = np.linspace(cfg["theta2_min"], cfg["theta2_max"], cfg["n_theta2"]) if scan else np.array([cfg["theta2"]])
     sums = thermo.scan_theta2(cfg.params, cfg["theta1"] * pi, theta2 * pi).T
     theta1 = np.full(theta2.size, cfg["theta1"])
     rows = np.column_stack([theta1, theta2, sums, sums / cfg.params.n_rungs])
-    return meta, _WORK_COLUMNS, rows
+    return {}, _WORK_COLUMNS, rows
 
 
-_RUNNERS = {
-    "spectrum": _cmd_spectrum,
-    "le": _cmd_le,
-    "revival": _cmd_revival,
-    "dqpt": _cmd_dqpt,
-    "work": _cmd_work,
-    "scan": _cmd_work,
+# command -> (help, the inputs its metadata echoes, runner).  A runner
+# returns its metadata results, its columns and its rows.  Every angle key,
+# and no other, starts with "theta".
+_COMMANDS: dict[str, tuple[str, tuple[str, ...], Callable[[RunConfig], tuple]]] = {
+    "spectrum": ("per-mode band data of one ladder", ("theta",), _cmd_spectrum),
+    "le": ("Loschmidt echo and rate function on a time grid", ("theta1", "theta2"), _cmd_le),
+    "revival": ("predict and detect echo revivals",
+                ("theta1", "theta2", "q_max", "tol", "window", "peak_fraction", "margin"), _cmd_revival),
+    "dqpt": ("critical modes, predicted cusp times, detected cusps", ("theta1", "theta2"), _cmd_dqpt),
+    "work": ("average work, free-energy difference, irreversible work", ("theta1", "theta2"), _cmd_work),
+    "scan": ("work statistics swept over the post-quench flux",
+             ("theta1", "theta2_min", "theta2_max", "n_theta2"), _cmd_work),
 }
 
 
 def run(config: RunConfig) -> int:
-    """Execute one resolved configuration and write its output table."""
+    """Execute one resolved configuration and write its output table, whose
+    metadata is the common keys, the command's echoed inputs, then its results."""
     _park_blas_pool()
-    meta, columns, rows = _RUNNERS[config.command](config)
+    _, echoed, runner = _COMMANDS[config.command]
+    results, columns, rows = runner(config)
+    p = config.params
+    meta: dict[str, Any] = dict(command=config.command, j_h=p.j_h, j_v=p.j_v, j_d=p.j_d, n_rungs=p.n_rungs)
+    for key in echoed:
+        if config[key] is not None:
+            meta[f"{key}_over_pi" if key.startswith("theta") else key] = config[key]
+    meta.update(results)
     write_table(config.out, meta, columns, rows, fmt=config.fmt)
     return 0
 
@@ -332,14 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "revivals, dynamical transitions, and work statistics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("spectrum", "per-mode band data of one ladder"),
-        ("le", "Loschmidt echo and rate function on a time grid"),
-        ("revival", "predict and detect echo revivals"),
-        ("dqpt", "critical modes, predicted cusp times, detected cusps"),
-        ("work", "average work, free-energy difference, irreversible work"),
-        ("scan", "work statistics swept over the post-quench flux"),
-    ):
+    for name, (help_text, _, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="flat key = value configuration file")
         cmd.add_argument(

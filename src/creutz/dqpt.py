@@ -121,18 +121,30 @@ def solve_critical_modes(spec: QuenchSpec) -> list[CriticalMode]:
     return modes
 
 
+def _refuse_many_times(modes: list[CriticalMode], t_max: float, limit: int = 10**7,
+                       error: type = DomainError) -> None:
+    """Raise ``error`` when ``predict_dqpt_times`` would list more than
+    ``limit`` times (10^7 floats are 320 MB as a list): floor(t_max / t* +
+    1/2) + 1 per finite t*, a count that is inf where a division overflows."""
+    count = float(np.sum(np.floor([t_max / m.t_star + 0.5 for m in modes if math.isfinite(m.t_star)]) + 1.0))
+    if not count <= limit:
+        raise error(f"{count:.12g} predicted cusp times exceed the limit of {limit:g}; lower t_max")
+
+
 def predict_dqpt_times(spec: QuenchSpec, t_max: float) -> list[float]:
     """Merged, sorted cusp times t*(n + 1/2) up to ``t_max``.
 
     Tangent modes carry no finite timescale and contribute nothing.
-    Raises when the quench has no critical mode at all, and for a
-    negative or non-finite ``t_max``.
+    Raises when the quench has no critical mode at all, for a negative
+    or non-finite ``t_max``, and, before listing any, for more than 10^7
+    times.
     """
     if not 0.0 <= t_max < math.inf:  # also refuses nan
         raise DomainError(f"t_max must be non-negative and finite, got {t_max}")
     modes = solve_critical_modes(spec)
     if not modes:
         raise NoDqptError("quench admits no critical mode; no transition times exist")
+    _refuse_many_times(modes, t_max)
     times = []
     for mode in modes:
         if math.isfinite(mode.t_star):
@@ -219,5 +231,4 @@ def finite_size_dqpt_gate(spec: QuenchSpec, q_max: int = 64, tol: float = 1e-9) 
     gap-closing wavenumbers lie on the mode grid; False when the angle
     is incommensurate at this resolution.
     """
-    base = _critical_target_base(spec, q_max, tol)
-    return base is not None and spec.params.n_rungs % base == 0
+    return _critical_target_base(spec, q_max, tol)[1]

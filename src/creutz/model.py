@@ -184,18 +184,23 @@ def _require_equal_hoppings(params: LadderParams) -> float:
     return params.j_h
 
 
+def _gap_closing_angle(params: LadderParams) -> float:
+    """arccos(j_v/2j), once j_h == j_d == j and j_v < 2j are checked."""
+    j = _require_equal_hoppings(params)
+    if params.j_v >= 2.0 * j:
+        raise DomainError(
+            f"gap never closes for j_v >= 2j (j_v={params.j_v}, j={j}); no critical wavenumbers"
+        )
+    return math.acos(params.j_v / (2.0 * j))
+
+
 def critical_wavenumbers(params: LadderParams) -> tuple[float, float]:
     """Gap-closing wavenumbers (k_c-, k_c+) = pi -/+ arccos(j_v/2j).
 
     Requires j_h == j_d == j and j_v < 2j; outside that range the gap
     never closes and the request is rejected.
     """
-    j = _require_equal_hoppings(params)
-    if params.j_v >= 2.0 * j:
-        raise DomainError(
-            f"gap never closes for j_v >= 2j (j_v={params.j_v}, j={j}); no critical wavenumbers"
-        )
-    acos = math.acos(params.j_v / (2.0 * j))
+    acos = _gap_closing_angle(params)
     return math.pi - acos, math.pi + acos
 
 
@@ -211,7 +216,7 @@ def commensurate_base(params: LadderParams, q_max: int = 64, tol: float = 1e-9) 
     its size.  ``tol`` must be positive and finite, and q_max^2 tol at
     most 1e-3.
     """
-    critical_wavenumbers(params)  # validates j_h == j_d and j_v < 2j
+    x = _gap_closing_angle(params) / math.pi
     if q_max < 2:
         raise DomainError(f"q_max must be >= 2, got {q_max}")
     if not 0.0 < tol < math.inf:  # also refuses nan
@@ -224,7 +229,6 @@ def commensurate_base(params: LadderParams, q_max: int = 64, tol: float = 1e-9) 
             "1e-3, or ever more irrational angles count as rational"
         )
     from fractions import Fraction  # here, not at import: it and decimal cost every run 2 ms
-    x = math.acos(params.j_v / (2.0 * params.j_h)) / math.pi
     # 0 < x < 1/2 since j_v > 0, so the fraction is at most 1/2
     frac = Fraction(x).limit_denominator(int(q_max))
     if frac == 0 or abs(x - float(frac)) >= tol:
@@ -233,15 +237,16 @@ def commensurate_base(params: LadderParams, q_max: int = 64, tol: float = 1e-9) 
     return q if (q - p) % 2 == 0 else 2 * q
 
 
-def _critical_target_base(spec: QuenchSpec, q_max: int, tol: float) -> Optional[int]:
-    """``commensurate_base(spec.params, q_max, tol)`` of a quench to a
-    critical flux, the zero-mode decision of revival prediction and of the
-    finite-size gate; any other target is refused."""
+def _critical_target_base(spec: QuenchSpec, q_max: int, tol: float) -> tuple[Optional[int], bool]:
+    """``commensurate_base`` of a quench to a critical flux, and whether it
+    divides the ladder size: the zero-mode decision of revival prediction
+    and of the finite-size gate.  Any other target is refused."""
     if not is_critical_flux(spec.theta_post):
         raise InvalidQuenchTargetError(
             f"zero-mode analysis needs theta_post at a critical flux (0 or pi), got {spec.theta_post}"
         )
-    return commensurate_base(spec.params, q_max=q_max, tol=tol)
+    base = commensurate_base(spec.params, q_max=q_max, tol=tol)
+    return base, base is not None and spec.params.n_rungs % base == 0
 
 
 def group_velocity(params: LadderParams) -> float:
@@ -250,7 +255,7 @@ def group_velocity(params: LadderParams) -> float:
     Closed form 2*sqrt(4j^2 - j_v^2); identical at both gap-closing
     wavenumbers.
     """
-    critical_wavenumbers(params)  # validates j_h == j_d and j_v < 2j
+    _gap_closing_angle(params)  # validates j_h == j_d and j_v < 2j
     j = params.j_h
     return 2.0 * math.sqrt(4.0 * j * j - params.j_v * params.j_v)
 

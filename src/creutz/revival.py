@@ -66,18 +66,17 @@ def predict_revival(spec: QuenchSpec, q_max: int = 64, tol: float = 1e-9) -> Rev
     The post-quench flux must be 0 or pi and the gap-closing angle must
     be recognizably rational (see ``commensurate_base``).
     """
-    base = _critical_target_base(spec, q_max, tol)
+    base, commensurate = _critical_target_base(spec, q_max, tol)
     if base is None:
         raise IncommensurateAngleError(
             f"arccos(j_v/2j)/pi not rational within tol={tol} for q <= {q_max}"
         )
-    n = spec.params.n_rungs
-    effective_n = math.lcm(base, n)
+    effective_n = math.lcm(base, spec.params.n_rungs)
     return RevivalPrediction(
         base=base,
         effective_n=effective_n,
         period=effective_n / group_velocity(spec.params),
-        commensurate=(n % base == 0),
+        commensurate=commensurate,
     )
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: formats, precedence, determinism, exit codes."""
 
+import argparse
 import contextlib
 import ctypes
 import io
@@ -419,6 +420,48 @@ def test_documented_config_table_names_exactly_the_keys():
     assert sorted(documented) == sorted([*cli._KEYS, "j"])
 
 
+def test_parser_table_and_docs_name_the_same_commands():
+    # the ``###`` sections under "Per-command schemas" in docs/formats.md
+    with open(os.path.join(SRC, os.pardir, "docs", "formats.md"), encoding="utf-8") as docs:
+        section = docs.read().split("## Per-command schemas\n", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^### (\S+)$", section, flags=re.MULTILINE)
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(cli._COMMANDS) == documented == ["spectrum", "le", "revival", "dqpt",
+                                                                      "work", "scan"]
+
+
+COMMON_KEYS = ["command", "j_h", "j_v", "j_d", "n_rungs"]
+TIME_GRID = ["t_max", "n_points"]
+REVIVAL_INPUTS = ["theta1_over_pi", "theta2_over_pi", "q_max", "tol", "window", "peak_fraction"]
+REVIVAL_RESULTS = ["base", "effective_n", "predicted_period", "commensurate", "first_revival", "mean_level",
+                   "threshold", "relaxation_time", *TIME_GRID]
+DQPT_RESULTS = ["possible", "n_critical_modes", "k_star", "t_star", "predicted_times", "sensitivity", *TIME_GRID]
+
+
+@pytest.mark.parametrize("command, settings, inputs, results", [
+    ("spectrum", [], ["theta_over_pi"], []),
+    ("le", [], ["theta1_over_pi", "theta2_over_pi"], TIME_GRID),
+    ("revival", [], REVIVAL_INPUTS, REVIVAL_RESULTS),
+    ("revival", ["margin=0.001"], [*REVIVAL_INPUTS, "margin"], REVIVAL_RESULTS),
+    ("dqpt", ["theta1=0.25", "theta2=-0.25"], ["theta1_over_pi", "theta2_over_pi"], DQPT_RESULTS),
+    ("dqpt", ["theta1=0.25"], ["theta1_over_pi", "theta2_over_pi"],
+     [*DQPT_RESULTS, "q_max", "tol", "zero_mode_gate"]),
+    ("work", [], ["theta1_over_pi", "theta2_over_pi"], []),
+    ("scan", [], ["theta1_over_pi", "theta2_min_over_pi", "theta2_max_over_pi", "n_theta2"], []),
+])
+def test_metadata_is_the_common_keys_then_the_inputs_then_the_results(tmp_path, command, settings, inputs,
+                                                                       results):
+    # the inputs are the set ones among those the command table echoes
+    echoed = [key for key in cli._COMMANDS[command][1] if key != "margin" or settings]
+    assert [key.replace("_over_pi", "") for key in inputs] == echoed
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"out.{fmt}"
+        argv = [command, *(arg for s in ["n_rungs=20", "n_points=200", "n_theta2=3", *settings]
+                           for arg in ("--set", s))]
+        assert run_cli(*argv, "--format", fmt, "--out", str(out)) == 0
+        assert list(read_table(str(out))[0]) == COMMON_KEYS + inputs + results
+
+
 class TestLeRevivalRoundTrip:
     def test_echo_series_supports_revival_detection(self, tmp_path):
         # the exported series itself carries the first revival
@@ -676,7 +719,7 @@ def _refuse_constant(name):
 
 
 @given(
-    command=st.sampled_from(sorted(set(cli._RUNNERS))),
+    command=st.sampled_from(sorted(cli._COMMANDS)),
     settings_=st.dictionaries(st.sampled_from(sorted(["j", *cli._KEYS])), fuzz_value,
                               min_size=1, max_size=3),
     fmt=st.sampled_from(["csv", "json"]),

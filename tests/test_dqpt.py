@@ -270,6 +270,18 @@ class TestPredictedTimes:
         with pytest.raises(DomainError, match="t_max"):
             predict_dqpt_times(make_spec(*ACROSS), t_max=t_max)
 
+    @pytest.mark.parametrize("j, t_max", [(1e150, 1e200), (1.0, 1e300), (1.0, 1.1e7)])
+    def test_refuses_more_than_ten_million_times_before_listing_any(self, monkeypatch, j, t_max):
+        # N 20: t_max 1e300 listed times until memory ran out, 1.1e7 lists
+        # 1.04e7 of them, and the tiny t* of j = 1e150 made the count inf and
+        # ended in OverflowError; no range of indices may be started
+        def refuse(*args):
+            raise AssertionError("cusp times were listed")
+
+        monkeypatch.setattr(dqpt, "range", refuse, raising=False)
+        with pytest.raises(DomainError, match=r"predicted cusp times exceed the limit of 1e\+07; lower t_max"):
+            predict_dqpt_times(make_spec(*ACROSS, n=20, j=j), t_max=t_max)
+
 
 class TestFisherZeroLines:
     def test_structure(self):

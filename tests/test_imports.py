@@ -1,6 +1,8 @@
 """The package imports its modules on first use: each command loads only its own."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -19,16 +21,30 @@ COMMANDS = {
     "work": {"thermo"},
     "scan": {"thermo"},
 }
+# each module that owns public names, and the modules it imports
+IMPORTS = {
+    "errors": set(),
+    "model": {"errors"},
+    "quench": {"errors", "model"},
+    "thermo": {"errors", "model"},
+    "dqpt": {"errors", "model"},
+    "revival": {"errors", "model"},
+}
+
+
+def run_python(script, *args):
+    """What a fresh interpreter prints running ``script`` on ``args``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def loaded_after(script, *args):
     """The ``creutz.*`` modules a fresh interpreter holds after ``script``."""
     script += "\nimport sys\nprint(' '.join(m[7:] for m in sys.modules if m.startswith('creutz.')))\n"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return set(done.stdout.split())
+    return set(run_python(script, *args).split())
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -55,6 +71,26 @@ def test_a_submodule_lookup_imports_nothing_else():
 def test_a_name_imports_its_module_and_what_that_imports():
     assert loaded_after("from creutz import LadderParams") == {"errors", "model"}
     assert loaded_after("from creutz import QuenchSpec, loschmidt_echo") == {"errors", "model", "quench"}
+    # every public name, each from a package imported afresh in one interpreter
+    script = (
+        "import sys\n"
+        "for name in sys.argv[1:]:\n"
+        "    for module in [m for m in sys.modules if m == 'creutz' or m.startswith('creutz.')]:\n"
+        "        del sys.modules[module]\n"
+        "    exec(f'from creutz import {name}')\n"
+        "    print(name, *(m[7:] for m in sys.modules if m.startswith('creutz.')))\n"
+    )
+    loaded = {name: set(rest) for name, *rest in map(str.split, run_python(script, *creutz.__all__).splitlines())}
+    owners = {name: module for module in IMPORTS for name in importlib.import_module(f"creutz.{module}").__all__}
+    assert loaded == {name: {owner} | IMPORTS[owner] for name, owner in owners.items()}
+
+
+def test_the_owner_table_is_the_union_of_the_modules_all_lists():
+    # every module with an ``__all__`` list, and no other, owns public names
+    modules = [importlib.import_module(f"creutz.{info.name}") for info in pkgutil.iter_modules(creutz.__path__)]
+    owning = {module.__name__[7:]: sorted(module.__all__) for module in modules if hasattr(module, "__all__")}
+    assert {name: sorted(names.split()) for name, names in creutz._PUBLIC.items()} == owning
+    assert set(IMPORTS) == set(owning)
 
 
 def test_the_consumers_of_the_mode_table_do_not_load_the_kernel():
