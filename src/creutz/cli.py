@@ -231,8 +231,7 @@ def _cmd_dqpt(cfg: RunConfig):
         gate = dqpt.finite_size_dqpt_gate(spec, q_max=cfg["q_max"], tol=cfg["tol"])
     modes = dqpt.solve_critical_modes(spec)
     t_max = float(times[-1])
-    dqpt._refuse_many_times(modes, t_max, MAX_TABLE_ROWS, ConfigError)  # before any time is listed
-    predicted = dqpt.predict_dqpt_times(spec, t_max=t_max) if modes else []
+    predicted = dqpt._cusp_times(modes, t_max, MAX_TABLE_ROWS, ConfigError)
     series = loschmidt_echo(spec, times, include_la=False)
     cusps = dqpt.detect_cusps(series, sensitivity=cfg["sensitivity"])
     results = dict(

@@ -121,14 +121,19 @@ def solve_critical_modes(spec: QuenchSpec) -> list[CriticalMode]:
     return modes
 
 
-def _refuse_many_times(modes: list[CriticalMode], t_max: float, limit: int = 10**7,
-                       error: type = DomainError) -> None:
-    """Raise ``error`` when ``predict_dqpt_times`` would list more than
-    ``limit`` times (10^7 floats are 320 MB as a list): floor(t_max / t* +
-    1/2) + 1 per finite t*, a count that is inf where a division overflows."""
-    count = float(np.sum(np.floor([t_max / m.t_star + 0.5 for m in modes if math.isfinite(m.t_star)]) + 1.0))
+def _cusp_times(modes: list[CriticalMode], t_max: float, limit: int, error: type) -> list[float]:
+    """Sorted cusp times t*(n + 1/2) <= ``t_max`` of the ``modes`` with a
+    finite t*, as floats.  Raises ``error`` before listing any when the count,
+    floor(t_max / t* + 1/2) + 1 per mode, exceeds ``limit`` or is inf because
+    a division overflows."""
+    t_star = [m.t_star for m in modes if math.isfinite(m.t_star)]
+    counts = np.floor([t_max / t + 0.5 for t in t_star]) + 1.0  # a float overflow is inf, not a numpy warning
+    count = float(np.sum(counts))
     if not count <= limit:
         raise error(f"{count:.12g} predicted cusp times exceed the limit of {limit:g}; lower t_max")
+    parts = [t * (np.arange(c) + 0.5) for t, c in zip(t_star, counts.astype(int))]
+    times = np.concatenate([np.empty(0), *parts])
+    return np.sort(times[times <= t_max]).tolist()
 
 
 def predict_dqpt_times(spec: QuenchSpec, t_max: float) -> list[float]:
@@ -137,20 +142,14 @@ def predict_dqpt_times(spec: QuenchSpec, t_max: float) -> list[float]:
     Tangent modes carry no finite timescale and contribute nothing.
     Raises when the quench has no critical mode at all, for a negative
     or non-finite ``t_max``, and, before listing any, for more than 10^7
-    times.
+    times (10^7 floats are 320 MB as a list).
     """
     if not 0.0 <= t_max < math.inf:  # also refuses nan
         raise DomainError(f"t_max must be non-negative and finite, got {t_max}")
     modes = solve_critical_modes(spec)
     if not modes:
         raise NoDqptError("quench admits no critical mode; no transition times exist")
-    _refuse_many_times(modes, t_max)
-    times = []
-    for mode in modes:
-        if math.isfinite(mode.t_star):
-            n_max = int(t_max / mode.t_star + 0.5)
-            times += [t for t in (mode.t_star * (n + 0.5) for n in range(n_max + 1)) if t <= t_max]
-    return sorted(times)
+    return _cusp_times(modes, t_max, 10**7, DomainError)
 
 
 def fisher_zero_lines(

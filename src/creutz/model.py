@@ -7,7 +7,8 @@ conditions, horizontal hopping ``j_h`` carrying a Peierls phase
 
 All band energies here use the shifted convention: the constant ``j_v``
 is subtracted from both quasiparticle branches.  Gaps and energy
-differences are unaffected by the shift.  A sudden flux quench
+differences are unaffected by the shift.  Every mode table reads its
+band terms from one owner, ``_band_terms``.  A sudden flux quench
 (``QuenchSpec``) has one closed-form per-mode table, ``mode_arrays``,
 which the echo kernel (``quench``), ``dqpt`` and ``thermo`` read, and
 ``exact_le_oracle``, the determinant-overlap echo of the real-space
@@ -55,11 +56,11 @@ _MAX_HOPPING = 1e150
 _MIN_HOPPING = 1e-150  # of a nonzero hopping
 
 
-def _integer_count(value, name: str = "n_rungs") -> int:
-    """``value`` as an int; non-finite, fractional or < 2 values are rejected."""
+def _integer_count(value, name: str = "n_rungs", least: int = 2) -> int:
+    """``value`` as an int; non-finite, fractional or < ``least`` values are rejected."""
     # the chained comparison is False for nan and inf, so int() never sees them
-    if not 2 <= value < math.inf or int(value) != value:
-        raise DomainError(f"{name} must be an integer >= 2, got {value}")
+    if not least <= value < math.inf or int(value) != value:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value}")
     return int(value)
 
 
@@ -142,11 +143,14 @@ def allowed_modes(n_rungs: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def _band_terms(params: LadderParams, k: np.ndarray):
-    """u = 2 j_h sin k, v = -2 j_h cos k and q = eps_qp at ``k``, the terms of
-    every mode table."""
+def _band_terms(params: LadderParams, k: np.ndarray, *thetas: float):
+    """u = 2 j_h sin k, v = -2 j_h cos k and q = eps_qp at ``k``, then per flux
+    theta of ``thetas`` a = u sin theta, half gap h = sqrt(q^2 + a^2) and band
+    centre v cos theta - j_v as one tuple: the terms of every mode table."""
     cos_k = np.cos(k)
-    return 2.0 * params.j_h * np.sin(k), -2.0 * params.j_h * cos_k, 2.0 * params.j_d * cos_k + params.j_v
+    u, v, q = 2.0 * params.j_h * np.sin(k), -2.0 * params.j_h * cos_k, 2.0 * params.j_d * cos_k + params.j_v
+    fluxes = [((a := u * np.sin(t)), np.sqrt(q * q + a * a), v * np.cos(t) - params.j_v) for t in thetas]
+    return u, v, q, *fluxes
 
 
 def mode_data(params: LadderParams, k) -> ModeData:
@@ -157,12 +161,10 @@ def mode_data(params: LadderParams, k) -> ModeData:
     """
     theta = params.theta
     k = np.asarray(k, dtype=float)
-    u, v, eps_qp = _band_terms(params, k)
+    _, _, eps_qp, (_, half_gap, center) = _band_terms(params, k, theta)
     eps_q = 2.0 * params.j_h * np.cos(k - theta)
     eps_p = 2.0 * params.j_h * np.cos(k + theta)
     gamma = np.arctan2(2.0 * eps_qp, eps_q - eps_p)
-    half_gap = np.sqrt(eps_qp**2 + (u * np.sin(theta)) ** 2)
-    center = v * np.cos(theta) - params.j_v
     e_alpha, e_beta = center - half_gap, center + half_gap
     return ModeData(
         k=k,
@@ -217,8 +219,7 @@ def commensurate_base(params: LadderParams, q_max: int = 64, tol: float = 1e-9) 
     most 1e-3.
     """
     x = _gap_closing_angle(params) / math.pi
-    if q_max < 2:
-        raise DomainError(f"q_max must be >= 2, got {q_max}")
+    q_max = _integer_count(q_max, "q_max")
     if not 0.0 < tol < math.inf:  # also refuses nan
         raise DomainError(f"tol must be positive and finite, got {tol}")
     # every angle lies within 1/q^2 of some p/q: of 20000 random angles at tol
@@ -230,7 +231,7 @@ def commensurate_base(params: LadderParams, q_max: int = 64, tol: float = 1e-9) 
         )
     from fractions import Fraction  # here, not at import: it and decimal cost every run 2 ms
     # 0 < x < 1/2 since j_v > 0, so the fraction is at most 1/2
-    frac = Fraction(x).limit_denominator(int(q_max))
+    frac = Fraction(x).limit_denominator(q_max)
     if frac == 0 or abs(x - float(frac)) >= tol:
         return None
     p, q = frac.numerator, frac.denominator
@@ -326,18 +327,15 @@ def mode_arrays(spec: QuenchSpec, ks=None) -> ModeArrays:
     """Per-mode quench data at ``ks``; by default the modes 0 < k < pi of the
     grid, each standing also for 2 pi - k, which shares every field.
 
-    With u = 2 j_h sin k, v = -2 j_h cos k and q = eps_qp, a flux theta has
-    a = u sin theta, half gap h = sqrt(q^2 + a^2) and lower-band energy
-    v cos theta - j_v - h.  Then sin 2 eta = q (a2 - a1) / (h1 h2) and
-    cos 2 eta = (q^2 + a1 a2) / (h1 h2), eta = 0 where h1 h2 = 0.  A is
-    sin^2 2 eta if that square is the smaller, else 1 - cos^2 2 eta, and
-    min(cos^2 eta, sin^2 eta) = sin^2 2 eta / (2 (1 + |cos 2 eta|)).
+    With the q and, per flux, a and half gap h of ``_band_terms``,
+    sin 2 eta = q (a2 - a1) / (h1 h2) and cos 2 eta = (q^2 + a1 a2) / (h1 h2),
+    eta = 0 where h1 h2 = 0.  A is sin^2 2 eta if that square is the smaller,
+    else 1 - cos^2 2 eta, min(cos^2 eta, sin^2 eta) = sin^2 2 eta /
+    (2 (1 + |cos 2 eta|)), and ``ea_*`` is the band centre minus h.
     """
-    p, n = spec.params, spec.params.n_rungs
+    n = spec.params.n_rungs
     k = allowed_modes(n)[1 : (n + 1) // 2] if ks is None else np.asarray(ks, dtype=float)
-    u, v, q = _band_terms(p, k)
-    a1, a2 = u * np.sin(spec.theta_pre), u * np.sin(spec.theta_post)
-    h1, h2 = np.sqrt(q * q + a1 * a1), np.sqrt(q * q + a2 * a2)
+    _, _, q, (a1, h1, center1), (a2, h2, center2) = _band_terms(spec.params, k, spec.theta_pre, spec.theta_post)
     hh = h1 * h2
     s = np.divide(q * (a2 - a1), hh, out=np.zeros_like(hh), where=hh > 0.0)
     c = np.divide(q * q + a1 * a2, hh, out=np.ones_like(hh), where=hh > 0.0)
@@ -347,8 +345,8 @@ def mode_arrays(spec: QuenchSpec, ks=None) -> ModeArrays:
         amplitude=np.where(s * s <= c * c, s * s, 1.0 - c * c),
         cos2_eta=np.where(c >= 0.0, 1.0 - small, small),
         gap_post=2.0 * h2,
-        ea_pre=v * np.cos(spec.theta_pre) - p.j_v - h1,
-        ea_post=v * np.cos(spec.theta_post) - p.j_v - h2,
+        ea_pre=center1 - h1,
+        ea_post=center2 - h2,
     )
 
 

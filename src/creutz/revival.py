@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, IncommensurateAngleError, NoRevivalError
-from .model import LESeries, QuenchSpec, _critical_target_base, _require_uniform_grid, group_velocity
+from .model import (LESeries, QuenchSpec, _critical_target_base, _integer_count, _require_uniform_grid,
+                    group_velocity)
 
 __all__ = [
     "RevivalDetection",
@@ -105,8 +106,7 @@ def detect_revivals(
     le = np.asarray(series.le, dtype=float)
     if times.size < 16:
         raise DomainError("series too short for revival detection")
-    if window < 1:
-        raise DomainError(f"window must be a positive integer, got {window}")
+    window = _integer_count(window, "window", 1)
     if margin is not None and not 0.0 < margin < math.inf:  # also refuses nan
         raise DomainError(f"margin must be positive and finite, got {margin}")
     _require_uniform_grid(times, "revival detection")

@@ -121,10 +121,11 @@ def _merge(works: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def scan_theta2(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
     """Work statistics for a sweep of post-quench angles at fixed theta1:
-    average_work, delta_f and irreversible_work, a (3, len(theta2_grid)) array.
+    average_work, delta_f and irreversible_work, a (3, len(theta2_grid)) array
+    for a one-dimensional grid.
 
     One (theta2 x k) evaluation on the modes 0 < k < pi, each counted twice,
-    with the u, v, q, a and h of ``mode_arrays`` and cos gamma1 = a1 / h1
+    with the u, v, q, a and h of ``model._band_terms`` and cos gamma1 = a1 / h1
     (1 where h1 = 0).  Per mode, dc = v (cos theta2 - cos theta1),
     dh = h2 - h1 and lin = cos gamma1 (a2 - a1) give average_work =
     sum (dc - lin), delta_f = sum (dc - dh) and irreversible_work =
@@ -142,15 +143,16 @@ def scan_theta2(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
     chunk runs in the calling thread.  Each row is an elementwise pass and its
     own row sums, so the bits are the same for any number of CPUs.
     """
+    theta2_grid = np.asarray(theta2_grid, dtype=float)
+    if theta2_grid.ndim != 1:
+        raise DomainError("theta2_grid must be a one-dimensional array")
     n = params.n_rungs
     k = allowed_modes(n)[1 : (n + 1) // 2]  # 0 < k < pi
     theta1 = canonical_angle(theta1)
-    u, v, q = _band_terms(params, k)
+    u, v, q, (a1, h1, _) = _band_terms(params, k, theta1)
     q2 = q**2
-    a1 = u * math.sin(theta1)
-    h1 = np.sqrt(q2 + a1 * a1)
     c1 = np.divide(a1, h1, out=np.ones_like(h1), where=h1 > 0.0)  # cos gamma1
-    theta2 = [canonical_angle(t) for t in np.asarray(theta2_grid, dtype=float)]
+    theta2 = [canonical_angle(t) for t in theta2_grid]
     sin_theta2 = np.array([math.sin(t) for t in theta2])[:, None]
     dcos = np.array([math.cos(t) - math.cos(theta1) for t in theta2])[:, None]
     ends = -2.0 * params.j_h * (n % 2) * dcos[:, 0]  # the dc of k = 0 and k = pi

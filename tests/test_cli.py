@@ -356,7 +356,7 @@ class TestConfigHandling:
         def refuse(*args, **kwargs):
             raise AssertionError("cusp times were listed or the echo was run")
 
-        monkeypatch.setattr(dqpt, "predict_dqpt_times", refuse)
+        monkeypatch.setattr(np, "arange", refuse)
         monkeypatch.setattr(quench, "loschmidt_echo", refuse)
         out = tmp_path / "dqpt.csv"
         argv = ["dqpt", "--set", "n_rungs=20", "--set", "theta1=0.25", "--set", "theta2=-0.25"]
@@ -534,6 +534,18 @@ class TestDqptCommand:
         assert meta["n_critical_modes"] == 2
         assert rows.shape[0] >= 2
         assert np.all(rows[:, 3] <= 2e-3 + 1e-12)
+
+    def test_critical_modes_are_solved_once(self, tmp_path, monkeypatch):
+        # the run lists its predicted times from the modes it solved, the
+        # times predict_dqpt_times lists
+        calls, solve = [], dqpt.solve_critical_modes
+        monkeypatch.setattr(dqpt, "solve_critical_modes", lambda spec: calls.append(spec) or solve(spec))
+        out = tmp_path / "dqpt.csv"
+        assert run_cli("dqpt", "--set", "n_rungs=300", "--set", "theta1=0.25", "--set", "theta2=-0.25",
+                       "--set", "t_max=10", "--set", "n_points=101", "--out", str(out)) == 0
+        assert len(calls) == 1
+        meta, _, _ = read_table(str(out))
+        assert meta["predicted_times"] == ";".join(map(repr, dqpt.predict_dqpt_times(calls[0], 10.0)))
 
     def test_same_phase_quench_yields_empty_table(self, tmp_path):
         out = tmp_path / "dqpt.csv"

@@ -278,7 +278,7 @@ class TestPredictedTimes:
         def refuse(*args):
             raise AssertionError("cusp times were listed")
 
-        monkeypatch.setattr(dqpt, "range", refuse, raising=False)
+        monkeypatch.setattr(np, "arange", refuse)
         with pytest.raises(DomainError, match=r"predicted cusp times exceed the limit of 1e\+07; lower t_max"):
             predict_dqpt_times(make_spec(*ACROSS, n=20, j=j), t_max=t_max)
 

@@ -10,13 +10,19 @@ from hypothesis import strategies as st
 from creutz import (
     DomainError,
     LadderParams,
+    LESeries,
+    QuenchSpec,
     allowed_modes,
     canonical_angle,
     commensurate_base,
     critical_wavenumbers,
+    detect_revivals,
+    finite_size_dqpt_gate,
     group_velocity,
     is_critical_flux,
     mode_data,
+    predict_revival,
+    scan_theta2,
 )
 from creutz import model
 
@@ -294,6 +300,31 @@ class TestValidation:
             LadderParams(1.0, 1.0, 1.0, 0.0, bad)
         with pytest.raises(DomainError):
             allowed_modes(bad)
+
+    @pytest.mark.parametrize("name, bad", [
+        *[(name, q_max) for name in ("commensurate_base", "predict_revival", "finite_size_dqpt_gate")
+          for q_max in (math.nan, math.inf, 2.5)],
+        *[("detect_revivals", window) for window in (math.nan, math.inf, 1.5)],
+        pytest.param("scan_theta2", np.zeros((2, 3)), id="scan_theta2-2d"),
+        pytest.param("scan_theta2", 0.3, id="scan_theta2-scalar"),
+    ])
+    def test_rejects_counts_and_grids_outside_their_domain(self, name, bad):
+        # a nan q_max ended in ValueError and 2.5 counted as 2; a nan window
+        # merged every excursion into one revival; a grid that is not 1-D
+        # ended in TypeError
+        spec = QuenchSpec(params(n=30), 0.0016 * math.pi, 0.0)
+        flat = LESeries(np.linspace(0.0, 1.0, 16), np.ones(16), None, np.zeros(16), 30)
+        calls = {
+            "commensurate_base": lambda: commensurate_base(spec.params, q_max=bad),
+            "predict_revival": lambda: predict_revival(spec, q_max=bad),
+            "finite_size_dqpt_gate": lambda: finite_size_dqpt_gate(spec, q_max=bad),
+            "detect_revivals": lambda: detect_revivals(flat, window=bad),
+            "scan_theta2": lambda: scan_theta2(spec.params, 0.3, bad),
+        }
+        message = {"detect_revivals": "window must be an integer >= 1",
+                   "scan_theta2": "theta2_grid must be a one-dimensional array"}
+        with pytest.raises(DomainError, match=message.get(name, "q_max must be an integer >= 2")):
+            calls[name]()
 
     def test_rejects_hoppings_that_overflow_the_mode_table(self):
         # eps_qp**2 overflows to inf beyond about 1e154; the table stays

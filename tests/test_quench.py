@@ -249,6 +249,18 @@ class TestQuenchMode:
             np.testing.assert_allclose(amplitude, 4.0 * weights[:, 0] * weights[:, 1], rtol=0, atol=4 * eps)
             np.testing.assert_array_equal(mode_arrays(spec, ks[5:9]).cos2_eta, cos2[5:9])
 
+    @pytest.mark.parametrize("j_h, j_d, theta2", [(-0.7, 1.3, 0.0), (0.0, 0.8, np.pi), (1.2, 0.4, -0.6),
+                                                  (1.0, 1.0, np.pi)])
+    def test_lower_band_energies_are_the_bits_of_mode_data(self, j_h, j_d, theta2):
+        # both tables read the band terms of model._band_terms, so the lower
+        # band is the same bits on the default and the full grid
+        for n in (2, 25, 400):
+            spec = QuenchSpec(LadderParams(j_h, 0.9, j_d, 0.0, n), 0.37, theta2)
+            for ks in (None, allowed_modes(n)):
+                table = mode_arrays(spec, ks)
+                np.testing.assert_array_equal(table.ea_pre, mode_data(spec.pre, table.k).e_alpha)
+                np.testing.assert_array_equal(table.ea_post, mode_data(spec.post, table.k).e_alpha)
+
     def test_closed_gap_at_an_inner_mode(self):
         # q = 2 j_d cos k + j_v is exactly 0 at k = 2 pi / 3 for this j_v, so
         # with theta1 or theta2 at 0 that mode has h1 h2 = 0 and eta = 0
