@@ -15,6 +15,7 @@ Identical configurations write identical bytes.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 from dataclasses import dataclass, fields
 from math import inf, isfinite, pi
@@ -32,7 +33,7 @@ from .serialize import write_table  # the runners import quench, dqpt, revival a
 MAX_TIME_POINTS = 10**8
 # Most rows a mode or theta2 table may have (n_rungs, and n_theta2 for
 # scan), and most cusp times dqpt may predict: a spectrum of 10^6 rungs
-# peaks at about 100 MB and a scan of 10^6 angles at about 160 MB, as CSV or
+# peaks at about 43 MB and a scan of 10^6 angles at about 136 MB, as CSV or
 # JSON, and both grow linearly, as does the list of cusp times.
 MAX_TABLE_ROWS = 10**7
 
@@ -170,18 +171,16 @@ def _time_grid(cfg: RunConfig, default_t_max: float, default_dt: float) -> np.nd
 
 
 _SPECTRUM_COLUMNS = [field.name for field in fields(ModeData)]
+_spectrum_block = operator.attrgetter(*_SPECTRUM_COLUMNS)  # a ModeData's columns, in order
 _SPECTRUM_BLOCK_MODES = 8192  # modes per mode_data call, which peaks at 80 bytes a mode
 
 
 def _cmd_spectrum(cfg: RunConfig):
-    params = cfg.params
+    params, step = cfg.params, _SPECTRUM_BLOCK_MODES
     k = allowed_modes(params.n_rungs)
-    rows = np.empty((k.size, len(_SPECTRUM_COLUMNS)))
-    for lo in range(0, k.size, _SPECTRUM_BLOCK_MODES):
-        m = mode_data(params, k[lo : lo + _SPECTRUM_BLOCK_MODES])
-        for j, name in enumerate(_SPECTRUM_COLUMNS):
-            rows[lo : lo + _SPECTRUM_BLOCK_MODES, j] = getattr(m, name)
-    return {}, _SPECTRUM_COLUMNS, rows
+    # one mode_data call per block as the writer asks for it; no block is held after
+    return {}, _SPECTRUM_COLUMNS, (_spectrum_block(mode_data(params, k[lo : lo + step]))
+                                   for lo in range(0, k.size, step))
 
 
 def _cmd_le(cfg: RunConfig):
@@ -189,8 +188,8 @@ def _cmd_le(cfg: RunConfig):
 
     times = _time_grid(cfg, default_t_max=100.0, default_dt=0.02)
     series = loschmidt_echo(cfg.quench, times, include_la=False)
-    rows = np.column_stack([series.times, series.le, series.rate])
-    return dict(t_max=float(times[-1]), n_points=int(times.size)), ["t", "le", "rate"], rows
+    results = dict(t_max=float(times[-1]), n_points=int(times.size))
+    return results, ["t", "le", "rate"], [[series.times, series.le, series.rate]]
 
 
 def _cmd_revival(cfg: RunConfig):
@@ -216,8 +215,8 @@ def _cmd_revival(cfg: RunConfig):
         n_points=int(times.size),
     )
     grid_le = np.interp(detection.revival_times, series.times, series.le)
-    rows = np.column_stack([np.arange(grid_le.size), detection.revival_times, grid_le])
-    return results, ["revival_index", "t_revival", "le_at_revival"], rows
+    return (results, ["revival_index", "t_revival", "le_at_revival"],
+            [[np.arange(grid_le.size), detection.revival_times, grid_le]])
 
 
 def _cmd_dqpt(cfg: RunConfig):
@@ -253,8 +252,8 @@ def _cmd_dqpt(cfg: RunConfig):
         i = np.searchsorted(predicted, cusps)
         left, right = predicted[np.maximum(i - 1, 0)], predicted[np.minimum(i, predicted.size - 1)]
         nearest = np.where(np.abs(left - cusps) <= np.abs(right - cusps), left, right)
-    data = np.column_stack([np.arange(cusps.size), cusps, nearest, np.abs(cusps - nearest)])
-    return results, ["cusp_index", "t_cusp", "t_predicted_nearest", "abs_diff"], data
+    return (results, ["cusp_index", "t_cusp", "t_predicted_nearest", "abs_diff"],
+            [[np.arange(cusps.size), cusps, nearest, np.abs(cusps - nearest)]])
 
 
 _WORK_COLUMNS = [
@@ -270,15 +269,13 @@ def _cmd_work(cfg: RunConfig):
 
     scan = cfg.command == "scan"
     theta2 = np.linspace(cfg["theta2_min"], cfg["theta2_max"], cfg["n_theta2"]) if scan else np.array([cfg["theta2"]])
-    sums = thermo.scan_theta2(cfg.params, cfg["theta1"] * pi, theta2 * pi).T
-    theta1 = np.full(theta2.size, cfg["theta1"])
-    rows = np.column_stack([theta1, theta2, sums, sums / cfg.params.n_rungs])
-    return {}, _WORK_COLUMNS, rows
+    sums = thermo.scan_theta2(cfg.params, cfg["theta1"] * pi, theta2 * pi)
+    return {}, _WORK_COLUMNS, [[np.full(theta2.size, cfg["theta1"]), theta2, *sums, *(sums / cfg.params.n_rungs)]]
 
 
-# command -> (help, the inputs its metadata echoes, runner).  A runner
-# returns its metadata results, its columns and its rows.  Every angle key,
-# and no other, starts with "theta".
+# command -> (help, the inputs its metadata echoes, runner).  A runner makes
+# every check, then returns its metadata results, its column names and its
+# rows as blocks of columns.  Every angle key, and no other, starts with "theta".
 _COMMANDS: dict[str, tuple[str, tuple[str, ...], Callable[[RunConfig], tuple]]] = {
     "spectrum": ("per-mode band data of one ladder", ("theta",), _cmd_spectrum),
     "le": ("Loschmidt echo and rate function on a time grid", ("theta1", "theta2"), _cmd_le),
@@ -296,14 +293,14 @@ def run(config: RunConfig) -> int:
     metadata is the common keys, the command's echoed inputs, then its results."""
     _park_blas_pool()
     _, echoed, runner = _COMMANDS[config.command]
-    results, columns, rows = runner(config)
+    results, columns, blocks = runner(config)
     p = config.params
     meta: dict[str, Any] = dict(command=config.command, j_h=p.j_h, j_v=p.j_v, j_d=p.j_d, n_rungs=p.n_rungs)
     for key in echoed:
         if config[key] is not None:
             meta[f"{key}_over_pi" if key.startswith("theta") else key] = config[key]
     meta.update(results)
-    write_table(config.out, meta, columns, rows, fmt=config.fmt)
+    write_table(config.out, meta, columns, blocks, fmt=config.fmt)
     return 0
 
 

@@ -144,9 +144,11 @@ def allowed_modes(n_rungs: int) -> np.ndarray:
 
 
 def _band_terms(params: LadderParams, k: np.ndarray, *thetas: float):
-    """u = 2 j_h sin k, v = -2 j_h cos k and q = eps_qp at ``k``, then per flux
-    theta of ``thetas`` a = u sin theta, half gap h = sqrt(q^2 + a^2) and band
-    centre v cos theta - j_v as one tuple: the terms of every mode table."""
+    """u = 2 j_h sin k, v = -2 j_h cos k and q = eps_qp at finite ``k``, then per
+    flux theta of ``thetas`` a = u sin theta, half gap h = sqrt(q^2 + a^2) and
+    band centre v cos theta - j_v as one tuple: the terms of every mode table."""
+    if not np.all(np.isfinite(k)):
+        raise DomainError("wavenumbers must be finite")
     cos_k = np.cos(k)
     u, v, q = 2.0 * params.j_h * np.sin(k), -2.0 * params.j_h * cos_k, 2.0 * params.j_d * cos_k + params.j_v
     fluxes = [((a := u * np.sin(t)), np.sqrt(q * q + a * a), v * np.cos(t) - params.j_v) for t in thetas]
@@ -480,12 +482,12 @@ def exact_le_oracle(spec: QuenchSpec, t):
     Fills the N lowest orbitals of the pre-quench single-particle
     matrix, evolves with the post-quench matrix, and returns
     (|det|^2, det) of the occupied-orbital overlap: floats for a scalar
-    ``t``, arrays for an array of times.  The two ``eigh`` calls and the
-    projection of the occupied orbitals on the post-quench ones run once
-    per call, then one N x N determinant per time.  Limited to
-    ``ORACLE_MAX_RUNGS``: one call with six times took 0.3 s at 256 rungs
-    and 2.4 s at 512 (2 vCPUs), nearly all of it in the two ``eigh``
-    calls.  The mode-product formula must agree exactly.
+    ``t``, arrays for an array of finite times, negative ones too.  The two
+    ``eigh`` calls and the projection of the occupied orbitals on the
+    post-quench ones run once per call, then one N x N determinant per
+    time.  Limited to ``ORACLE_MAX_RUNGS``: one call with six times took
+    0.3 s at 256 rungs and 2.4 s at 512 (2 vCPUs), nearly all of it in the
+    two ``eigh`` calls.  The mode-product formula must agree exactly.
     """
     n = spec.params.n_rungs
     if n > ORACLE_MAX_RUNGS:
@@ -493,6 +495,8 @@ def exact_le_oracle(spec: QuenchSpec, t):
             f"oracle limited to n_rungs <= {ORACLE_MAX_RUNGS}, got {n}"
         )
     times = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise DomainError("times must be finite")
     _, v_pre = np.linalg.eigh(_single_particle_matrix(spec.pre))
     w_post, v_post = np.linalg.eigh(_single_particle_matrix(spec.post))
     projection = v_post.conj().T @ v_pre[:, :n]

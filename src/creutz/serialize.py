@@ -8,10 +8,11 @@ exponent form below 1e-4 and from 1e15.  JSON files mirror the same
 content with explicit field names.  Identical inputs produce
 byte-identical files; see docs/formats.md for the per-command schemas.
 
-Rows are formatted and written ``_CSV_BLOCK_ROWS`` values at a time.  An
-existing regular file is rewritten in place and truncated where the
-table ends, so a run killed mid-write can leave old bytes after the new
-ones.
+A table's rows reach the writer as blocks of columns, each holding one 1-D
+column per column name for the next rows; they are formatted and written a
+piece of ``_CSV_BLOCK_ROWS`` values at a time from one buffer.  An existing
+regular file is rewritten in place and truncated where the table ends, so a
+run killed mid-write can leave old bytes after the new ones.
 """
 
 from __future__ import annotations
@@ -21,17 +22,18 @@ import json
 import os
 import stat
 import sys
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import __version__
 
 ARTIFACT = "creutz"
-# A table is formatted and written a block of ``_CSV_BLOCK_ROWS // columns``
-# rows at a time: a CSV block peaks at its text slots, its text and a few
-# 8-byte arrays, about 1.5 MiB, and a JSON block at about 1.7 MiB.
+# A table is formatted and written a piece of ``_CSV_BLOCK_ROWS // columns``
+# rows at a time: a CSV piece peaks at its text slots, its text and a few
+# 8-byte arrays, about 1.5 MiB, and a JSON piece at about 1.7 MiB.
 _CSV_BLOCK_ROWS = 16384
+_Blocks = Iterable[Sequence[np.ndarray]]  # blocks of 1-D columns, one per column name
 
 # Exact doubles 10**0 .. 10**19, each split into two 26-bit halves for
 # Dekker's exact product, and the same powers as integers.
@@ -58,7 +60,7 @@ def _digit_words() -> np.ndarray:
 
 
 _LEAD, _TRAIL = 10**4, 2 * 10**4
-# Bytes per value in a block: sign, 15 integer digits, point, 18 fraction
+# Bytes per value in a piece: sign, 15 integer digits, point, 18 fraction
 # digits and the separator, the nine words the digits fill.  A value of
 # the ``%`` fallback takes up to 22 of them.
 _SLOT = 36
@@ -70,12 +72,6 @@ def _meta_str(value: Any) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _as_rows(rows: np.ndarray) -> np.ndarray:
-    """``rows`` as a 2-D float array; a 1-D input is one row, an empty one none."""
-    rows = np.asarray(rows, dtype=float)
-    return np.atleast_2d(rows) if len(rows) else np.empty((0, 0))
 
 
 def _product_error(a: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -104,7 +100,7 @@ def _format_values(values: np.ndarray) -> np.ndarray:
     is |v| * 10**k rounded half to even, where k = 14 - floor(log10 |v|),
     moved by one where that is off near a power of ten, and by one more
     where r rounds up to 1e15.  Each temporary is freed once spent, so a
-    block's peak is its ``_SLOT`` bytes a value and a few arrays more.
+    piece's peak is its ``_SLOT`` bytes a value and a few arrays more.
     """
     n = values.size
     a = np.abs(values)
@@ -192,88 +188,86 @@ def _format_values(values: np.ndarray) -> np.ndarray:
     return text
 
 
-def _csv_rows(block: np.ndarray) -> bytes:
-    """The CSV lines of a 2-D ``block`` of rows."""
-    slots = _format_values(block.ravel()).reshape(*block.shape, _SLOT)
+def _pieces(width: int, blocks: _Blocks) -> Iterator[np.ndarray]:
+    """The rows of each block of ``width`` columns, as float rows in one buffer of
+    ``_CSV_BLOCK_ROWS`` values a piece at a time: a piece is overwritten by the next."""
+    step = _CSV_BLOCK_ROWS // width
+    buffer = np.empty((step, width))
+    for block in blocks:
+        n_rows = len(block[0])
+        for lo in range(0, n_rows, step):
+            piece = buffer[: min(step, n_rows - lo)]
+            for j in range(width):
+                piece[:, j] = block[j][lo : lo + step]
+            yield piece
+        del block  # not held while the next block is made: one block at a time
+
+
+def _csv_rows(piece: np.ndarray) -> bytes:
+    """The CSV lines of a 2-D ``piece`` of rows."""
+    slots = _format_values(piece.ravel()).reshape(*piece.shape, _SLOT)
     slots[:, :, -1] = ord(",")
     slots[:, -1, -1] = ord("\n")
     return slots[slots != 0].tobytes()
 
 
-def _csv_blocks(metadata: dict, columns: Sequence[str], rows: np.ndarray) -> Iterator[bytes]:
-    """The CSV text as bytes: the metadata and header lines, then each block of rows.
+def _csv_blocks(metadata: dict, columns: Sequence[str], blocks: _Blocks) -> Iterator[bytes]:
+    """The CSV text as bytes: the metadata and header lines, then each piece of rows.
 
-    A block's arrays are freed before the next is made: only the caller
+    A piece's arrays are freed before the next is made: only the caller
     holds its text."""
     lines = [f"# {ARTIFACT} v{__version__}"]
     lines += [f"# {key} = {_meta_str(value)}" for key, value in metadata.items()]
     yield "\n".join([*lines, ",".join(columns), ""]).encode()
-    rows = _as_rows(rows)
-    n_rows, n_columns = rows.shape
-    if not n_columns:  # rows without values
-        yield b"\n" * n_rows
-        return
-    step = max(1, _CSV_BLOCK_ROWS // n_columns)
-    for lo in range(0, n_rows, step):
-        yield _csv_rows(rows[lo : lo + step])
+    yield from map(_csv_rows, _pieces(len(columns), blocks))
 
 
-def _json_rows(block: np.ndarray) -> bytes:
-    """The rows of a 2-D ``block`` as in ``json.dumps`` at indent 2, one value a line."""
+def _json_rows(piece: np.ndarray) -> bytes:
+    """The rows of a 2-D ``piece`` as in ``json.dumps`` at indent 2, one value a line."""
     # float.__repr__ is what json.dumps writes for a finite float
-    cells = list(map(float.__repr__, block.ravel().tolist()))
-    for i in np.flatnonzero(~np.isfinite(block.ravel())):
-        cells[i] = '"%.15g"' % block.flat[i]
-    width = block.shape[1]
-    texts = (["    [\n      " + ",\n      ".join(cells[i : i + width]) + "\n    ]"
-              for i in range(0, len(cells), width)] if width else ["    []"] * len(block))
+    cells = list(map(float.__repr__, piece.ravel().tolist()))
+    for i in np.flatnonzero(~np.isfinite(piece.ravel())):
+        cells[i] = '"%.15g"' % piece.flat[i]
+    width = piece.shape[1]
+    texts = ["    [\n      " + ",\n      ".join(cells[i : i + width]) + "\n    ]"
+             for i in range(0, len(cells), width)]
     del cells
     return ",\n".join(texts).encode()
 
 
-def _json_blocks(metadata: dict, columns: Sequence[str], rows: np.ndarray) -> Iterator[bytes]:
+def _json_blocks(metadata: dict, columns: Sequence[str], blocks: _Blocks) -> Iterator[bytes]:
     """The bytes of ``json.dumps(payload, indent=2)`` and a newline, the rows a
-    block at a time; a non-finite value is its CSV text, ``"inf"``, ``"-inf"``
+    piece at a time; a non-finite value is its CSV text, ``"inf"``, ``"-inf"``
     or ``"nan"``, as strict JSON has no Infinity or NaN literal."""
-    rows = _as_rows(rows)
     payload = {"artifact": ARTIFACT, "version": __version__, "metadata": dict(metadata),
                "columns": list(columns), "rows": []}
     head = json.dumps(payload, indent=2)  # ends in '"rows": []\n}'
-    if not len(rows):
-        yield (head + "\n").encode()
-        return
-    yield (head[:-3] + "\n").encode()
-    width = rows.shape[1]
-    step = max(1, _CSV_BLOCK_ROWS // max(1, width))
-    for lo in range(0, len(rows), step):
-        if lo:
-            yield b",\n"
-        yield _json_rows(rows[lo : lo + step])
-    yield b"\n  ]\n}\n"
+    before, end = (head[:-3] + "\n").encode(), (head + "\n").encode()
+    for piece in _pieces(len(columns), blocks):
+        yield before
+        yield _json_rows(piece)
+        before, end = b",\n", b"\n  ]\n}\n"
+    yield end
 
 
-def write_table(
-    path: str,
-    metadata: dict[str, Any],
-    columns: Sequence[str],
-    rows: np.ndarray,
-    fmt: str = "csv",
-) -> None:
-    """Write one result table to ``path`` (or stdout when path is '-'), a block of rows at a time."""
+def write_table(path: str, metadata: dict[str, Any], columns: Sequence[str], blocks: _Blocks,
+                fmt: str = "csv") -> None:
+    """Write one result table to ``path`` (or stdout when path is '-'), a piece of rows at a time;
+    ``blocks`` may be a generator that makes each block of columns as the writer asks for it."""
     if fmt == "csv":
-        blocks = _csv_blocks(metadata, columns, rows)
+        texts = _csv_blocks(metadata, columns, blocks)
     elif fmt == "json":
-        blocks = _json_blocks(metadata, columns, rows)
+        texts = _json_blocks(metadata, columns, blocks)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if path == "-":
-        sys.stdout.writelines(block.decode() for block in blocks)
+        sys.stdout.writelines(text.decode() for text in texts)
         return
     # An existing file is rewritten in place and cut at the end: truncating
     # it on open waits for the writeback of its old blocks.
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
         try:
-            handle.writelines(blocks)  # each block as soon as it is formatted
-        finally:  # also after a failed block: the new prefix, none of the old bytes
+            handle.writelines(texts)  # each piece as soon as it is formatted
+        finally:  # also after a failed piece: the new prefix, none of the old bytes
             if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):  # not /dev/null or a FIFO
                 handle.truncate()

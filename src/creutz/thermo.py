@@ -125,17 +125,18 @@ def scan_theta2(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
     for a one-dimensional grid.
 
     One (theta2 x k) evaluation on the modes 0 < k < pi, each counted twice,
-    with the u, v, q, a and h of ``model._band_terms`` and cos gamma1 = a1 / h1
-    (1 where h1 = 0).  Per mode, dc = v (cos theta2 - cos theta1),
-    dh = h2 - h1 and lin = cos gamma1 (a2 - a1) give average_work =
-    sum (dc - lin), delta_f = sum (dc - dh) and irreversible_work =
-    sum (dh - lin), one sqrt per element.  At k = 0 and k = pi, a = 0 and
-    only dc survives: it adds -2 j_h (cos theta2 - cos theta1) for odd N
-    (k = 0 alone) and cancels for even N.  Where q^2 + a1 a2 > 0 an
+    with the u, v and q of ``model._band_terms``, a = u sin theta, half gap
+    h = sqrt(q^2 + a^2) and cos gamma1 = a1 / h1 (1 where h1 = 0).  Per mode,
+    dc = v (cos theta2 - cos theta1), dh = h2 - h1 and lin = cos gamma1 (a2 - a1)
+    give average_work = sum (dc - lin), delta_f = sum (dc - dh) and
+    irreversible_work = sum (dh - lin), one sqrt per element.  At k = 0 and
+    k = pi, a = 0 and only dc survives: it adds -2 j_h (cos theta2 - cos theta1)
+    for odd N (k = 0 alone) and cancels for even N.  Where q^2 + a1 a2 > 0 an
     irreversible term is q^2 (a2 - a1)^2 / (h1 (h1 h2 + q^2 + a1 a2)),
-    non-negative and exactly 0 at a2 = a1, so theta2 = pi - theta1 costs
-    no irreversible work; elsewhere it is max(dh - lin, 0).  At
-    theta2 = theta1, every sum is exactly 0.
+    non-negative and exactly 0 at a2 = a1, so theta2 = pi - theta1 costs no
+    irreversible work; elsewhere it is max(dh - lin, 0).  At theta2 = theta1,
+    every sum is exactly 0.  The hoppings are taken in units of 2**e, the
+    largest in [0.5, 1): exact, and the sums are finite for every ladder.
 
     Chunks of theta2 rows go through six float64 buffers of about
     ``_CHUNK_BYTES``, in one contiguous run of chunks per CPU on threads
@@ -149,13 +150,16 @@ def scan_theta2(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
     n = params.n_rungs
     k = allowed_modes(n)[1 : (n + 1) // 2]  # 0 < k < pi
     theta1 = canonical_angle(theta1)
-    u, v, q, (a1, h1, _) = _band_terms(params, k, theta1)
+    e = math.frexp(max(abs(params.j_h), params.j_v, params.j_d))[1]  # the hoppings' unit 2**e
+    u, v, q = (np.ldexp(x, -e) for x in _band_terms(params, k))
     q2 = q**2
+    a1 = u * np.sin(theta1)
+    h1 = np.sqrt(q2 + a1 * a1)
     c1 = np.divide(a1, h1, out=np.ones_like(h1), where=h1 > 0.0)  # cos gamma1
     theta2 = [canonical_angle(t) for t in theta2_grid]
     sin_theta2 = np.array([math.sin(t) for t in theta2])[:, None]
     dcos = np.array([math.cos(t) - math.cos(theta1) for t in theta2])[:, None]
-    ends = -2.0 * params.j_h * (n % 2) * dcos[:, 0]  # the dc of k = 0 and k = pi
+    ends = math.ldexp(-2.0 * params.j_h, -e) * (n % 2) * dcos[:, 0]  # the dc of k = 0 and k = pi
     sums = np.empty((3, len(theta2)))
     rows = max(1, _CHUNK_BYTES // (8 * max(1, k.size)))
 
@@ -186,4 +190,4 @@ def scan_theta2(params: LadderParams, theta1: float, theta2_grid) -> np.ndarray:
             sums[1, r0:r1] = 2.0 * np.sum(np.subtract(dc, dh, out=x), axis=-1) + ends[r0:r1]
 
     _run_pieces(run, len(theta2), rows, _worker_count())
-    return sums
+    return np.ldexp(sums, e, out=sums)

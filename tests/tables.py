@@ -17,20 +17,26 @@ def format_float(x: float) -> str:
     return f"{x:.15g}"
 
 
-def render_csv(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarray) -> str:
-    """CSV text; each value as ``format_float`` writes it.
+def one_block(rows) -> list[list[np.ndarray]]:
+    """A table of ``rows`` (2-D, or one row as a 1-D array) as the one block of
+    columns that ``write_table`` takes."""
+    return [list(np.atleast_2d(np.asarray(rows, dtype=float)).T)]
 
-    The join of the blocks that ``write_table`` streams as each is formatted.
-    In a block, numpy formats zero and the values printed in fixed notation,
+
+def render_csv(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarray) -> str:
+    """CSV text of ``rows`` as one block; each value as ``format_float`` writes it.
+
+    The join of the pieces that ``write_table`` streams as each is formatted.
+    In a piece, numpy formats zero and the values printed in fixed notation,
     the ``%`` operator the rest (non-finite, or |x| below 1e-4 or from 1e15
     after rounding); the texts and separators fill one NUL-padded byte array.
     """
-    return b"".join(_csv_blocks(metadata, columns, rows)).decode()
+    return b"".join(_csv_blocks(metadata, columns, one_block(rows))).decode()
 
 
 def render_json(metadata: dict[str, Any], columns: Sequence[str], rows: np.ndarray) -> str:
-    """JSON text, the join of the blocks that ``write_table`` streams."""
-    return b"".join(_json_blocks(metadata, columns, rows)).decode()
+    """JSON text of ``rows`` as one block, the join of the pieces that ``write_table`` streams."""
+    return b"".join(_json_blocks(metadata, columns, one_block(rows))).decode()
 
 
 def full_angle_per_element(modes, start, a, b, wide, narrow, log_le, arg=None) -> None:

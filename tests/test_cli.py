@@ -82,9 +82,10 @@ class TestSpectrum:
         assert rows.tobytes() == table.tobytes()
 
     def test_memory_is_the_rows_and_a_block(self, tmp_path):
-        # the table's float rows plus one block of modes and one of text, as
-        # CSV or JSON; holding all mode_data columns and the whole CSV text
-        # peaks at 59.7 MiB, and the whole JSON text at 252.9 MiB
+        # the k grid plus one block of modes and one piece of text, as CSV or
+        # JSON: no table of all rows; filling one first peaks at 15.1 MiB,
+        # holding all mode_data columns and the whole CSV text at 59.7 MiB,
+        # and the whole JSON text at 252.9 MiB
         n = 200_000
         for fmt in ("csv", "json"):
             tracemalloc.start()
@@ -95,7 +96,7 @@ class TestSpectrum:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            assert peak < n * len(cli._SPECTRUM_COLUMNS) * 8 + 4 * 2**20, fmt
+            assert peak < n * 8 + 4 * 2**20, fmt
 
     @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -460,6 +461,34 @@ def test_metadata_is_the_common_keys_then_the_inputs_then_the_results(tmp_path, 
                            for arg in ("--set", s))]
         assert run_cli(*argv, "--format", fmt, "--out", str(out)) == 0
         assert list(read_table(str(out))[0]) == COMMON_KEYS + inputs + results
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("spectrum", ["n_rungs=20000", "theta=0.3"]),
+    ("le", ["t_max=3", "n_points=40"]),
+    ("revival", ["n_rungs=100"]),
+    ("dqpt", ["n_rungs=300", "theta1=0.25", "theta2=-0.25", "t_max=4", "n_points=4001"]),
+    ("work", ["theta2=0.3"]),
+    ("scan", ["n_rungs=30", "n_theta2=9"]),
+])
+def test_runners_hand_the_writer_blocks_of_columns(tmp_path, monkeypatch, command, settings):
+    # each block holds one 1-D column per name, all of one length, and the
+    # rows of all blocks are the table the file holds
+    write_table, seen = cli.write_table, []
+
+    def checked(path, metadata, columns, blocks, fmt="csv"):
+        blocks = list(blocks)
+        for block in blocks:
+            assert len(block) == len(columns)
+            assert all(np.ndim(column) == 1 and len(column) == len(block[0]) for column in block)
+        seen.append(sum(len(block[0]) for block in blocks))
+        write_table(path, metadata, columns, blocks, fmt)
+
+    monkeypatch.setattr(cli, "write_table", checked)
+    out = tmp_path / "out.csv"
+    assert run_cli(command, *(arg for s in settings for arg in ("--set", s)), "--out", str(out)) == 0
+    _, columns, rows = read_table(str(out))
+    assert len(columns) >= 3 and seen == [len(rows)] and len(rows) > 0
 
 
 class TestLeRevivalRoundTrip:

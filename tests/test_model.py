@@ -326,6 +326,24 @@ class TestValidation:
         with pytest.raises(DomainError, match=message.get(name, "q_max must be an integer >= 2")):
             calls[name]()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_wavenumbers_and_oracle_times(self, bad):
+        # mode_arrays gave amplitude 0 and cos^2 eta 1 at a nan wavenumber,
+        # mode_data nan in every field; inf and the oracle ended in a warning
+        spec = QuenchSpec(params(n=12), 0.25 * math.pi, -0.25 * math.pi)
+        calls = [lambda: mode_data(spec.params, bad), lambda: mode_data(spec.params, [0.1, bad]),
+                 lambda: model.mode_arrays(spec, [bad]), lambda: model.exact_le_oracle(spec, bad),
+                 lambda: model.exact_le_oracle(spec, [1.0, bad])]
+        for call in calls:
+            with pytest.raises(DomainError, match="must be finite"):
+                call()
+
+    def test_oracle_takes_negative_times(self):
+        # the echo is even in time: a negative time is the positive one
+        spec = QuenchSpec(params(n=12), 0.25 * math.pi, -0.25 * math.pi)
+        le, _ = model.exact_le_oracle(spec, np.array([-1.5, 1.5]))
+        assert le[0] == pytest.approx(le[1], rel=1e-12)
+
     def test_rejects_hoppings_that_overflow_the_mode_table(self):
         # eps_qp**2 overflows to inf beyond about 1e154; the table stays
         # finite at the limit and is refused above it

@@ -8,7 +8,7 @@ import pytest
 
 from creutz import LadderParams, __version__, allowed_modes, mode_data, serialize
 from creutz.serialize import _CSV_BLOCK_ROWS, write_table
-from tables import format_float, render_csv, render_json
+from tables import format_float, one_block, render_csv, render_json
 
 # signed zero, non-finite values, the subnormal and overflow ends, and the
 # switch to exponent notation between 1e15 and 1e16
@@ -128,18 +128,37 @@ class TestWriteTable:
     @pytest.mark.parametrize(
         "columns, rows",
         [(list("abc"), table(0)), (list("abc"), table(_CSV_BLOCK_ROWS - 1)),
-         (list("abc"), table(_CSV_BLOCK_ROWS + 1)), ([], np.empty((5, 0))),
+         (list("abc"), table(_CSV_BLOCK_ROWS + 1)),
          (list("abcd"), np.array(SPECIAL).reshape(-1, 4))],
-        ids=["no rows", "block-1", "block+1", "no columns", "special"],
+        ids=["no rows", "block-1", "block+1", "special"],
     )
     def test_file_and_stdout_are_render_csv(self, tmp_path, capsys, columns, rows):
         meta = {"command": "test", "flag": True, "x": 0.1}
         expected = render_csv(meta, columns, rows)
         path = tmp_path / "t.csv"
-        write_table(str(path), meta, columns, rows)
+        write_table(str(path), meta, columns, one_block(rows))
         assert_same_text(path.read_bytes().decode(), expected)
-        write_table("-", meta, columns, rows)
+        write_table("-", meta, columns, one_block(rows))
         assert_same_text(capsys.readouterr().out, expected)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_blocks_of_any_length_give_the_bytes_of_one(self, tmp_path, fmt):
+        # empty blocks, and blocks shorter and longer than a piece, from a
+        # generator that yields tuples of integer and float columns
+        step = _CSV_BLOCK_ROWS // 3
+        rows = table(3 * step + 7)
+        rows[:, 0] = np.arange(len(rows))
+        cuts = np.cumsum([0, 0, 1, step - 1, step + 2, 0, 5])
+        edges = [*cuts, len(rows)]
+
+        def blocks():
+            for lo, hi in zip(edges, edges[1:]):
+                yield (np.arange(lo, hi), rows[lo:hi, 1].copy(), rows[lo:hi, 2])
+
+        path = tmp_path / f"t.{fmt}"
+        write_table(str(path), {"n": 1}, list("abc"), blocks(), fmt=fmt)
+        render = render_csv if fmt == "csv" else render_json
+        assert path.read_bytes() == render({"n": 1}, list("abc"), rows).encode()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_short_table_over_a_longer_file_leaves_the_new_bytes(self, tmp_path, fmt):
@@ -147,7 +166,7 @@ class TestWriteTable:
         path = tmp_path / f"t.{fmt}"
         path.write_bytes(b"x" * 100_000)
         rows = table(3)
-        write_table(str(path), {"n": 3}, list("abc"), rows, fmt=fmt)
+        write_table(str(path), {"n": 3}, list("abc"), one_block(rows), fmt=fmt)
         render = render_csv if fmt == "csv" else render_json
         assert path.read_bytes() == render({"n": 3}, list("abc"), rows).encode()
 
@@ -166,7 +185,7 @@ class TestWriteTable:
 
         monkeypatch.setattr(serialize, "_format_values", second_block_raises)
         with pytest.raises(MemoryError):
-            write_table(str(path), {}, list("abc"), rows)
+            write_table(str(path), {}, list("abc"), one_block(rows))
         assert path.read_bytes() == render_csv({}, list("abc"), rows[:step]).encode()
 
     def test_existing_file_keeps_its_inode_and_mode(self, tmp_path):
@@ -174,12 +193,12 @@ class TestWriteTable:
         path.write_bytes(b"x" * 100_000)
         path.chmod(0o640)
         before = path.stat()
-        write_table(str(path), {}, list("abc"), table(5))
+        write_table(str(path), {}, list("abc"), one_block(table(5)))
         after = path.stat()
         assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
         # a new file gets the mode that open(path, "wb") gives it
         fresh, opened = tmp_path / "fresh.csv", tmp_path / "opened.csv"
-        write_table(str(fresh), {}, list("abc"), table(5))
+        write_table(str(fresh), {}, list("abc"), one_block(table(5)))
         opened.open("wb").close()
         assert fresh.stat().st_mode == opened.stat().st_mode
 
@@ -190,7 +209,7 @@ class TestWriteTable:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            write_table(str(tmp_path / "t.csv"), {}, list("abcdefgh"), rows)
+            write_table(str(tmp_path / "t.csv"), {}, list("abcdefgh"), one_block(rows))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -201,14 +220,14 @@ class TestRenderJson:
     def test_rows_byte_identical_to_per_row_floats(self):
         # the streamed blocks join to the one-shot text: a spectrum table,
         # row counts about the block boundary (with the special values in
-        # their first rows), the special values alone and rows without values
+        # their first rows) and the special values alone
         params = LadderParams(1.0, 1.0, 1.0, 0.3, 101)
         m = mode_data(params, allowed_modes(params.n_rungs))
         spectrum = ["k", "eps_q", "eps_p", "eps_qp", "gamma", "e_alpha", "e_beta", "gap"]
         step = _CSV_BLOCK_ROWS // 3
         cases = [(spectrum, np.column_stack([getattr(m, name) for name in spectrum])),
                  *((list("abc"), table(n)) for n in (step - 1, step, step + 1, 2 * step)),
-                 (list("abcd"), np.array(SPECIAL).reshape(-1, 4)), ([], np.empty((5, 0)))]
+                 (list("abcd"), np.array(SPECIAL).reshape(-1, 4))]
         meta = {"command": "spectrum", "n_rungs": 101}
         for columns, rows in cases:
             old_form = {

@@ -340,6 +340,31 @@ class TestScan:
         (irreversible,) = scan_theta2(params, theta1 * math.pi, [(1.0 - theta1) * math.pi])[2]
         assert 0.0 <= irreversible <= 1e-20
 
+    @pytest.mark.parametrize("m", [100, -100, 250, -250, 400, -400, 498, -498])
+    def test_hoppings_times_a_power_of_two_give_the_sums_times_it(self, m):
+        # the sums are taken with the hoppings in units of a power of two, so
+        # the bits follow the hoppings' scale exactly; in units of 1 the
+        # irreversible term, a quartic over a cubic in the band energies,
+        # overflowed or underflowed towards either end of the range
+        grid = np.linspace(-1.0, 1.0, 41) * math.pi
+        for n, hoppings in ((7, (1.0, 1.1, 1.2)), (8, (-1.2, 1.0, 1.05))):
+            base, scaled = (LadderParams(*(x * s for x in hoppings), 0.0, n) for s in (1.0, 2.0**m))
+            expected = np.ldexp(scan_theta2(base, 0.25 * math.pi, grid), m)
+            assert scan_theta2(scaled, 0.25 * math.pi, grid).tobytes() == expected.tobytes()
+            stats = [work_stats(QuenchSpec(p, 0.25 * math.pi, 0.6 * math.pi)) for p in (base, scaled)]
+            expected = [math.ldexp(x, m) for x in (stats[0].average_work, stats[0].delta_f,
+                                                   stats[0].irreversible_work)]
+            assert [stats[1].average_work, stats[1].delta_f, stats[1].irreversible_work] == expected
+
+    @pytest.mark.parametrize("j", [1e150, 1e100, 1e77, 1e-100, 1e-150])
+    def test_irreversible_work_is_finite_over_the_hopping_range(self, j):
+        # in units of 1 these gave nan (1e150 and 1e-150), inf (1e100 and
+        # 1e77) and 0 (1e-100)
+        stats = work_stats(make_spec(0.0016 * math.pi, 0.5 * math.pi, n=7, j=j, jv=j))
+        unit = work_stats(make_spec(0.0016 * math.pi, 0.5 * math.pi, n=7))
+        assert stats.irreversible_work == pytest.approx(j * unit.irreversible_work, rel=1e-14)
+        assert stats.irreversible_work > 0.0
+
     def test_scan_peak_memory_is_chunked(self):
         params = LadderParams(1.0, 1.0, 1.0, 0.0, 20000)
         grid = np.linspace(-1.0, 1.0, 401) * math.pi
